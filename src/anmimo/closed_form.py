@@ -24,10 +24,19 @@ Numerical notes, since both closed forms are badly alternating:
   and that is what is implemented.
 * omega's determinant sum divides by (mu1 - mu2)^(m1 m2) and cancels
   catastrophically as the two eigenvalue groups merge, so it runs at
-  adaptive arbitrary precision with an a-posteriori digit-loss audit (a
-  Hadamard bound per determinant plus the cross-determinant cancellation),
-  retrying at higher precision until the audit passes. Near-degenerate
-  inputs (|beta - 1| < 1e-6) route to the single-group branch instead.
+  adaptive arbitrary precision with an a-posteriori digit-loss audit,
+  retrying at higher precision until the audit passes. Its p determinants
+  differ from one base matrix R0 in one column each, so one elimination
+  of R0 and p back substitutions give all of them (matrix determinant
+  lemma). The audit compares the Hadamard row-norm bound of R0 and of
+  each R_k with its value, fails an attempt whose determinant is zero or
+  above its own bound, and adds the cancellation across the k-sum.
+  Near-degenerate inputs (|beta - 1| < 1e-6) route to the single-group
+  branch instead.
+* The E1 ladder T_t = exp(mu) E_{t+1}(mu) that fills omega's columns runs
+  forward, which multiplies T_0's rounding error by up to mu^t / t!. At
+  low SNR (mu = 1/alpha >> 1) that is up to hundreds of digits, which
+  the ladder adds to its working precision.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath as mp
 
@@ -262,99 +272,132 @@ def build_spectrum(cfg: SystemConfig) -> WishartSpectrum:
 
 
 def _exp_e1_ladder(mu, tmax):
-    # T_t(mu) = exp(mu) E_{t+1}(mu) at current mpmath precision
-    out = [mp.exp(mu) * mp.e1(mu)]
-    for t in range(1, tmax + 1):
-        out.append((1 - mu * out[-1]) / t)
+    """T_t(mu) = exp(mu) E_{t+1}(mu) for t = 0..tmax, to the current precision.
+
+    The forward recursion T_t = (1 - mu T_{t-1}) / t multiplies the rounding
+    error of T_0 by up to mu^t / t!, which at low SNR (mu >> 1) is hundreds
+    of digits, so the ladder runs with that many extra digits, plus
+    log10(mu + tmax + 1) for the cancellation inside each step and a guard.
+    """
+    log10_mu = math.log10(mu)
+    lost = max(
+        t * log10_mu - math.lgamma(t + 1) / math.log(10) for t in range(tmax + 1)
+    )
+    with mp.workdps(mp.mp.dps + int(lost + math.log10(mu + tmax + 1)) + 10):
+        out = [mp.exp(mu) * mp.e1(mu)]
+        for t in range(1, tmax + 1):
+            out.append((1 - mu * out[-1]) / t)
     return out
+
+
+def _det_and_cramer_diagonal(a, n, p):
+    """det(R0) and x_kk = (R0^{-1} c_k)_k for k < p, from the rows of [R0 | C].
+
+    a holds the n rows of R0 (n columns) followed by the p columns c_k of
+    C; it is overwritten. One Gaussian elimination with partial pivoting
+    over all n + p columns, then each back substitution stops at row k,
+    the only entry of x_k the sum needs. A singular R0 gives (0, []).
+    """
+    det = mp.mpf(1)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda i: abs(a[i][col]))
+        if not a[piv][col]:
+            return mp.mpf(0), []
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        top = a[col]
+        det *= top[col]
+        for row in a[col + 1 :]:
+            f = row[col] / top[col]
+            for j in range(col + 1, n + p):
+                row[j] -= f * top[j]
+    xkk = []
+    for k in range(p):
+        x = {}
+        for i in range(n - 1, k - 1, -1):
+            rest = mp.fsum(a[i][j] * x[j] for j in range(i + 1, n))
+            x[i] = (a[i][n + k] - rest) / a[i][i]
+        xkk.append(x[k])
+    return det, xkk
 
 
 def _omega_determinant_sum(n_a: int, n_e: int, spectrum: WishartSpectrum) -> float:
     """Alternating determinant expansion of the two-level ergodic log-det.
 
+    The expansion sums p = min(n_e, n_a) determinants det(R_k). R_k equals
+    a base matrix R0 except in column k, which is R0's column scaled
+    entrywise by the E1 tail sums; call that column c_k. By the matrix
+    determinant lemma (Cramer's rule), det(R_k) = det(R0) x_kk with
+    x_k = R0^{-1} c_k, so one Gaussian elimination of [R0 | c_1 .. c_p]
+    with partial pivoting and p back substitutions give the whole sum.
+
     Evaluated entirely in mpmath. The initial precision anticipates the
     (mu1 - mu2)^(m1 m2) blow-up; after evaluation the actual digit loss
-    is audited (Hadamard row-norm bound inside each determinant, plus the
-    cancellation across the k-sum) and the whole computation retries at
-    the audited precision if the first guess was short.
+    is audited and the whole computation retries at the audited precision
+    if the first guess was short. The audit adds the worst loss inside
+    the p + 1 determinants det R0 and det R_k (each one's Hadamard
+    row-norm bound against its value; R0 alone misses digits the solves
+    lose) and the cancellation across the k-sum (max_k |x_kk| against
+    |sum_k x_kk|). A determinant that is zero or above its own Hadamard
+    bound holds no correct digit, and the attempt counts as failed.
     """
     p = min(n_e, n_a)
     mu1, mu2, m1, m2 = spectrum.mu1, spectrum.mu2, spectrum.m1, spectrum.m2
     relgap = (mu1 - mu2) / mu1
     dps = 30 + max(0, int(-m1 * m2 * math.log10(relgap)))
     sign_k = (-1) ** (n_e * (n_a - p))
+    # each row belongs to one eigenvalue group and carries a shift d: the
+    # order of the derivative in that group's confluent block
+    rows = [(0, m1 - i) for i in range(1, m1 + 1)] + [
+        (1, n_a - i) for i in range(m1 + 1, n_a + 1)
+    ]
+    phi_max = n_e - 1 + max(m1, m2) - 1
     for _ in range(8):
         with mp.workdps(dps):
-            big1, big2 = mp.mpf(mu1), mp.mpf(mu2)
-            groups = [1 if i <= m1 else 2 for i in range(1, n_a + 1)]
-            shifts = [
-                (m1 if g == 1 else n_a) - i
-                for g, i in zip(groups, range(1, n_a + 1))
-            ]
-            mus = [big1 if g == 1 else big2 for g in groups]
-            phi_max = n_e - 1 + max(shifts)
-            tail_sums = {}
-            for mu in (big1, big2):
-                ladder = _exp_e1_ladder(mu, phi_max)
-                acc, cum = mp.mpf(0), []
-                for t in range(phi_max + 1):
-                    acc += ladder[t]
-                    cum.append(acc)
-                tail_sums[mu] = cum
+            levels = (mp.mpf(mu1), mp.mpf(mu2))
+            tail_sums = [list(accumulate(_exp_e1_ladder(mu, phi_max))) for mu in levels]
             log_k = (
-                m1 * n_e * mp.log(big1)
-                + m2 * n_e * mp.log(big2)
+                m1 * n_e * mp.log(levels[0])
+                + m2 * n_e * mp.log(levels[1])
                 - sum(mp.loggamma(n_e - i + 1) for i in range(1, p + 1))
                 - sum(mp.loggamma(m1 - i + 1) for i in range(1, m1 + 1))
                 - sum(mp.loggamma(m2 - i + 1) for i in range(1, m2 + 1))
-                - m1 * m2 * mp.log(big1 - big2)
+                - m1 * m2 * mp.log(levels[0] - levels[1])
             )
-            dets = []
-            worst_inner = 0.0
-            for k in range(1, p + 1):
-                r = mp.matrix(n_a, n_a)
-                for i in range(1, n_a + 1):
-                    mu, di = mus[i - 1], shifts[i - 1]
-                    for j in range(1, n_a + 1):
-                        if j > p:
-                            ex = n_a - j - di
-                            if ex < 0:
-                                r[i - 1, j - 1] = mp.mpf(0)
-                            else:
-                                r[i - 1, j - 1] = (
-                                    mu ** ex
-                                    * mp.factorial(n_a - j)
-                                    / mp.factorial(ex)
-                                )
-                        else:
-                            phi = n_e - p + j - 1 + di
-                            base = (
-                                (-1) ** di
-                                * mp.factorial(phi)
-                                / mu ** (phi + 1)
-                            )
-                            if j == k:
-                                base *= tail_sums[mu][phi]
-                            r[i - 1, j - 1] = base
-                det = mp.det(r)
-                # digit loss hidden inside this determinant, by Hadamard
-                log_bound = mp.mpf(0)
-                for i in range(n_a):
-                    rn = mp.sqrt(mp.fsum(r[i, j] ** 2 for j in range(n_a)))
-                    if rn > 0:
-                        log_bound += mp.log(rn, 10)
-                inner = float(log_bound - mp.log(abs(det), 10)) if det != 0 else float(dps)
-                worst_inner = max(worst_inner, inner)
-                dets.append(det)
-            total = mp.fsum(dets)
-            if total == 0:
-                cross = float(dps)
+            # rows of [R0 | C], and their squared norms in R0, R_1 .. R_p
+            a, hadamard = [], []
+            for g, d in rows:
+                mu, tails = levels[g], tail_sums[g]
+                phis = range(n_e - p + d, n_e + d)
+                r0 = [(-1) ** d * math.factorial(phi) / mu ** (phi + 1) for phi in phis]
+                r0 += [
+                    math.perm(n_a - j, d) * mu ** (n_a - j - d)
+                    if n_a - j >= d
+                    else mp.mpf(0)
+                    for j in range(p + 1, n_a + 1)
+                ]
+                c = [v * tails[phi] for v, phi in zip(r0, phis)]
+                norm2 = mp.fsum(v * v for v in r0)
+                hadamard.append([norm2] + [norm2 - v * v + w * w for v, w in zip(r0, c)])
+                a.append(r0 + c)
+            det, xkk = _det_and_cramer_diagonal(a, n_a, p)
+            # digits lost inside det R0 and each det R_k = det R0 x_kk: its
+            # Hadamard row-norm bound over its value. A determinant that is
+            # zero or above its bound holds no correct digit.
+            losses = [
+                mp.log(abs(mp.fprod(norms2)), 10) / 2 - mp.log(abs(dk), 10) if dk else -1
+                for norms2, dk in zip(zip(*hadamard), [det] + [det * x for x in xkk])
+            ]
+            x_sum = mp.fsum(xkk)
+            if min(losses) >= 0 and x_sum:
+                inner = float(max(losses))
+                cross = float(mp.log(max(abs(x) for x in xkk) / abs(x_sum), 10))
             else:
-                cross = float(mp.log(max(abs(d) for d in dets) / abs(total), 10))
-            needed = worst_inner + cross + 15.0
+                inner, cross = float(dps), 0.0
+            needed = inner + cross + 15.0
             if dps >= needed:
-                if total == 0:
-                    return 0.0
+                total = det * x_sum
                 return float(sign_k * mp.sign(total) * mp.exp(log_k + mp.log(abs(total))))
             dps = int(needed) + 10
     raise NumericError(
@@ -378,36 +421,49 @@ def omega(cfg: SystemConfig) -> float:
     return _omega_determinant_sum(cfg.n_a, cfg.n_e, build_spectrum(cfg))
 
 
-def average_secrecy_rate(cfg: SystemConfig) -> float:
+def _common_theta(cfg: SystemConfig) -> float:
+    """theta(n_b, n_a, alpha gamma) + theta(n_min, n_max, alpha beta).
+
+    The legitimate-link and artificial-noise-only terms, which the exact
+    rate and both bounds share.
+    """
+    return theta(cfg.n_b, cfg.n_a, cfg.alpha * cfg.gamma) + theta(
+        cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta
+    )
+
+
+def average_secrecy_rate(cfg: SystemConfig, *, common: float | None = None) -> float:
     """Unclamped average secrecy rate in nats; may be negative.
 
     Legitimate-link term theta(n_b, n_a, alpha gamma) plus the
     artificial-noise-only term theta(n_min, n_max, alpha beta), minus the
-    full eavesdropper term omega(cfg).
+    full eavesdropper term omega(cfg). A caller that also wants the
+    bounds passes the sum of the first two as ``common``, so that it is
+    computed once.
     """
     if cfg.alpha == 0.0:
         return 0.0
-    return (
-        theta(cfg.n_b, cfg.n_a, cfg.alpha * cfg.gamma)
-        + theta(cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta)
-        - omega(cfg)
-    )
+    if common is None:
+        common = _common_theta(cfg)
+    return common - omega(cfg)
 
 
-def average_rate_bounds(cfg: SystemConfig) -> tuple[float, float]:
+def average_rate_bounds(
+    cfg: SystemConfig, *, common: float | None = None
+) -> tuple[float, float]:
     """Two-sided bounds (lower, upper) on the average secrecy rate.
 
     Replaces omega with the single-group value at the larger (lower
     bound) or smaller (upper bound) of the two power scales alpha and
-    alpha beta. The two coincide exactly at beta = 1.
+    alpha beta. The two coincide exactly at beta = 1. ``common`` is as
+    in average_secrecy_rate.
     """
     if cfg.alpha == 0.0:
         return (0.0, 0.0)
+    if common is None:
+        common = _common_theta(cfg)
     scale_min = min(cfg.alpha, cfg.alpha * cfg.beta)
     scale_max = max(cfg.alpha, cfg.alpha * cfg.beta)
-    common = theta(cfg.n_b, cfg.n_a, cfg.alpha * cfg.gamma) + theta(
-        cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta
-    )
     lower = common - theta(cfg.n_hat_min, cfg.n_hat_max, scale_max)
     upper = common - theta(cfg.n_hat_min, cfg.n_hat_max, scale_min)
     return (lower, upper)
@@ -437,9 +493,10 @@ def eve_leakage_upper_bound(cfg: SystemConfig) -> float:
 
 def rate_report(cfg: SystemConfig) -> RateReport:
     """Exact rate, both bounds, and the legitimate capacity in one record."""
-    lower, upper = average_rate_bounds(cfg)
+    common = _common_theta(cfg)
+    lower, upper = average_rate_bounds(cfg, common=common)
     return RateReport(
-        exact=average_secrecy_rate(cfg),
+        exact=average_secrecy_rate(cfg, common=common),
         lower=lower,
         upper=upper,
         bob_capacity=bob_capacity(cfg),

@@ -29,6 +29,7 @@ from .asymptotics import (
 )
 from .closed_form import (
     SystemConfig,
+    _common_theta,
     average_rate_bounds,
     average_secrecy_rate,
 )
@@ -219,14 +220,15 @@ def run_point(
     if units not in ("nats", "bits"):
         raise ConfigError(f"units must be 'nats' or 'bits', got {units!r}")
     row: Dict[str, float] = {}
+    common = _common_theta(cfg) if {"exact", "lower", "upper"} & set(wanted) else None
     if "exact" in wanted:
-        exact = average_secrecy_rate(cfg)
+        exact = average_secrecy_rate(cfg, common=common)
         row["exact"] = exact
         row["exact_clamped"] = max(exact, 0.0)
     if "asymptotic" in wanted:
         row["asymptotic"] = asymptotic_average_rate(cfg)
     if "lower" in wanted or "upper" in wanted:
-        lower, upper = average_rate_bounds(cfg)
+        lower, upper = average_rate_bounds(cfg, common=common)
         if "lower" in wanted:
             row["lower"] = lower
         if "upper" in wanted:

@@ -6,7 +6,9 @@ exact identities, degeneracy routing, and validation behavior.
 """
 
 import math
+import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from anmimo import (
     rate_report,
     theta,
 )
+from anmimo.closed_form import _det_and_cramer_diagonal
 
 
 def cfg(n_a, n_b, n_e, alpha, beta, gamma):
@@ -137,6 +140,63 @@ class TestOmega:
     def test_zero_snr(self):
         assert omega(cfg(6, 3, 4, alpha=0.0, beta=0.5, gamma=1.0)) == 0.0
 
+    def test_one_elimination_matches_per_column_determinants(self):
+        # sum_k det(R_k), R_k = R0 with column k replaced by c_k
+        rng = random.Random(3)
+        n, p = 6, 4
+        with mp.workdps(50):
+            r0 = [[mp.mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
+            cols = [[mp.mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(p)]
+            want = mp.mpf(0)
+            for k, c in enumerate(cols):
+                r = mp.matrix(r0)
+                for i in range(n):
+                    r[i, k] = c[i]
+                want += mp.det(r)
+            rows = [row + [c[i] for c in cols] for i, row in enumerate(r0)]
+            det, xkk = _det_and_cramer_diagonal(rows, n, p)
+            assert abs(det * mp.fsum(xkk) - want) <= mp.mpf(10) ** -40 * abs(want)
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, n_e, alpha, beta, expect",
+        [
+            # regression values, recorded with one mp.det per determinant
+            (16, 8, 16, 1.0, 1 + 1.5e-6, 35.89327985940053),
+            (16, 8, 16, 1e6, 1e6, 360.42856680837974),
+            (16, 15, 16, 1e-3, 1e3, 3.028040468252614),
+            (16, 1, 16, 1e6, 1e-6, 49.456003963990895),
+            (12, 6, 12, 3.0, 0.7, 33.09089288524727),
+            (16, 8, 5, 2.0, 3.0, 19.83216375288103),
+            # a back substitution loses more digits here than det R0 shows
+            (6, 2, 16, 12875.740403196525, 7.538442576337261e-06, 27.588690507696622),
+            (8, 7, 8, 0.01901708027304142, 679156.6916577134, 12.311342791644662),
+        ],
+    )
+    def test_pinned_values(self, n_a, n_b, n_e, alpha, beta, expect):
+        c = cfg(n_a, n_b, n_e, alpha=alpha, beta=beta, gamma=1.0)
+        assert omega(c) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, n_e, alpha, beta, expect",
+        [
+            # low SNR: the E1 ladder's forward recursion amplifies its
+            # rounding error by mu^t / t!, mu = 1/alpha; pinned values are
+            # the same expansion at a fixed 600 digits in every stage
+            (4, 1, 12, 4.58036e-5, 0.2536, 0.0009675926106779395),
+            (3, 2, 13, 6.3375e-6, 1.5947e-6, 0.00016476729997582656),
+            (3, 1, 8, 0.0010882990232664524, 0.11508514164019013, 0.010664602543290257),
+        ],
+    )
+    def test_low_snr(self, n_a, n_b, n_e, alpha, beta, expect):
+        c = cfg(n_a, n_b, n_e, alpha=alpha, beta=beta, gamma=1.0)
+        value = omega(c)
+        assert value == pytest.approx(expect, rel=1e-13)
+        profile = [alpha] * n_b + [alpha * beta] * (n_a - n_b)
+        est = mc_logdet_oracle(n_e, n_a, profile, 200_000, seed=11)
+        assert abs(value - est.mean) <= 3.0 * est.stderr
+        lower, upper = average_rate_bounds(c)
+        assert lower <= average_secrecy_rate(c) <= upper
+
 
 class TestAverageSecrecyRate:
     def test_equal_ratio_identity(self):
@@ -204,6 +264,22 @@ class TestBounds:
         tol = 1e-9 * max(1.0, abs(exact))
         assert lower <= exact + tol
         assert exact <= upper + tol
+
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.floats(min_value=-6.0, max_value=6.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sandwich_across_decades(self, n_a, n_b, n_e, log_alpha, log_beta):
+        # alpha and beta log-uniform over 1e-6..1e6, low SNR included
+        c = cfg(n_a, min(n_b, n_a - 1), n_e, 10.0**log_alpha, 10.0**log_beta, 1.0)
+        lower, upper = average_rate_bounds(c)
+        exact = average_secrecy_rate(c)
+        assert lower <= exact + 1e-12
+        assert exact <= upper + 1e-12
 
 
 class TestBobCapacityAndLeakage:
