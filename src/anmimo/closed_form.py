@@ -421,15 +421,16 @@ def omega(cfg: SystemConfig) -> float:
     return _omega_determinant_sum(cfg.n_a, cfg.n_e, build_spectrum(cfg))
 
 
-def _common_theta(cfg: SystemConfig) -> float:
+def _common_theta(cfg: SystemConfig, bob: float | None = None) -> float:
     """theta(n_b, n_a, alpha gamma) + theta(n_min, n_max, alpha beta).
 
     The legitimate-link and artificial-noise-only terms, which the exact
-    rate and both bounds share.
+    rate and both bounds share. A caller that already holds the first
+    term, bob_capacity(cfg), passes it as ``bob``.
     """
-    return theta(cfg.n_b, cfg.n_a, cfg.alpha * cfg.gamma) + theta(
-        cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta
-    )
+    if bob is None:
+        bob = bob_capacity(cfg)
+    return bob + theta(cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta)
 
 
 def average_secrecy_rate(cfg: SystemConfig, *, common: float | None = None) -> float:
@@ -493,11 +494,12 @@ def eve_leakage_upper_bound(cfg: SystemConfig) -> float:
 
 def rate_report(cfg: SystemConfig) -> RateReport:
     """Exact rate, both bounds, and the legitimate capacity in one record."""
-    common = _common_theta(cfg)
+    bob = bob_capacity(cfg)
+    common = _common_theta(cfg, bob)
     lower, upper = average_rate_bounds(cfg, common=common)
     return RateReport(
         exact=average_secrecy_rate(cfg, common=common),
         lower=lower,
         upper=upper,
-        bob_capacity=bob_capacity(cfg),
+        bob_capacity=bob,
     )

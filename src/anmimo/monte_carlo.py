@@ -6,9 +6,11 @@ block), so trial t draws identical numbers whether it is sampled alone,
 inside any batch, or on any worker. Reduction is likewise schedule-proof:
 trials are grouped into chunks whose boundaries depend only on the trial
 shape, each chunk is summed exactly (math.fsum), and chunk partials merge
-in chunk order. The ANMIMO_WORKERS environment variable widens the thread
-pool that evaluates chunks; it can never change a result, only the
-schedule.
+in chunk order. Chunks are evaluated on a thread pool with one worker per
+available core; the ANMIMO_WORKERS environment variable narrows or widens
+that pool. It can never change a result or an output byte, only the
+schedule. Each worker walks its chunk in slices of at most 2**19 words,
+which bounds memory without touching the per-trial values.
 
 Gaussians come from a rejection-free polar construction on (0, 1]-safe
 uniforms: each complex entry uses two words and has unit total variance
@@ -34,6 +36,7 @@ _WORKERS_ENV = "ANMIMO_WORKERS"
 _INV_2_53 = 1.0 / float(2**53)
 _RANK_RTOL = 1e-8
 _MAX_SEED = 2**64
+_SLICE_WORDS = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +74,33 @@ def _check_seed(seed) -> int:
     return seed
 
 
+def _check_int(value, minimum: int, not_int: str, too_small: str | None = None) -> int:
+    """value as an int; DomainError unless it is an integer >= minimum.
+
+    The messages are format strings over ``value``; too_small defaults to
+    not_int.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(not_int.format(value=value))
+    if value < minimum:
+        raise DomainError((too_small or not_int).format(value=value))
+    return int(value)
+
+
+def _check_trials(trials) -> int:
+    return _check_int(
+        trials, 2,
+        "trials must be an integer, got {value!r}",
+        "need trials >= 2 for a standard error, got {value}",
+    )
+
+
 def _worker_count() -> int:
     raw = os.environ.get(_WORKERS_ENV)
     if raw is None:
-        return 1
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         w = int(raw)
     except ValueError:
@@ -95,13 +121,40 @@ def _raw_words(seed: int, start_block: int, n_words: int) -> np.ndarray:
 
 
 def _gaussians_from_words(words: np.ndarray) -> np.ndarray:
-    """Map pairs of raw words to unit-variance circular complex Gaussians."""
-    u = (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    u1 = 1.0 - u[..., 0::2]  # in (0, 1], keeps the log finite
-    u2 = u[..., 1::2]
-    radius = np.sqrt(-np.log(u1))
-    angle = 2.0 * np.pi * u2
-    return radius * (np.cos(angle) + 1j * np.sin(angle))
+    """Map pairs of raw words to unit-variance circular complex Gaussians.
+
+    Entry k is sqrt(-ln(1 - u_2k)) * exp(2 pi i u_2k+1) for the 53-bit
+    uniforms u of the words, built in place: cos and sin go straight into
+    the real and imaginary parts of the result.
+    """
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u *= _INV_2_53
+    radius = np.subtract(1.0, u[..., 0::2])  # in (0, 1], keeps the log finite
+    np.log(radius, out=radius)
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    angle = np.multiply(2.0 * np.pi, u[..., 1::2])
+    out = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    out.real *= radius
+    out.imag *= radius
+    if not radius.all():
+        # a zero radius is -0.0 (the sqrt of -ln 1); the complex product
+        # radius * (cos + i sin) gives its zeros other signs, kept here
+        zero = radius == 0.0
+        out[zero] = radius[zero] * (np.cos(angle[zero]) + 1j * np.sin(angle[zero]))
+    return out
+
+
+def _trial_gaussians(seed: int, t0: int, nt: int, words_per_trial: int) -> np.ndarray:
+    """Gaussians of trials [t0, t0+nt), one row of words_per_trial/2 per trial.
+
+    Trial t reads its own counter span, so a row never depends on t0 or nt.
+    """
+    bpt = _blocks_per_trial(words_per_trial)
+    raw = _raw_words(seed, t0 * bpt, nt * bpt * 4).reshape(nt, bpt * 4)
+    return _gaussians_from_words(raw[:, :words_per_trial])
 
 
 def _chunk_size(words_per_trial: int) -> int:
@@ -110,9 +163,22 @@ def _chunk_size(words_per_trial: int) -> int:
     return max(1, min(65536, (1 << 21) // max(1, words_per_trial)))
 
 
+def _spans(t0: int, nt: int, size: int):
+    return [(s, min(size, t0 + nt - s)) for s in range(t0, t0 + nt, size)]
+
+
 def _chunk_spans(trials: int, words_per_trial: int):
-    size = _chunk_size(words_per_trial)
-    return [(t0, min(size, trials - t0)) for t0 in range(0, trials, size)]
+    return _spans(0, trials, _chunk_size(words_per_trial))
+
+
+def _sliced(values, t0: int, nt: int, words_per_trial: int) -> np.ndarray:
+    """values(s, n) over trials [t0, t0+nt) in slices of <= _SLICE_WORDS words.
+
+    Per-trial values do not depend on the slicing: each trial has its own
+    counter span, and every LAPACK/BLAS call works on one trial's matrices.
+    """
+    step = max(1, _SLICE_WORDS // (4 * _blocks_per_trial(words_per_trial)))
+    return np.concatenate([values(s, n) for s, n in _spans(t0, nt, step)])
 
 
 def _map_chunks(spans, worker) -> list:
@@ -141,30 +207,38 @@ def _logdet_eye_plus_gram(b: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log(diag), axis=-1)
 
 
+def _rate_words(cfg: SystemConfig) -> int:
+    return 2 * (cfg.n_b + cfg.n_e) * cfg.n_a
+
+
 def _sample_batch(cfg: SystemConfig, seed: int, t0: int, nt: int):
     """Channels for trials [t0, t0+nt) straight from their counter spans."""
     h_entries = cfg.n_b * cfg.n_a
-    g_entries = cfg.n_e * cfg.n_a
-    words = 2 * (h_entries + g_entries)
-    bpt = _blocks_per_trial(words)
-    raw = _raw_words(seed, t0 * bpt, nt * bpt * 4).reshape(nt, bpt * 4)
-    entries = _gaussians_from_words(raw[:, :words])
+    entries = _trial_gaussians(seed, t0, nt, _rate_words(cfg))
     h = entries[:, :h_entries].reshape(nt, cfg.n_b, cfg.n_a)
     g = entries[:, h_entries:].reshape(nt, cfg.n_e, cfg.n_a)
     return h, g
 
 
 def _precoding_basis(h: np.ndarray, n_b: int, t0: int):
+    """Orthonormal bases of the row space (v1) and null space (z) of each h.
+
+    Both come from a complete QR of h^H = Q R: the first n_b columns of Q
+    span the row space, the rest the null space. The rate depends only on
+    the projectors v1 v1^H and z z^H, so any orthonormal pair will do.
+    h^H and its n_b x n_b factor R share their singular values, so the
+    rank check reads them from the small R.
+    """
     try:
-        singvals, vh = np.linalg.svd(h)[1:]
+        q, r = np.linalg.qr(np.swapaxes(h, -2, -1).conj(), mode="complete")
+        singvals = np.linalg.svd(r[..., :n_b, :], compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed near trial {t0}: {exc}") from exc
+        raise NumericError(f"QR basis failed near trial {t0}: {exc}") from exc
     bad = singvals[..., -1] <= _RANK_RTOL * singvals[..., 0]
     if np.any(bad):
         idx = t0 + int(np.argmax(bad))
         raise NumericError(f"rank-deficient legitimate channel at trial {idx}")
-    v = np.swapaxes(vh, -2, -1).conj()
-    return v[..., :n_b], v[..., n_b:]
+    return q[..., :n_b], q[..., n_b:]
 
 
 def sample_channel(cfg: SystemConfig, trial_index: int, seed: int) -> ChannelRealization:
@@ -174,13 +248,14 @@ def sample_channel(cfg: SystemConfig, trial_index: int, seed: int) -> ChannelRea
     it is bit-identical to the one any batched estimator uses internally
     for that trial index.
     """
-    if isinstance(trial_index, bool) or not isinstance(trial_index, (int, np.integer)):
-        raise DomainError(f"trial_index must be an integer, got {trial_index!r}")
-    if trial_index < 0:
-        raise DomainError(f"trial_index must be nonnegative, got {trial_index}")
+    trial_index = _check_int(
+        trial_index, 0,
+        "trial_index must be an integer, got {value!r}",
+        "trial_index must be nonnegative, got {value}",
+    )
     seed = _check_seed(seed)
-    h, g = _sample_batch(cfg, seed, int(trial_index), 1)
-    v1, z = _precoding_basis(h, cfg.n_b, int(trial_index))
+    h, g = _sample_batch(cfg, seed, trial_index, 1)
+    v1, z = _precoding_basis(h, cfg.n_b, trial_index)
     return ChannelRealization(h=h[0], g=g[0], v1=v1[0], z=z[0])
 
 
@@ -218,16 +293,26 @@ def instantaneous_secrecy_rate(ch: ChannelRealization, cfg: SystemConfig) -> flo
     return float(rate)
 
 
-def _rate_chunk_values(cfg: SystemConfig, seed: int, t0: int, nt: int, clamp: bool):
+def _rate_slice_values(cfg: SystemConfig, seed: int, t0: int, nt: int) -> np.ndarray:
     h, g = _sample_batch(cfg, seed, t0, nt)
     v1, z = _precoding_basis(h, cfg.n_b, t0)
-    vals = _rates_from_channels(cfg, h, g, v1, z)
+    return _rates_from_channels(cfg, h, g, v1, z)
+
+
+def _rate_chunk_values(cfg: SystemConfig, seed: int, t0: int, nt: int, clamp: bool):
+    vals = _sliced(
+        lambda s, n: _rate_slice_values(cfg, seed, s, n), t0, nt, _rate_words(cfg)
+    )
     if not np.all(np.isfinite(vals)):
         idx = t0 + int(np.argmax(~np.isfinite(vals)))
         raise NumericError(f"non-finite rate at trial {idx}")
     if clamp:
         vals = np.maximum(vals, 0.0)
     return vals
+
+
+def _fsum_partials(vals: np.ndarray):
+    return (math.fsum(vals.tolist()), math.fsum((vals * vals).tolist()))
 
 
 def _merge_mean_stderr(partials, trials: int):
@@ -248,19 +333,13 @@ def mc_average_secrecy_rate(
     closed-form expectation. Bitwise reproducible for fixed inputs at any
     worker count.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise DomainError(f"trials must be an integer, got {trials!r}")
-    if trials < 2:
-        raise DomainError(f"need trials >= 2 for a standard error, got {trials}")
+    trials = _check_trials(trials)
     seed = _check_seed(seed)
-    trials = int(trials)
-    words = 2 * (cfg.n_b + cfg.n_e) * cfg.n_a
 
     def worker(t0, nt):
-        vals = _rate_chunk_values(cfg, seed, t0, nt, clamp)
-        return (math.fsum(vals.tolist()), math.fsum((vals * vals).tolist()))
+        return _fsum_partials(_rate_chunk_values(cfg, seed, t0, nt, clamp))
 
-    partials = _map_chunks(_chunk_spans(trials, words), worker)
+    partials = _map_chunks(_chunk_spans(trials, _rate_words(cfg)), worker)
     mean, stderr = _merge_mean_stderr(partials, trials)
     return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, clamped=bool(clamp))
 
@@ -279,15 +358,10 @@ def mc_logdet_oracle(
     scale (applied to every column) or a length-cols sequence of
     nonnegative scales.
     """
-    for name, v in (("rows", rows), ("cols", cols)):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-            raise DomainError(f"{name} must be a positive integer, got {v!r}")
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise DomainError(f"trials must be an integer, got {trials!r}")
-    if trials < 2:
-        raise DomainError(f"need trials >= 2 for a standard error, got {trials}")
+    rows = _check_int(rows, 1, "rows must be a positive integer, got {value!r}")
+    cols = _check_int(cols, 1, "cols must be a positive integer, got {value!r}")
+    trials = _check_trials(trials)
     seed = _check_seed(seed)
-    rows, cols, trials = int(rows), int(cols), int(trials)
     profile = np.asarray(scale_profile, dtype=np.float64)
     if profile.ndim == 0:
         profile = np.full(cols, float(profile))
@@ -300,13 +374,13 @@ def mc_logdet_oracle(
         raise DomainError("scale_profile entries must be finite and >= 0")
     sqrt_profile = np.sqrt(profile)
     words = 2 * rows * cols
-    bpt = _blocks_per_trial(words)
+
+    def values(t0, nt):
+        g = _trial_gaussians(seed, t0, nt, words).reshape(nt, rows, cols)
+        return _logdet_eye_plus_gram(g * sqrt_profile)
 
     def worker(t0, nt):
-        raw = _raw_words(seed, t0 * bpt, nt * bpt * 4).reshape(nt, bpt * 4)
-        g = _gaussians_from_words(raw[:, :words]).reshape(nt, rows, cols)
-        vals = _logdet_eye_plus_gram(g * sqrt_profile)
-        return (math.fsum(vals.tolist()), math.fsum((vals * vals).tolist()))
+        return _fsum_partials(_sliced(values, t0, nt, words))
 
     partials = _map_chunks(_chunk_spans(trials, words), worker)
     mean, stderr = _merge_mean_stderr(partials, trials)
@@ -320,17 +394,16 @@ def mc_normalized_rate_sample(
 
     Raw material for concentration studies against the large-system limit.
     """
-    if isinstance(realizations, bool) or not isinstance(realizations, (int, np.integer)):
-        raise DomainError(f"realizations must be an integer, got {realizations!r}")
-    if realizations < 1:
-        raise DomainError(f"realizations must be positive, got {realizations}")
+    realizations = _check_int(
+        realizations, 1,
+        "realizations must be an integer, got {value!r}",
+        "realizations must be positive, got {value}",
+    )
     seed = _check_seed(seed)
-    realizations = int(realizations)
-    words = 2 * (cfg.n_b + cfg.n_e) * cfg.n_a
 
     def worker(t0, nt):
         return _rate_chunk_values(cfg, seed, t0, nt, clamp=False)
 
-    chunks = _map_chunks(_chunk_spans(realizations, words), worker)
+    chunks = _map_chunks(_chunk_spans(realizations, _rate_words(cfg)), worker)
     stacked = np.concatenate(chunks) / cfg.n_b
     return [float(v) for v in stacked]

@@ -29,6 +29,7 @@ from anmimo import (
     rate_report,
     theta,
 )
+from anmimo import closed_form
 from anmimo.closed_form import _det_and_cramer_diagonal
 
 
@@ -319,6 +320,25 @@ class TestRateReport:
         assert rep.exact == average_secrecy_rate(c)
         assert rep.bob_capacity == bob_capacity(c)
         assert rep.bob_capacity >= rep.exact
+
+    def test_each_theta_term_computed_once(self, monkeypatch):
+        # bob_capacity is the legitimate-link term the exact rate and the
+        # bounds share, so the record needs four distinct theta values
+        calls = []
+        real_theta = closed_form.theta
+
+        def counting_theta(*args):
+            calls.append(args)
+            return real_theta(*args)
+
+        monkeypatch.setattr(closed_form, "theta", counting_theta)
+        rep = rate_report(cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0))
+        assert len(calls) == 4 and len(set(calls)) == 4
+        # the record is bitwise the one each term computed on its own gave
+        assert rep.exact == float.fromhex("0x1.43af8dd439066p+2")
+        assert rep.lower == float.fromhex("0x1.0089c72ab1fbap+2")
+        assert rep.upper == float.fromhex("0x1.8e66ebd1e8c04p+2")
+        assert rep.bob_capacity == float.fromhex("0x1.1b7592653e20ap+3")
 
 
 class TestSystemConfigValidation:

@@ -6,6 +6,7 @@ counts) are exact.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from anmimo import (
     ChannelRealization,
     ConfigError,
     DomainError,
+    NumericError,
     SystemConfig,
     average_secrecy_rate,
     instantaneous_secrecy_rate,
@@ -25,6 +27,7 @@ from anmimo import (
     sample_channel,
     theta,
 )
+from anmimo import monte_carlo as mc
 
 
 def cfg(n_a, n_b, n_e, alpha, beta, gamma):
@@ -240,3 +243,78 @@ class TestNormalizedSample:
     def test_realizations_validation(self):
         with pytest.raises(DomainError):
             mc_normalized_rate_sample(BASE, 0)
+
+
+def _svd_basis(h, n_b):
+    # the reference basis: right singular vectors of each h
+    vh = np.linalg.svd(h)[2]
+    v = np.swapaxes(vh, -2, -1).conj()
+    return v[..., :n_b], v[..., n_b:]
+
+
+class TestPrecodingBasis:
+    def test_rank_deficient_trial_is_named(self):
+        h, _ = mc._sample_batch(BASE, 3, 100, 5)
+        h = h.copy()
+        h[2, 1] = h[2, 0]  # trial 102: two equal rows
+        with pytest.raises(NumericError, match="trial 102"):
+            mc._precoding_basis(h, BASE.n_b, 100)
+
+    @pytest.mark.parametrize("shape", [(6, 3, 4), (16, 8, 8)])
+    def test_qr_rates_match_svd_rates(self, shape):
+        c = cfg(*shape, 2.0, 0.5, 2.0)
+        words = mc._rate_words(c)
+        spans = mc._chunk_spans(2 * mc._chunk_size(words) + 10, words)
+        assert len(spans) == 3
+        for t0, nt in spans:
+            qr_vals = mc._rate_chunk_values(c, 8, t0, nt, clamp=False)
+            h, g = mc._sample_batch(c, 8, t0, nt)
+            svd_vals = mc._rates_from_channels(c, h, g, *_svd_basis(h, c.n_b))
+            assert np.max(np.abs(qr_vals - svd_vals)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(6, 3, 4), (16, 8, 8), (6, 3, 20), (128, 64, 64)])
+    def test_sliced_chunk_equals_whole_chunk(self, shape):
+        c = cfg(*shape, 2.0, 0.5, 2.0)
+        words = mc._rate_words(c)
+        t0, nt = mc._chunk_spans(2 * mc._chunk_size(words), words)[1]
+        assert nt * words > mc._SLICE_WORDS  # more than one slice
+        sliced = mc._rate_chunk_values(c, 4, t0, nt, clamp=False)
+        whole = mc._rate_slice_values(c, 4, t0, nt)
+        assert np.array_equal(sliced.view(np.uint64), whole.view(np.uint64))
+
+    def test_sliced_oracle_chunk_equals_whole_chunk(self):
+        rows, cols = 3, 5
+        words = 2 * rows * cols
+        t0, nt = mc._chunk_spans(2 * mc._chunk_size(words), words)[1]
+        sliced = mc._sliced(lambda s, n: mc._trial_gaussians(7, s, n, words), t0, nt, words)
+        whole = mc._trial_gaussians(7, t0, nt, words)
+        assert sliced.shape == whole.shape
+        assert np.array_equal(sliced.view(np.uint64), whole.view(np.uint64))
+
+
+class TestGaussianMap:
+    @staticmethod
+    def reference_map(words):
+        # the polar construction as one complex expression
+        u = (words >> np.uint64(11)).astype(np.float64) * (1.0 / float(2**53))
+        radius = np.sqrt(-np.log(1.0 - u[..., 0::2]))
+        angle = 2.0 * np.pi * u[..., 1::2]
+        return radius * (np.cos(angle) + 1j * np.sin(angle))
+
+    def test_bitwise_equal_to_reference(self):
+        words = np.random.Philox(key=21).random_raw(1 << 21)
+        # zero-radius entries (first word 0) in every quadrant, and the extremes
+        words[:12] = [0, 0, 0, 1 << 61, 0, 3 << 61, 0, 5 << 61, 0, 7 << 61, 2**64 - 1, 2**64 - 1]
+        for w in (words, words[: 84 * 1000].reshape(1000, 84)):
+            got = mc._gaussians_from_words(w)
+            want = self.reference_map(w)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestWorkerCount:
+    def test_default_is_available_cores(self, monkeypatch):
+        monkeypatch.delenv("ANMIMO_WORKERS", raising=False)
+        if hasattr(os, "sched_getaffinity"):
+            assert mc._worker_count() == len(os.sched_getaffinity(0))
+        else:
+            assert mc._worker_count() == os.cpu_count()
