@@ -316,15 +316,21 @@ def a_min_max(r: AsymptoticRatios) -> tuple[float, float]:
     return (min(a, b), max(a, b))
 
 
+def _in_trust_region(alpha, beta, gamma, *dims) -> bool:
+    """Both link SNRs at least 4 (roughly 6 dB) and every dimension above 2."""
+    snr_floor = min(alpha * gamma, alpha * beta * gamma)
+    return snr_floor >= 4.0 and min(dims) > 2
+
+
 def applicability_guard(cfg) -> bool:
     """True when the high-SNR margins are inside their trust region.
 
     Requires both link SNRs at least 4 (roughly 6 dB) and every antenna
     count dimension above 2.
     """
-    snr_floor = min(cfg.alpha * cfg.gamma, cfg.alpha * cfg.beta * cfg.gamma)
-    size_floor = min(cfg.n_a, cfg.n_b, cfg.n_a - cfg.n_b, cfg.n_e)
-    return snr_floor >= 4.0 and size_floor > 2
+    return _in_trust_region(
+        cfg.alpha, cfg.beta, cfg.gamma, cfg.n_a, cfg.n_b, cfg.n_a - cfg.n_b, cfg.n_e
+    )
 
 
 def positivity_conditions(cfg) -> tuple[bool, bool]:

@@ -1,10 +1,10 @@
 """Exception types shared by every layer of the package.
 
 Domain violations (bad arguments, impossible geometry) raise ``DomainError``.
-Failures that appear only at runtime inside an otherwise valid call (overflow
-of an unscaled result, a root bracket that never closes, a scan that hits its
-cap) raise subclasses of ``NumericError`` so callers can distinguish "you
-asked a malformed question" from "the computation could not be completed".
+Failures that appear only at runtime inside an otherwise valid call (a root
+bracket that never closes, a scan that hits its cap) raise subclasses of
+``NumericError`` so callers can distinguish "you asked a malformed question"
+from "the computation could not be completed".
 """
 
 
@@ -14,10 +14,6 @@ class DomainError(ValueError):
 
 class NumericError(ArithmeticError):
     """Base class for runtime numeric failures inside a valid call."""
-
-
-class RangeOverflowError(NumericError):
-    """An unscaled result exceeds double range; use the log-scaled variant."""
 
 
 class NoRootError(NumericError):

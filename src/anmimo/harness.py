@@ -21,8 +21,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .asymptotics import (
     AsymptoticRatios,
+    _in_trust_region,
     a_min_max,
-    applicability_guard,
     asymptotic_average_rate,
     critical_eve_antennas,
     delta_highsnr,
@@ -109,6 +109,13 @@ def parse_config_text(text: str) -> Dict[str, float]:
     return out
 
 
+def _integer(value, message: str) -> int:
+    """``value`` as an int; ConfigError(message) unless it is a whole number."""
+    if not float(value).is_integer():
+        raise ConfigError(message)
+    return int(value)
+
+
 def _resolve_linear(raw: Mapping[str, float], name: str) -> float:
     db_name = name + "_db"
     if name in raw and db_name in raw:
@@ -129,10 +136,7 @@ def config_from_mapping(raw: Mapping[str, float]) -> SystemConfig:
     for name in ("n_a", "n_b", "n_e"):
         if name not in raw:
             raise ConfigError(f"missing {name}")
-        v = raw[name]
-        if float(v) != int(v):
-            raise ConfigError(f"{name} must be an integer, got {v!r}")
-        dims[name] = int(v)
+        dims[name] = _integer(raw[name], f"{name} must be an integer, got {raw[name]!r}")
     try:
         return SystemConfig(
             n_a=dims["n_a"],
@@ -164,10 +168,7 @@ def parse_design_text(text: str) -> Dict[str, float]:
     for name in ("n_a", "n_b"):
         if name not in raw:
             raise ConfigError(f"missing {name}")
-        v = raw[name]
-        if float(v) != int(v):
-            raise ConfigError(f"{name} must be an integer, got {v!r}")
-        out[name] = int(v)
+        out[name] = _integer(raw[name], f"{name} must be an integer, got {raw[name]!r}")
     for name in ("alpha", "beta", "gamma"):
         out[name] = _resolve_linear(raw, name)
     return out
@@ -279,11 +280,13 @@ class SweepSpec:
         object.__setattr__(self, "outputs", tuple(_check_outputs(self.outputs)))
         if self.units not in ("nats", "bits"):
             raise ConfigError(f"units must be 'nats' or 'bits', got {self.units!r}")
-        if isinstance(self.mc_trials, bool) or int(self.mc_trials) != self.mc_trials:
-            raise ConfigError(f"mc_trials must be an integer, got {self.mc_trials!r}")
-        if self.mc_trials < 2:
+        message = f"mc_trials must be an integer, got {self.mc_trials!r}"
+        if isinstance(self.mc_trials, bool):
+            raise ConfigError(message)
+        trials = _integer(self.mc_trials, message)
+        if trials < 2:
             raise ConfigError(f"mc_trials must be >= 2, got {self.mc_trials}")
-        object.__setattr__(self, "mc_trials", int(self.mc_trials))
+        object.__setattr__(self, "mc_trials", trials)
         object.__setattr__(self, "seed", int(self.seed))
         # fail fast if any row cannot even be constructed
         for v in values:
@@ -292,9 +295,7 @@ class SweepSpec:
     def config_at(self, value: float) -> SystemConfig:
         base = self.base
         if self.axis == "n_e":
-            if float(value) != int(value):
-                raise ConfigError(f"n_e sweep value {value!r} is not an integer")
-            kwargs = {"n_e": int(value)}
+            kwargs = {"n_e": _sweep_n_e(value)}
         elif self.axis == "gamma_db":
             kwargs = {"gamma": 10.0 ** (value / 10.0)}
         else:
@@ -310,6 +311,10 @@ class SweepSpec:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _sweep_n_e(value: float) -> int:
+    return _integer(value, f"n_e sweep value {value!r} is not an integer")
 
 
 SWEEP_ONLY_KEYS = frozenset(
@@ -380,7 +385,7 @@ def parse_sweep_text(
     # the swept coordinate may be left out of the base point; any value
     # from the axis list is substituted per row anyway
     if axis == "n_e" and "n_e" not in base_raw:
-        base_raw["n_e"] = int(values[0])
+        base_raw["n_e"] = _sweep_n_e(values[0])
     if axis == "gamma_db" and "gamma" not in base_raw and "gamma_db" not in base_raw:
         base_raw["gamma_db"] = values[0]
     if axis == "beta_db" and "beta" not in base_raw and "beta_db" not in base_raw:
@@ -421,16 +426,7 @@ def run_sweep(spec: SweepSpec) -> List[Dict[str, float]]:
             raise SweepError(
                 f"sweep failed at {spec.axis}={value!r}: {exc}", partial_rows=rows
             ) from exc
-        full_row: Dict[str, float] = {
-            "n_a": cfg.n_a,
-            "n_b": cfg.n_b,
-            "n_e": cfg.n_e,
-            "alpha": cfg.alpha,
-            "beta": cfg.beta,
-            "gamma": cfg.gamma,
-        }
-        full_row.update(row)
-        rows.append(full_row)
+        rows.append(point_row(cfg, row))
     return rows
 
 
@@ -468,9 +464,7 @@ def design_report(
     n_suff, n_nec = critical_eve_antennas(
         n_a, n_b, alpha, beta, gamma, max_eve_antennas=max_eve_antennas
     )
-    snr_floor = min(alpha * gamma, alpha * beta * gamma)
-    dims_ok = min(n_a, n_b, n_a - n_b) > 2
-    advisory = not (snr_floor >= 4.0 and dims_ok)
+    advisory = not _in_trust_region(alpha, beta, gamma, n_a, n_b, n_a - n_b)
     return {
         "n_a": n_a,
         "n_b": n_b,

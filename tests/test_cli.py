@@ -202,6 +202,29 @@ class TestDesign:
         assert code == 1 and "n_e" in err
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("rate", "n_a = {v}\nn_b = 3\nn_e = 4\nalpha = 2\nbeta = 0.5\ngamma = 2\n",
+             "n_a must be an integer, got {v}"),
+            ("design", "n_a = {v}\nn_b = 3\nalpha = 2\nbeta = 0.5\ngamma = 2\n",
+             "n_a must be an integer, got {v}"),
+            ("sweep", "axis = n_e\nvalues = 1, {v}\noutputs = asymptotic\n" + POINT,
+             "n_e sweep value {v} is not an integer"),
+            ("sweep", SWEEP.replace("values = 2, 4, 6", "values = {v}"),
+             "n_e sweep value {v} is not an integer"),
+        ],
+        ids=["rate", "design", "sweep", "sweep-ne-from-values"],
+    )
+    def test_non_finite_is_config_error(self, capsys, tmp_path, command, text, message, value):
+        cfg = write(tmp_path, "c.cfg", text.format(v=value))
+        code, out, err = run_main(capsys, [command, "--config", cfg])
+        assert code == 1 and out == ""
+        assert err == f"error: {message.format(v=value)}\n"
+
+
 class TestOracle:
     def test_uniform_scale(self, capsys):
         code, out, _ = run_main(

@@ -189,8 +189,9 @@ class TestSweepSpec:
         assert spec.mc_trials == 100 and isinstance(spec.mc_trials, int)
         with pytest.raises(ConfigError):
             SweepSpec(**self.kwargs(mc_trials=1))
-        with pytest.raises(ConfigError):
-            SweepSpec(**self.kwargs(mc_trials=99.5))
+        for bad in (99.5, True, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="mc_trials must be an integer"):
+                SweepSpec(**self.kwargs(mc_trials=bad))
 
     def test_axis_substitution(self):
         spec = SweepSpec(**self.kwargs(axis="gamma_db", values=(-3.0, 0.0, 3.0)))
