@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NoRootError, UnboundedRangeError
+from .errors import DomainError, NoRootError, UnboundedRangeError, _finite
 
 _BISECT_LO = 1e-15
 _BISECT_MAX_ITER = 100
@@ -108,12 +108,11 @@ def f_func(x: float, y: float) -> float:
 
     Symmetric under (x, y) -> (xy, 1/y).
     """
-    x = float(x)
-    y = float(y)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    if not math.isfinite(y) or y <= 0.0:
-        raise DomainError(f"y must be finite and > 0, got {y!r}")
+    return _f(_finite("x", x), _finite("y", y, positive=True))
+
+
+def _f(x: float, y: float) -> float:
+    # f_func on arguments already known to be floats in its domain
     sy = math.sqrt(y)
     return (
         math.sqrt(x * (1.0 + sy) ** 2 + 1.0) - math.sqrt(x * (1.0 - sy) ** 2 + 1.0)
@@ -126,15 +125,14 @@ def phi_func(x: float, y: float) -> float:
     phi_func(0, y) = 0 by continuous extension, and
     phi_func(x, y) = y phi_func(xy, 1/y) (the two Gram orderings).
     """
-    x = float(x)
-    y = float(y)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    if not math.isfinite(y) or y <= 0.0:
-        raise DomainError(f"y must be finite and > 0, got {y!r}")
+    return _phi(_finite("x", x), _finite("y", y, positive=True))
+
+
+def _phi(x: float, y: float) -> float:
+    # phi_func on arguments already known to be floats in its domain
     if x == 0.0:
         return 0.0
-    quarter_f = f_func(x, y) / 4.0
+    quarter_f = _f(x, y) / 4.0
     return (
         y * math.log(1.0 + x - quarter_f)
         - quarter_f / x
@@ -297,12 +295,11 @@ def delta_highsnr(x: float, r: AsymptoticRatios) -> float:
     antenna counts at moderate power, while the finite-power form
     reproduces direct evaluation of the limit exactly.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"x must be finite and > 0, got {x!r}")
+    x = _finite("x", x, positive=True)
     if r.p_u <= 0.0:
         raise DomainError("requires p_u > 0")
-    return phi_func(r.p_u, r.beta2) - _high_snr_eve_term(x, r) + _residual_noise_term(r)
+    # AsymptoticRatios holds p_u finite and beta2 > 1, phi_func's domain
+    return _phi(r.p_u, r.beta2) - _high_snr_eve_term(x, r) + _residual_noise_term(r)
 
 
 def a_min_max(r: AsymptoticRatios) -> tuple[float, float]:
@@ -369,10 +366,9 @@ def critical_eve_antennas(
             raise DomainError(f"{name} must be a positive integer, got {v!r}")
     if n_b >= n_a:
         raise DomainError(f"need n_b < n_a, got n_b={n_b}, n_a={n_a}")
-    alpha, beta, gamma = float(alpha), float(beta), float(gamma)
-    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not math.isfinite(v) or v <= 0.0:
-            raise DomainError(f"{name} must be finite and > 0, got {v!r}")
+    alpha = _finite("alpha", alpha, positive=True)
+    beta = _finite("beta", beta, positive=True)
+    gamma = _finite("gamma", gamma, positive=True)
     if isinstance(max_eve_antennas, bool) or not isinstance(max_eve_antennas, int):
         raise DomainError("max_eve_antennas must be an integer")
     if max_eve_antennas < 1:

@@ -111,12 +111,14 @@ def _emit(rows, args) -> None:
 
 
 def _mc_kwargs(args) -> dict:
-    return {
-        "mc_trials": args.trials if args.trials is not None else 10000,
-        "seed": args.seed if args.seed is not None else 0,
-        "units": args.units if args.units is not None else "nats",
-        "clamp": args.clamp != "false",
+    """The MC settings a flag gave; run_point and SweepSpec default the rest."""
+    given = {
+        "mc_trials": args.trials,
+        "seed": args.seed,
+        "units": args.units,
+        "clamp": None if args.clamp is None else args.clamp == "true",
     }
+    return {k: v for k, v in given.items() if v is not None}
 
 
 def _cmd_rate(args) -> List[dict]:
@@ -126,14 +128,7 @@ def _cmd_rate(args) -> List[dict]:
 
 
 def _cmd_sweep(args) -> List[dict]:
-    spec = parse_sweep_text(
-        _read_text(args.config),
-        mc_trials=args.trials,
-        seed=args.seed,
-        units=args.units,
-        clamp=None if args.clamp is None else args.clamp == "true",
-    )
-    return run_sweep(spec)
+    return run_sweep(parse_sweep_text(_read_text(args.config), **_mc_kwargs(args)))
 
 
 def _cmd_mc(args) -> List[dict]:

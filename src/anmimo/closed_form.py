@@ -49,7 +49,7 @@ from itertools import accumulate
 
 import mpmath as mp
 
-from .errors import DegenerateSpectrumError, DomainError, NumericError
+from .errors import DomainError, NumericError, _finite
 
 _THETA_MAX_N = 16
 _BETA_DEGENERATE_TOL = 1e-6
@@ -87,15 +87,9 @@ class SystemConfig:
                 f"need n_b < n_a for a transmit null space, "
                 f"got n_b={self.n_b}, n_a={self.n_a}"
             )
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if not math.isfinite(self.alpha) or self.alpha < 0.0:
-            raise DomainError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        for name in ("beta", "gamma"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise DomainError(f"{name} must be finite and > 0, got {v!r}")
+        for name in ("alpha", "beta", "gamma"):
+            v = _finite(name, getattr(self, name), positive=name != "alpha")
+            object.__setattr__(self, name, v)
 
     @property
     def snr_b(self) -> float:
@@ -124,26 +118,6 @@ class SystemConfig:
     @property
     def n_hat_max(self) -> int:
         return max(self.n_e, self.n_a)
-
-
-@dataclass(frozen=True)
-class WishartSpectrum:
-    """Two-level eigenvalue profile (mu1 > mu2, multiplicities m1, m2)."""
-
-    mu1: float
-    mu2: float
-    m1: int
-    m2: int
-
-    def __post_init__(self):
-        for name in ("m1", "m2"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise DomainError(f"{name} must be a positive integer, got {v!r}")
-        if not (self.mu1 > self.mu2 > 0.0):
-            raise DomainError(
-                f"need mu1 > mu2 > 0, got mu1={self.mu1!r}, mu2={self.mu2!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -218,9 +192,7 @@ def theta(m: int, n: int, x: float) -> float:
         raise DomainError(
             f"supported envelope is n <= {_THETA_MAX_N}, got n={n}"
         )
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
+    x = _finite("x", x)
     if x == 0.0:
         return 0.0
 
@@ -247,28 +219,6 @@ def theta(m: int, n: int, x: float) -> float:
             + (mp.mpf(s_q.numerator) / mp.mpf(s_q.denominator)) * t0
         )
         return float(val)
-
-
-def build_spectrum(cfg: SystemConfig) -> WishartSpectrum:
-    """Two-level noise-whitened eigenvalue profile seen by the eavesdropper.
-
-    The levels are 1/alpha (multiplicity n_b, data dimensions) and
-    1/(alpha beta) (multiplicity n_a - n_b, noise dimensions), ordered
-    so mu1 > mu2. beta = 1 collapses the two levels and raises
-    DegenerateSpectrumError; the omega caller handles that branch itself.
-    """
-    if cfg.beta == 1.0:
-        raise DegenerateSpectrumError(
-            "beta = 1 collapses the spectrum to a single eigenvalue; "
-            "use the single-group branch of omega"
-        )
-    if cfg.alpha == 0.0:
-        raise DomainError("alpha = 0 carries no signal and has no spectrum")
-    mu_data = 1.0 / cfg.alpha
-    mu_noise = 1.0 / (cfg.alpha * cfg.beta)
-    if mu_data > mu_noise:
-        return WishartSpectrum(mu1=mu_data, mu2=mu_noise, m1=cfg.n_b, m2=cfg.n_a - cfg.n_b)
-    return WishartSpectrum(mu1=mu_noise, mu2=mu_data, m1=cfg.n_a - cfg.n_b, m2=cfg.n_b)
 
 
 def _exp_e1_ladder(mu, tmax):
@@ -322,11 +272,12 @@ def _det_and_cramer_diagonal(a, n, p):
     return det, xkk
 
 
-def _omega_determinant_sum(n_a: int, n_e: int, spectrum: WishartSpectrum) -> float:
+def _omega_determinant_sum(n_a: int, n_e: int, mu1, m1, mu2, m2) -> float:
     """Alternating determinant expansion of the two-level ergodic log-det.
 
-    The expansion sums p = min(n_e, n_a) determinants det(R_k). R_k equals
-    a base matrix R0 except in column k, which is R0's column scaled
+    The levels are mu1 > mu2 > 0 with multiplicities m1 + m2 = n_a. The
+    expansion sums p = min(n_e, n_a) determinants det(R_k). R_k equals a
+    base matrix R0 except in column k, which is R0's column scaled
     entrywise by the E1 tail sums; call that column c_k. By the matrix
     determinant lemma (Cramer's rule), det(R_k) = det(R0) x_kk with
     x_k = R0^{-1} c_k, so one Gaussian elimination of [R0 | c_1 .. c_p]
@@ -343,7 +294,6 @@ def _omega_determinant_sum(n_a: int, n_e: int, spectrum: WishartSpectrum) -> flo
     bound holds no correct digit, and the attempt counts as failed.
     """
     p = min(n_e, n_a)
-    mu1, mu2, m1, m2 = spectrum.mu1, spectrum.mu2, spectrum.m1, spectrum.m2
     relgap = (mu1 - mu2) / mu1
     dps = 30 + max(0, int(-m1 * m2 * math.log10(relgap)))
     sign_k = (-1) ** (n_e * (n_a - p))
@@ -418,7 +368,14 @@ def omega(cfg: SystemConfig) -> float:
         return 0.0
     if abs(cfg.beta - 1.0) < _BETA_DEGENERATE_TOL:
         return theta(cfg.n_hat_min, cfg.n_hat_max, cfg.alpha)
-    return _omega_determinant_sum(cfg.n_a, cfg.n_e, build_spectrum(cfg))
+    # the eavesdropper's two levels: 1/alpha on the n_b data dimensions,
+    # 1/(alpha beta) on the n_a - n_b noise dimensions, larger one first
+    data = (1.0 / cfg.alpha, cfg.n_b)
+    noise = (1.0 / (cfg.alpha * cfg.beta), cfg.n_a - cfg.n_b)
+    (mu1, m1), (mu2, m2) = (data, noise) if data[0] > noise[0] else (noise, data)
+    if not mu1 > mu2 > 0.0:
+        raise DomainError(f"need mu1 > mu2 > 0, got mu1={mu1!r}, mu2={mu2!r}")
+    return _omega_determinant_sum(cfg.n_a, cfg.n_e, mu1, m1, mu2, m2)
 
 
 def _common_theta(cfg: SystemConfig, bob: float | None = None) -> float:

@@ -5,7 +5,12 @@ Failures that appear only at runtime inside an otherwise valid call (a root
 bracket that never closes, a scan that hits its cap) raise subclasses of
 ``NumericError`` so callers can distinguish "you asked a malformed question"
 from "the computation could not be completed".
+
+Every layer checks a real argument that must be finite and >= 0 (or > 0)
+with ``_finite``, at its public entry, so the message reads the same.
 """
+
+import math
 
 
 class DomainError(ValueError):
@@ -20,12 +25,17 @@ class NoRootError(NumericError):
     """A root bracket could not be established or refined to tolerance."""
 
 
-class DegenerateSpectrumError(NumericError):
-    """Two-group spectrum requested where the two scales coincide."""
-
-
 class UnboundedRangeError(NumericError):
     """A scan reached its cap without the sought sign change."""
+
+
+def _finite(name: str, value, positive: bool = False) -> float:
+    """float(value); DomainError unless it is finite and >= 0 (> 0 if positive)."""
+    v = float(value)
+    if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
+        bound = ">" if positive else ">="
+        raise DomainError(f"{name} must be finite and {bound} 0, got {v!r}")
+    return v
 
 
 class ConfigError(ValueError):

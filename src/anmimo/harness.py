@@ -116,6 +116,14 @@ def _integer(value, message: str) -> int:
     return int(value)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int; ConfigError unless it is a whole number, not a bool."""
+    message = f"{name} must be an integer, got {value!r}"
+    if isinstance(value, bool):
+        raise ConfigError(message)
+    return _integer(value, message)
+
+
 def _resolve_linear(raw: Mapping[str, float], name: str) -> float:
     db_name = name + "_db"
     if name in raw and db_name in raw:
@@ -280,14 +288,11 @@ class SweepSpec:
         object.__setattr__(self, "outputs", tuple(_check_outputs(self.outputs)))
         if self.units not in ("nats", "bits"):
             raise ConfigError(f"units must be 'nats' or 'bits', got {self.units!r}")
-        message = f"mc_trials must be an integer, got {self.mc_trials!r}"
-        if isinstance(self.mc_trials, bool):
-            raise ConfigError(message)
-        trials = _integer(self.mc_trials, message)
+        trials = _count(self.mc_trials, "mc_trials")
         if trials < 2:
             raise ConfigError(f"mc_trials must be >= 2, got {self.mc_trials}")
         object.__setattr__(self, "mc_trials", trials)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
         # fail fast if any row cannot even be constructed
         for v in values:
             self.config_at(v)
@@ -362,19 +367,22 @@ def parse_sweep_text(
         raise ConfigError("sweep file missing outputs")
     outputs = tuple(s.strip() for s in raw.pop("outputs").split(",") if s.strip())
 
-    def take_int(key, fallback):
-        if key not in raw:
-            return fallback
-        value = raw.pop(key)
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"bad value {value!r} for {key!r}") from None
-
-    file_trials = take_int("mc_trials", 10000)
-    file_seed = take_int("seed", 0)
-    file_units = raw.pop("units", "nats")
-    file_clamp = parse_bool(raw.pop("clamp")) if "clamp" in raw else True
+    # the file's settings, then the flags over them; SweepSpec holds the
+    # defaults for whatever neither gives
+    settings = {}
+    for key in ("mc_trials", "seed"):
+        if key in raw:
+            value = raw.pop(key)
+            try:
+                settings[key] = int(value)
+            except ValueError:
+                raise ConfigError(f"bad value {value!r} for {key!r}") from None
+    if "units" in raw:
+        settings["units"] = raw.pop("units")
+    if "clamp" in raw:
+        settings["clamp"] = parse_bool(raw.pop("clamp"))
+    flags = {"mc_trials": mc_trials, "seed": seed, "units": units, "clamp": clamp}
+    settings.update((k, v) for k, v in flags.items() if v is not None)
 
     base_raw = {}
     for key, value in raw.items():
@@ -396,10 +404,7 @@ def parse_sweep_text(
         axis=axis,
         values=values,
         outputs=outputs,
-        mc_trials=mc_trials if mc_trials is not None else file_trials,
-        seed=seed if seed is not None else file_seed,
-        units=units if units is not None else file_units,
-        clamp=clamp if clamp is not None else file_clamp,
+        **settings,
     )
 
 

@@ -66,11 +66,10 @@ class MCEstimate:
 
 
 def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
-    if not 0 <= seed < _MAX_SEED:
-        raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
+    out_of_range = "seed must fit in 64 unsigned bits, got {value}"
+    seed = _check_int(seed, 0, "seed must be an integer, got {value!r}", out_of_range)
+    if seed >= _MAX_SEED:
+        raise DomainError(out_of_range.format(value=seed))
     return seed
 
 

@@ -14,17 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anmimo import (
-    DegenerateSpectrumError,
+    AsymptoticRatios,
     DomainError,
     SystemConfig,
     average_rate_bounds,
     average_secrecy_rate,
     bob_capacity,
-    build_spectrum,
+    critical_eve_antennas,
+    delta_highsnr,
     eve_leakage_upper_bound,
+    f_func,
     mc_average_secrecy_rate,
     mc_logdet_oracle,
     omega,
+    phi_func,
     rate_report,
     theta,
 )
@@ -88,26 +91,6 @@ class TestTheta:
             assert theta(m + 1, n, x) > base  # more receive antennas
 
 
-class TestBuildSpectrum:
-    def test_noise_group_larger(self):
-        s = build_spectrum(cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=1.0))
-        # 1/alpha = 0.5, 1/(alpha*beta) = 1.0
-        assert (s.mu1, s.mu2, s.m1, s.m2) == (1.0, 0.5, 3, 3)
-
-    def test_data_group_larger(self):
-        s = build_spectrum(cfg(4, 3, 2, alpha=1.0, beta=2.0, gamma=1.0))
-        assert (s.mu1, s.mu2, s.m1, s.m2) == (1.0, 0.5, 3, 1)
-
-    def test_multiplicities_cover_transmit_array(self):
-        s = build_spectrum(cfg(9, 2, 3, alpha=0.7, beta=3.0, gamma=1.5))
-        assert s.m1 + s.m2 == 9
-        assert s.mu1 > s.mu2 > 0.0
-
-    def test_equal_power_ratio_rejected(self):
-        with pytest.raises(DegenerateSpectrumError):
-            build_spectrum(cfg(6, 3, 4, alpha=2.0, beta=1.0, gamma=1.0))
-
-
 class TestOmega:
     def test_equal_ratio_branch_reduces_to_theta(self):
         c = cfg(4, 2, 2, alpha=1.0, beta=1.0, gamma=1.0)
@@ -129,6 +112,39 @@ class TestOmega:
             gaps.append(max(abs(lo - center), abs(hi - center)))
         assert gaps[2] <= 1e-3
         assert gaps[0] > gaps[1] > gaps[2]
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, n_e, alpha",
+        [(6, 3, 4, 2.0), (16, 8, 16, 2.0), (4, 1, 12, 0.5)],
+    )
+    def test_across_the_equal_ratio_switch(self, n_a, n_b, n_e, alpha):
+        # inside |beta - 1| < 1e-6 omega is the single-group theta; just
+        # outside, the two-level expansion (each ordering of the levels)
+        # must continue it to first order in the offset
+        single = theta(min(n_e, n_a), max(n_e, n_a), alpha)
+        for eps in (-0.999e-6, 0.999e-6):
+            assert omega(cfg(n_a, n_b, n_e, alpha, 1.0 + eps, 1.0)) == single
+        h = 1e-4
+        slope = (
+            omega(cfg(n_a, n_b, n_e, alpha, 1.0 + h, 1.0))
+            - omega(cfg(n_a, n_b, n_e, alpha, 1.0 - h, 1.0))
+        ) / (2 * h)
+        for eps in (-1.001e-6, 1.001e-6):
+            value = omega(cfg(n_a, n_b, n_e, alpha, 1.0 + eps, 1.0))
+            assert abs(value - single - eps * slope) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            # 1/(alpha beta) underflows to 0, or 1/alpha overflows to inf
+            (1e200, 1e200, "need mu1 > mu2 > 0, got mu1=1e-200, mu2=0.0"),
+            (1e-310, 2.0, "need mu1 > mu2 > 0, got mu1=inf, mu2=inf"),
+        ],
+    )
+    def test_levels_outside_float_range(self, alpha, beta, message):
+        with pytest.raises(DomainError) as exc:
+            omega(cfg(6, 3, 4, alpha, beta, 1.0))
+        assert str(exc.value) == message
 
     def test_regression_values(self):
         assert omega(cfg(6, 3, 12, alpha=2.0, beta=0.5, gamma=1.0)) == pytest.approx(
@@ -363,3 +379,39 @@ class TestSystemConfigValidation:
             cfg(4, 2, 2, alpha=1.0, beta=0.0, gamma=1.0)
         with pytest.raises(ValueError):
             cfg(4, 2, 2, alpha=1.0, beta=1.0, gamma=math.inf)
+
+
+RATIOS = AsymptoticRatios(beta1=1.5, beta2=2.0, beta3=0.75, p_u=6.0, p_v=6.0, gamma=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cfg(4, 2, 2, -1.0, 1.0, 1.0), "alpha must be finite and >= 0, got -1.0"),
+        (lambda: cfg(4, 2, 2, 1.0, 0.0, 1.0), "beta must be finite and > 0, got 0.0"),
+        (lambda: cfg(4, 2, 2, 1.0, 1.0, math.inf), "gamma must be finite and > 0, got inf"),
+        (lambda: theta(2, 3, math.nan), "x must be finite and >= 0, got nan"),
+        (lambda: f_func(-1, 2.0), "x must be finite and >= 0, got -1.0"),
+        (lambda: f_func(1.0, 0), "y must be finite and > 0, got 0.0"),
+        (lambda: phi_func(math.inf, 2.0), "x must be finite and >= 0, got inf"),
+        (lambda: phi_func(1.0, -0.0), "y must be finite and > 0, got -0.0"),
+        (lambda: delta_highsnr(0.0, RATIOS), "x must be finite and > 0, got 0.0"),
+        (
+            lambda: critical_eve_antennas(6, 3, math.nan, 1.0, 1.0),
+            "alpha must be finite and > 0, got nan",
+        ),
+        (
+            lambda: critical_eve_antennas(6, 3, 1.0, -2, 1.0),
+            "beta must be finite and > 0, got -2.0",
+        ),
+        (
+            lambda: critical_eve_antennas(6, 3, 1.0, 1.0, -math.inf),
+            "gamma must be finite and > 0, got -inf",
+        ),
+    ],
+)
+def test_finite_argument_messages(call, message):
+    # the twelve checks of a finite nonnegative (or positive) argument
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message

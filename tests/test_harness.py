@@ -193,6 +193,13 @@ class TestSweepSpec:
             with pytest.raises(ConfigError, match="mc_trials must be an integer"):
                 SweepSpec(**self.kwargs(mc_trials=bad))
 
+    def test_seed_coercion(self):
+        spec = SweepSpec(**self.kwargs(seed=7.0))
+        assert spec.seed == 7 and isinstance(spec.seed, int)
+        for bad in (1.5, True, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                SweepSpec(**self.kwargs(seed=bad))
+
     def test_axis_substitution(self):
         spec = SweepSpec(**self.kwargs(axis="gamma_db", values=(-3.0, 0.0, 3.0)))
         cfg = spec.config_at(3.0)
