@@ -92,10 +92,6 @@ class SystemConfig:
             object.__setattr__(self, name, v)
 
     @property
-    def snr_b(self) -> float:
-        return self.alpha * self.gamma
-
-    @property
     def p_u(self) -> float:
         return self.alpha * self.gamma * self.n_b
 
@@ -373,7 +369,7 @@ def omega(cfg: SystemConfig) -> float:
     data = (1.0 / cfg.alpha, cfg.n_b)
     noise = (1.0 / (cfg.alpha * cfg.beta), cfg.n_a - cfg.n_b)
     (mu1, m1), (mu2, m2) = (data, noise) if data[0] > noise[0] else (noise, data)
-    if not mu1 > mu2 > 0.0:
+    if not (mu1 > mu2 > 0.0 and math.isfinite(mu1)):
         raise DomainError(f"need mu1 > mu2 > 0, got mu1={mu1!r}, mu2={mu2!r}")
     return _omega_determinant_sum(cfg.n_a, cfg.n_e, mu1, m1, mu2, m2)
 

@@ -110,7 +110,12 @@ def parse_config_text(text: str) -> Dict[str, float]:
 
 
 def _integer(value, message: str) -> int:
-    """``value`` as an int; ConfigError(message) unless it is a whole number."""
+    """``value`` as an int; ConfigError(message) unless it is a whole number.
+
+    An int skips float(), which raises OverflowError beyond float range.
+    """
+    if isinstance(value, int):
+        return int(value)
     if not float(value).is_integer():
         raise ConfigError(message)
     return int(value)

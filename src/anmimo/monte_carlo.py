@@ -17,6 +17,12 @@ uniforms: each complex entry uses two words and has unit total variance
 (real and imaginary parts each 1/2), matching the unit-variance channel
 convention. A per-component variance of 1 here would silently double
 every SNR, hence the explicit construction instead of library normals.
+
+The secrecy rate of a trial needs only h and g. The eavesdropper sees
+g (alpha P + alpha beta (I - P)) g^H, where P projects onto the row space
+of h, and both of its pieces come from one Householder QR of [h^H g^H]
+(see _secrecy_rates); the precoding basis (v1, z) belongs to the model
+that sample_channel returns, not to the estimator.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ from .errors import ConfigError, DomainError, NumericError
 _WORKERS_ENV = "ANMIMO_WORKERS"
 _INV_2_53 = 1.0 / float(2**53)
 _RANK_RTOL = 1e-8
+# an upper bound on cond(h) at most this clears the rank check with a wide
+# margin over 1 / _RANK_RTOL, whatever the rounding in the bound
+_COND_CLEAR = 1e6
 _MAX_SEED = 2**64
 _SLICE_WORDS = 1 << 19
 
@@ -45,7 +54,9 @@ class ChannelRealization:
 
     h is the legitimate channel (n_b x n_a), g the eavesdropper channel
     (n_e x n_a); v1 (n_a x n_b) spans the data subspace and z
-    (n_a x (n_a - n_b)) the null space of h, together unitary.
+    (n_a x (n_a - n_b)) the null space of h, together unitary. v1 and z
+    describe the transmitter; the secrecy rate is computed from h and g
+    alone, so it does not depend on which orthonormal pair they are.
     """
 
     h: np.ndarray
@@ -188,14 +199,18 @@ def _map_chunks(spans, worker) -> list:
     return [worker(*span) for span in spans]
 
 
+def _herm(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -2, -1).conj()
+
+
 def _logdet_eye_plus_gram(b: np.ndarray) -> np.ndarray:
     """ln det(I + B B^H) batched, via Cholesky on the smaller Gram side."""
     rows, cols = b.shape[-2], b.shape[-1]
     if cols < rows:
-        gram = np.swapaxes(b, -2, -1).conj() @ b
+        gram = _herm(b) @ b
         dim = cols
     else:
-        gram = b @ np.swapaxes(b, -2, -1).conj()
+        gram = b @ _herm(b)
         dim = rows
     gram = gram + np.eye(dim)
     try:
@@ -210,33 +225,59 @@ def _rate_words(cfg: SystemConfig) -> int:
     return 2 * (cfg.n_b + cfg.n_e) * cfg.n_a
 
 
+def _stacked_batch(cfg: SystemConfig, seed: int, t0: int, nt: int) -> np.ndarray:
+    """h stacked over g, (nt, n_b + n_e, n_a), for trials [t0, t0+nt)."""
+    entries = _trial_gaussians(seed, t0, nt, _rate_words(cfg))
+    return entries.reshape(nt, cfg.n_b + cfg.n_e, cfg.n_a)
+
+
 def _sample_batch(cfg: SystemConfig, seed: int, t0: int, nt: int):
     """Channels for trials [t0, t0+nt) straight from their counter spans."""
-    h_entries = cfg.n_b * cfg.n_a
-    entries = _trial_gaussians(seed, t0, nt, _rate_words(cfg))
-    h = entries[:, :h_entries].reshape(nt, cfg.n_b, cfg.n_a)
-    g = entries[:, h_entries:].reshape(nt, cfg.n_e, cfg.n_a)
-    return h, g
+    hg = _stacked_batch(cfg, seed, t0, nt)
+    return hg[:, : cfg.n_b], hg[:, cfg.n_b :]
+
+
+def _check_rank(h: np.ndarray, r_diag: np.ndarray, t0: int) -> None:
+    """NumericError at the first trial whose h has sigma_min <= 1e-8 sigma_max.
+
+    r_diag holds the diagonals of n x n triangular factors R of the h^H,
+    which share the singular values of h. cond(R) < (2 / |det R|)
+    (||R||_F / sqrt(n))^n (Guggenheimer, Edelman & Johnson, 1995), with
+    |det R| the product of the |r_ii| and ||R||_F = ||h||_F, so a trial
+    whose bound is at most _COND_CLEAR passes without an SVD. The others
+    get the singular values of the R that np.linalg.qr of h^H gives in
+    any mode.
+    """
+    n = r_diag.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 gives a nan bound
+        log_det = np.sum(np.log(np.abs(r_diag)), axis=-1)
+        log_fro = np.log(np.linalg.norm(h, axis=(-2, -1)))
+        log_bound = math.log(2.0) - log_det + n * (log_fro - 0.5 * math.log(n))
+    unsure = np.flatnonzero(~(log_bound <= math.log(_COND_CLEAR)))
+    if unsure.size == 0:
+        return
+    try:
+        r = np.linalg.qr(_herm(h[unsure]), mode="r")
+        singvals = np.linalg.svd(r, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"rank check failed near trial {t0}: {exc}") from exc
+    bad = singvals[..., -1] <= _RANK_RTOL * singvals[..., 0]
+    if np.any(bad):
+        idx = t0 + int(unsure[np.argmax(bad)])
+        raise NumericError(f"rank-deficient legitimate channel at trial {idx}")
 
 
 def _precoding_basis(h: np.ndarray, n_b: int, t0: int):
     """Orthonormal bases of the row space (v1) and null space (z) of each h.
 
     Both come from a complete QR of h^H = Q R: the first n_b columns of Q
-    span the row space, the rest the null space. The rate depends only on
-    the projectors v1 v1^H and z z^H, so any orthonormal pair will do.
-    h^H and its n_b x n_b factor R share their singular values, so the
-    rank check reads them from the small R.
+    span the row space, the rest the null space.
     """
     try:
-        q, r = np.linalg.qr(np.swapaxes(h, -2, -1).conj(), mode="complete")
-        singvals = np.linalg.svd(r[..., :n_b, :], compute_uv=False)
+        q, r = np.linalg.qr(_herm(h), mode="complete")
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"QR basis failed near trial {t0}: {exc}") from exc
-    bad = singvals[..., -1] <= _RANK_RTOL * singvals[..., 0]
-    if np.any(bad):
-        idx = t0 + int(np.argmax(bad))
-        raise NumericError(f"rank-deficient legitimate channel at trial {idx}")
+    _check_rank(h, np.diagonal(r, axis1=-2, axis2=-1), t0)
     return q[..., :n_b], q[..., n_b:]
 
 
@@ -258,17 +299,36 @@ def sample_channel(cfg: SystemConfig, trial_index: int, seed: int) -> ChannelRea
     return ChannelRealization(h=h[0], g=g[0], v1=v1[0], z=z[0])
 
 
-def _rates_from_channels(cfg: SystemConfig, h, g, v1, z) -> np.ndarray:
-    sa = math.sqrt(cfg.alpha)
-    sag = math.sqrt(cfg.alpha * cfg.gamma)
-    sab = math.sqrt(cfg.alpha * cfg.beta)
-    legit = _logdet_eye_plus_gram(sag * h)
-    g1 = g @ v1
-    g2 = g @ z
-    eve_full = _logdet_eye_plus_gram(
-        np.concatenate((sa * g1, sab * g2), axis=-1)
-    )
-    eve_noise = _logdet_eye_plus_gram(sab * g2)
+def _secrecy_rates(
+    cfg: SystemConfig, hg: np.ndarray, t0: int | None = None
+) -> np.ndarray:
+    """Unclamped secrecy rates of a batch of h stacked over g, from h and g alone.
+
+    One Householder QR of [h^H g^H] gives R = [[R11, R12], [0, R22]]: R11
+    is the R of h^H, R12 = Q1^H g^H is g on the row space of h, and
+    R22^H R22 = g (I - P) g^H is g on the null space. The eavesdropper's
+    log-dets, ln det(I + g (alpha P + alpha beta (I - P)) g^H) and
+    ln det(I + alpha beta g (I - P) g^H), are then Grams of the computed
+    blocks [sqrt(alpha) R12; sqrt(alpha beta) R22] and sqrt(alpha beta) R22,
+    with no difference of Grams to cancel at high SNR. Given t0, a
+    rank-deficient h raises NumericError naming trial t0 + i first.
+    """
+    n_b, n_e = cfg.n_b, cfg.n_e
+    # the QR runs on the transpose [h^T g^T], whose R is the conjugate of
+    # the R above: no log-det changes, and no conjugated copy is made.
+    # Mode "raw" returns the factored matrix transposed, so its row n_b + j
+    # holds column n_b + j of that R on and left of the diagonal
+    raw = np.linalg.qr(np.swapaxes(hg, -2, -1), mode="raw")[0]
+    k = min(cfg.n_a, n_b + n_e)
+    if t0 is not None:
+        _check_rank(hg[..., :n_b, :], np.diagonal(raw, axis1=-2, axis2=-1)[..., :n_b], t0)
+    col_scale = np.full(k, math.sqrt(cfg.alpha * cfg.beta))
+    col_scale[:n_b] = math.sqrt(cfg.alpha)
+    on_r = np.arange(k) <= np.arange(n_b, n_b + n_e)[:, None]
+    b = raw[..., n_b:, :k] * np.where(on_r, col_scale, 0.0)  # [R12; R22]^H, scaled
+    legit = _logdet_eye_plus_gram(math.sqrt(cfg.alpha * cfg.gamma) * hg[..., :n_b, :])
+    eve_full = _logdet_eye_plus_gram(b)
+    eve_noise = _logdet_eye_plus_gram(b[..., n_b:])
     return legit - (eve_full - eve_noise)
 
 
@@ -277,25 +337,21 @@ def instantaneous_secrecy_rate(ch: ChannelRealization, cfg: SystemConfig) -> flo
 
     Legitimate log-det minus the eavesdropper log-det gap, each computed
     by Cholesky on the smaller side of the Gram pairing (never from raw
-    eigenvalues, which lose digits at high SNR).
+    eigenvalues, which lose digits at high SNR). Only ch.h and ch.g enter.
     """
     if ch.h.shape != (cfg.n_b, cfg.n_a) or ch.g.shape != (cfg.n_e, cfg.n_a):
         raise DomainError(
             f"realization shaped h{ch.h.shape}, g{ch.g.shape} does not match "
             f"config ({cfg.n_b}x{cfg.n_a}, {cfg.n_e}x{cfg.n_a})"
         )
-    rate = _rates_from_channels(
-        cfg, ch.h[None, ...], ch.g[None, ...], ch.v1[None, ...], ch.z[None, ...]
-    )[0]
+    rate = _secrecy_rates(cfg, np.concatenate((ch.h, ch.g))[None, ...])[0]
     if not math.isfinite(rate):
         raise NumericError(f"non-finite rate {rate!r}")
     return float(rate)
 
 
 def _rate_slice_values(cfg: SystemConfig, seed: int, t0: int, nt: int) -> np.ndarray:
-    h, g = _sample_batch(cfg, seed, t0, nt)
-    v1, z = _precoding_basis(h, cfg.n_b, t0)
-    return _rates_from_channels(cfg, h, g, v1, z)
+    return _secrecy_rates(cfg, _stacked_batch(cfg, seed, t0, nt), t0)
 
 
 def _rate_chunk_values(cfg: SystemConfig, seed: int, t0: int, nt: int, clamp: bool):

@@ -161,6 +161,21 @@ class TestSweep:
         assert base_rows[0]["exact"] == over_rows[0]["exact"]
         assert base_rows[0]["mc"] != over_rows[0]["mc"]
 
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    def test_integer_beyond_float_range_without_mc(self, capsys, tmp_path, flag):
+        # float() of a 402-digit int overflows; without an mc column the
+        # value is checked but never used
+        cfg = write(tmp_path, "s.cfg", "axis = n_e\nvalues = 2, 4\noutputs = exact\n" + POINT)
+        _, want, _ = run_main(capsys, ["sweep", "--config", cfg])
+        code, out, err = run_main(capsys, ["sweep", "--config", cfg, flag, str(10**401)])
+        assert (code, out, err) == (0, want, "")
+
+    def test_seed_beyond_64_bits_with_mc(self, capsys, tmp_path):
+        cfg = write(tmp_path, "s.cfg", SWEEP)
+        code, out, err = run_main(capsys, ["sweep", "--config", cfg, "--seed", str(10**401)])
+        assert code == 1 and out == ""
+        assert f"seed must fit in 64 unsigned bits, got {10**401}" in err
+
     def test_partial_failure_reports_completed_rows(self, capsys, tmp_path):
         text = SWEEP.replace("values = 2, 4, 6", "values = 4, 17")
         cfg = write(tmp_path, "s.cfg", text)

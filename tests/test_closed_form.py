@@ -136,9 +136,11 @@ class TestOmega:
     @pytest.mark.parametrize(
         "alpha, beta, message",
         [
-            # 1/(alpha beta) underflows to 0, or 1/alpha overflows to inf
+            # 1/(alpha beta) underflows to 0, 1/alpha overflows to inf, or
+            # only 1/(alpha beta) overflows (an infinite level, once a nan)
             (1e200, 1e200, "need mu1 > mu2 > 0, got mu1=1e-200, mu2=0.0"),
             (1e-310, 2.0, "need mu1 > mu2 > 0, got mu1=inf, mu2=inf"),
+            (1e-300, 1e-10, "need mu1 > mu2 > 0, got mu1=inf, mu2=9.999999999999999e+299"),
         ],
     )
     def test_levels_outside_float_range(self, alpha, beta, message):

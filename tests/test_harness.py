@@ -200,6 +200,10 @@ class TestSweepSpec:
             with pytest.raises(ConfigError, match="seed must be an integer"):
                 SweepSpec(**self.kwargs(seed=bad))
 
+    def test_integers_beyond_float_range_kept(self):
+        spec = SweepSpec(**self.kwargs(mc_trials=10**401, seed=10**401))
+        assert spec.mc_trials == 10**401 and spec.seed == 10**401
+
     def test_axis_substitution(self):
         spec = SweepSpec(**self.kwargs(axis="gamma_db", values=(-3.0, 0.0, 3.0)))
         cfg = spec.config_at(3.0)

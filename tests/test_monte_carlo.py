@@ -2,7 +2,8 @@
 
 Distributional statistics get fixed seeds and 3-sigma gates; structural
 facts (null space, unitarity, reproducibility across batching and worker
-counts) are exact.
+counts) are exact. The rates, computed from h and g alone, are checked
+against rates through an explicit SVD precoding basis.
 """
 
 import math
@@ -245,11 +246,34 @@ class TestNormalizedSample:
             mc_normalized_rate_sample(BASE, 0)
 
 
-def _svd_basis(h, n_b):
-    # the reference basis: right singular vectors of each h
-    vh = np.linalg.svd(h)[2]
-    v = np.swapaxes(vh, -2, -1).conj()
-    return v[..., :n_b], v[..., n_b:]
+def _svd_rates(c, h, g):
+    # the reference: the rate through an explicit precoding basis, the
+    # right singular vectors of each h (data subspace first)
+    v = np.swapaxes(np.linalg.svd(h)[2], -2, -1).conj()
+    g1, g2 = g @ v[..., : c.n_b], g @ v[..., c.n_b :]
+    sab = math.sqrt(c.alpha * c.beta)
+    legit = mc._logdet_eye_plus_gram(math.sqrt(c.alpha * c.gamma) * h)
+    eve_full = mc._logdet_eye_plus_gram(
+        np.concatenate((math.sqrt(c.alpha) * g1, sab * g2), axis=-1)
+    )
+    eve_noise = mc._logdet_eye_plus_gram(sab * g2)
+    return legit - (eve_full - eve_noise)
+
+
+def _rates(c, h, g, t0):
+    # the engine's rate path on given channels, rank check included
+    return mc._secrecy_rates(c, np.concatenate((h, g), axis=-2), t0)
+
+
+def _conditioned_h(n_b, n_a, k, rng):
+    # U diag(1, ..., 10^-k) V^H with random orthonormal U (n_b x n_b) and
+    # V (n_a x n_b): singular values log-spaced, condition number 10^k
+    def orthonormal(rows, cols):
+        x = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(x)[0]
+
+    s = np.logspace(0.0, -k, n_b)
+    return (orthonormal(n_b, n_b) * s) @ orthonormal(n_a, n_b).conj().T
 
 
 class TestPrecodingBasis:
@@ -260,17 +284,76 @@ class TestPrecodingBasis:
         with pytest.raises(NumericError, match="trial 102"):
             mc._precoding_basis(h, BASE.n_b, 100)
 
-    @pytest.mark.parametrize("shape", [(6, 3, 4), (16, 8, 8)])
+    @pytest.mark.parametrize(
+        "shape", [(6, 3, 4), (16, 8, 8), (6, 3, 20), (128, 64, 64), (16, 15, 8), (4, 1, 12)]
+    )
     def test_qr_rates_match_svd_rates(self, shape):
+        # beta = 3 puts the noise level alpha beta above the data level alpha
+        for beta in (0.5, 3.0):
+            c = cfg(*shape, 2.0, beta, 2.0)
+            words = mc._rate_words(c)
+            spans = mc._chunk_spans(2 * mc._chunk_size(words) + 10, words)
+            assert len(spans) == 3
+            for t0, nt in spans:
+                vals = mc._rate_chunk_values(c, 8, t0, nt, clamp=False)
+                h, g = mc._sample_batch(c, 8, t0, nt)
+                want = _svd_rates(c, h, g)
+                assert np.all(np.abs(vals - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("shape", [(6, 3, 4), (6, 3, 20), (16, 15, 8), (4, 1, 12)])
+    def test_qr_rates_hold_at_high_snr(self, shape):
+        # alpha beta = 1e10: g (I - P) g^H has n_e - (n_a - n_b) zero
+        # eigenvalues here, which a difference g g^H - g P g^H would leave
+        # at +-1e10 eps |g|^2 (1e-6 to 1e-4 relative in the rate)
+        c = cfg(*shape, 1e5, 1e5, 2.0)
+        vals = mc._rate_slice_values(c, 8, 0, 2000)
+        h, g = mc._sample_batch(c, 8, 0, 2000)
+        want = _svd_rates(c, h, g)
+        assert np.all(np.abs(vals - want) <= 1e-10 * np.abs(want))
+
+    @pytest.mark.parametrize("shape", [(6, 3, 4), (6, 3, 20), (16, 15, 8)])
+    def test_conditioning_ladder(self, shape):
         c = cfg(*shape, 2.0, 0.5, 2.0)
-        words = mc._rate_words(c)
-        spans = mc._chunk_spans(2 * mc._chunk_size(words) + 10, words)
-        assert len(spans) == 3
-        for t0, nt in spans:
-            qr_vals = mc._rate_chunk_values(c, 8, t0, nt, clamp=False)
-            h, g = mc._sample_batch(c, 8, t0, nt)
-            svd_vals = mc._rates_from_channels(c, h, g, *_svd_basis(h, c.n_b))
-            assert np.max(np.abs(qr_vals - svd_vals)) <= 1e-13
+        rng = np.random.default_rng(sum(shape))
+        _, g = mc._sample_batch(c, 3, 100, 5)
+        for k in (0.0, 2.0, 4.0, 6.0, 7.0, 7.5):
+            h = np.stack([_conditioned_h(c.n_b, c.n_a, k, rng) for _ in range(5)])
+            vals = _rates(c, h, g, 100)
+            if k == 6.0:
+                assert np.max(np.abs(vals - _svd_rates(c, h, g))) <= 1e-7
+        h = np.stack([_conditioned_h(c.n_b, c.n_a, 0.0, rng) for _ in range(5)])
+        h[2] = _conditioned_h(c.n_b, c.n_a, 8.5, rng)
+        with pytest.raises(NumericError, match="rank-deficient legitimate channel at trial 102"):
+            _rates(c, h, g, 100)
+
+    def test_svd_runs_only_where_the_bound_does_not_clear(self, monkeypatch):
+        seen = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, **kwargs):
+            seen.append(a.shape[0])
+            return svd(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        h, g = mc._sample_batch(BASE, 3, 100, 5)
+        _rates(BASE, h, g, 100)
+        assert seen == []
+        h = h.copy()
+        # cond(h) = 10^6.5: full rank, but above what the bound may clear
+        h[3] = _conditioned_h(BASE.n_b, BASE.n_a, 6.5, np.random.default_rng(1))
+        _rates(BASE, h, g, 100)
+        assert seen == [1]
+
+    @pytest.mark.parametrize("make_deficient", ["equal rows", "zero channel"])
+    def test_rank_deficient_trial_is_named_on_rate_path(self, make_deficient):
+        h, g = mc._sample_batch(BASE, 3, 100, 5)
+        h = h.copy()
+        if make_deficient == "equal rows":
+            h[2, 1] = h[2, 0]  # trial 102
+        else:
+            h[2] = 0.0  # trial 102: R = 0, so the bound is nan
+        with pytest.raises(NumericError, match="rank-deficient legitimate channel at trial 102"):
+            _rates(BASE, h, g, 100)
 
     @pytest.mark.parametrize("shape", [(6, 3, 4), (16, 8, 8), (6, 3, 20), (128, 64, 64)])
     def test_sliced_chunk_equals_whole_chunk(self, shape):
