@@ -16,7 +16,9 @@ Numerical notes, since both closed forms are badly alternating:
   step is one arbitrary-precision seed T0 = exp(b) E1(b), b = 1/x, at a
   working precision sized to the folded coefficient magnitude. Plain
   compensated double summation was measured losing all 16 digits already
-  at m = n = 16, x = 0.05, hence the exact fold. Supported envelope is
+  at m = n = 16, x = 0.05, hence the exact fold. The fold is two
+  polynomials in b, cached per (m, n) with integer coefficients over a
+  common denominator and evaluated exactly at b. Supported envelope is
   n <= 16 (hard error beyond).
 * The exponential prefactor of the published theta sum appears with a
   negative exponent; the m = n = 1 reduction E[ln(1+x|g|^2)] =
@@ -30,7 +32,10 @@ Numerical notes, since both closed forms are badly alternating:
   of R0 and p back substitutions give all of them (matrix determinant
   lemma). The audit compares the Hadamard row-norm bound of R0 and of
   each R_k with its value, fails an attempt whose determinant is zero or
-  above its own bound, and adds the cancellation across the k-sum.
+  above its own bound, and adds the cancellation across the k-sum. R0 is
+  a confluent Vandermonde matrix, so det R0 = exp(-log_k) and its
+  Hadamard bound are known in closed form before any elimination; the
+  first precision covers the digits det R0 loses against that bound.
   Near-degenerate inputs (|beta - 1| < 1e-6) route to the single-group
   branch instead.
 * The E1 ladder T_t = exp(mu) E_{t+1}(mu) that fills omega's columns runs
@@ -48,6 +53,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 import mpmath as mp
+from mpmath import libmp
 
 from .errors import DomainError, NumericError, _finite
 
@@ -130,8 +136,7 @@ class RateReport:
     bob_capacity: float
 
 
-@lru_cache(maxsize=None)
-def _theta_coeffs(m: int, n: int):
+def _ladder_coeffs(m: int, n: int):
     """Exact rational coefficients A_j of the theta ladder sum.
 
     theta(m, n, x) = sum_j A_j T_j(1/x) with T_j(b) = exp(b) E_{j+1}(b).
@@ -161,6 +166,43 @@ def _theta_coeffs(m: int, n: int):
     return coeffs
 
 
+def _integer_polynomial(coeffs):
+    """Rational coefficients as (integer coefficients, common denominator)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+@lru_cache(maxsize=None)
+def _theta_coeffs(m: int, n: int):
+    """S_P(b) and S_Q(b) of theta(m, n, 1/b) as integer polynomials in b.
+
+    The ladder's p_j(b) = sum_{i<j} (-b)^i (j-1-i)! / j! and
+    q_j(b) = (-b)^j / j! (see theta) fold against the A_j into
+    S_P = sum_j A_j p_j and S_Q = sum_j A_j q_j, each kept as integer
+    coefficients of b^0, b^1, .. over one common denominator. Only these
+    integers are cached, not the A_j.
+    """
+    coeffs = _ladder_coeffs(m, n)
+    s_p = [Fraction(0)] * (max(coeffs) + 1)
+    s_q = [Fraction(0)] * (max(coeffs) + 1)
+    for j, a_j in coeffs.items():
+        w = a_j / math.factorial(j)
+        s_q[j] += (-1) ** j * w
+        for i in range(j):
+            s_p[i] += (-1) ** i * math.factorial(j - 1 - i) * w
+    return _integer_polynomial(s_p), _integer_polynomial(s_q)
+
+
+def _horner(poly, num: int, den: int) -> Fraction:
+    """An integer polynomial (see _integer_polynomial) at b = num / den, exactly."""
+    coeffs, poly_den = poly
+    acc, scale = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return Fraction(acc, poly_den * scale)
+
+
 def _fraction_digits(f: Fraction) -> int:
     if f == 0:
         return 0
@@ -178,6 +220,8 @@ def theta(m: int, n: int, x: float) -> float:
     P_j, Q_j. Folding the A_j against P and Q leaves
     theta = S_P + S_Q T_0 with a single transcendental evaluated at a
     precision covering the (huge, cancelling) magnitudes of S_P and S_Q.
+    S_P and S_Q are polynomials in b, cached per (m, n) with integer
+    coefficients and evaluated exactly at b.
     """
     for name, v in (("m", m), ("n", n)):
         if isinstance(v, bool) or not isinstance(v, int):
@@ -192,17 +236,10 @@ def theta(m: int, n: int, x: float) -> float:
     if x == 0.0:
         return 0.0
 
-    coeffs = _theta_coeffs(m, n)
     b = 1 / Fraction(x)
-    jmax = max(coeffs)
-    p = [Fraction(0)] * (jmax + 1)
-    q = [Fraction(0)] * (jmax + 1)
-    q[0] = Fraction(1)
-    for j in range(1, jmax + 1):
-        p[j] = (1 - b * p[j - 1]) / j
-        q[j] = -b * q[j - 1] / j
-    s_p = sum(coeffs[j] * p[j] for j in coeffs)
-    s_q = sum(coeffs[j] * q[j] for j in coeffs)
+    poly_p, poly_q = _theta_coeffs(m, n)
+    s_p = _horner(poly_p, b.numerator, b.denominator)
+    s_q = _horner(poly_q, b.numerator, b.denominator)
     if s_p == 0 and s_q == 0:
         return 0.0
 
@@ -240,32 +277,94 @@ def _det_and_cramer_diagonal(a, n, p):
     """det(R0) and x_kk = (R0^{-1} c_k)_k for k < p, from the rows of [R0 | C].
 
     a holds the n rows of R0 (n columns) followed by the p columns c_k of
-    C; it is overwritten. One Gaussian elimination with partial pivoting
-    over all n + p columns, then each back substitution stops at row k,
-    the only entry of x_k the sum needs. A singular R0 gives (0, []).
+    C. One Gaussian elimination with partial pivoting over all n + p
+    columns, then each back substitution stops at row k, the only entry
+    of x_k the sum needs. A singular R0 gives (0, []).
+
+    The arithmetic runs on the raw libmp values under the mpf objects, at
+    the context's precision and rounding: the same calls the mpf
+    operators and mp.fsum make, so every intermediate is bitwise the one
+    mpf arithmetic gives, without an mpf object per operation.
     """
-    det = mp.mpf(1)
+    prec, rnd = mp.mp._prec_rounding
+    a = [[v._mpf_ for v in row] for row in a]
+    det = libmp.fone
     for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(a[i][col]))
-        if not a[piv][col]:
+        # the first row of largest |entry|, as max() would pick it
+        piv, big = col, libmp.mpf_abs(a[col][col], prec, rnd)
+        for i in range(col + 1, n):
+            v = libmp.mpf_abs(a[i][col], prec, rnd)
+            if libmp.mpf_gt(v, big):
+                piv, big = i, v
+        if big == libmp.fzero:
             return mp.mpf(0), []
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
+            det = libmp.mpf_neg(det, prec, rnd)
         top = a[col]
-        det *= top[col]
+        det = libmp.mpf_mul(det, top[col], prec, rnd)
+        tail = top[col + 1 :]
         for row in a[col + 1 :]:
-            f = row[col] / top[col]
-            for j in range(col + 1, n + p):
-                row[j] -= f * top[j]
+            f = libmp.mpf_div(row[col], top[col], prec, rnd)
+            row[col + 1 :] = [
+                libmp.mpf_sub(r, libmp.mpf_mul(f, t, prec, rnd), prec, rnd)
+                for r, t in zip(row[col + 1 :], tail)
+            ]
     xkk = []
     for k in range(p):
-        x = {}
+        x = [None] * n
         for i in range(n - 1, k - 1, -1):
-            rest = mp.fsum(a[i][j] * x[j] for j in range(i + 1, n))
-            x[i] = (a[i][n + k] - rest) / a[i][i]
-        xkk.append(x[k])
-    return det, xkk
+            row = a[i]
+            rest = libmp.mpf_sum(
+                [libmp.mpf_mul(row[j], x[j], prec, rnd) for j in range(i + 1, n)], prec, rnd
+            )
+            x[i] = libmp.mpf_div(libmp.mpf_sub(row[n + k], rest, prec, rnd), row[i], prec, rnd)
+        xkk.append(mp.make_mpf(x[k]))
+    return mp.make_mpf(det), xkk
+
+
+def _log_det_r0(n_e: int, p: int, mu1, m1, mu2, m2) -> float:
+    """ln|det R0|, in closed form.
+
+    R0 is a confluent Vandermonde matrix in the functions mu^-n_e mu^k,
+    k < n_a, at the two levels, so its determinant is a product of
+    factorials, level powers and the gap (mu1 - mu2)^(m1 m2). It is
+    -log_k of _omega_determinant_sum.
+    """
+    return (
+        sum(math.lgamma(n_e - p + c + 1) for c in range(p))
+        - n_e * (m1 * math.log(mu1) + m2 * math.log(mu2))
+        + sum(math.lgamma(d + 1) for m in (m1, m2) for d in range(m))
+        + m1 * m2 * math.log(mu1 - mu2)
+    )
+
+
+def _first_dps(n_a: int, n_e: int, mu1, m1, mu2, m2) -> int:
+    """First working precision of the determinant sum, before any elimination.
+
+    The digits det R0 loses, log10 of its Hadamard row-norm bound over
+    |det R0| (both in closed form, in log space), sized as the audit's
+    retry rule would size them. The gap (mu1 - mu2)^(m1 m2) is part of
+    det R0. The audit still guards the result: a short guess retries.
+    """
+    p = min(n_e, n_a)
+    log_hadamard = 0.0
+    for mu, m in ((mu1, m1), (mu2, m2)):
+        ln_mu = math.log(mu)
+        for d in range(m):
+            # ln|entry| of the row with shift d: phi! / mu^(phi+1) in the
+            # first p columns, then (k)_d mu^(k-d) for k = n_a - j >= d
+            logs = [
+                math.lgamma(phi + 1) - (phi + 1) * ln_mu for phi in range(n_e - p + d, n_e + d)
+            ]
+            logs += [
+                math.lgamma(k + 1) - math.lgamma(k - d + 1) + (k - d) * ln_mu
+                for k in range(d, n_a - p)
+            ]
+            top = max(logs)
+            log_hadamard += top + math.log(math.fsum(math.exp(2 * (v - top)) for v in logs)) / 2
+    loss0 = (log_hadamard - _log_det_r0(n_e, p, mu1, m1, mu2, m2)) / math.log(10)
+    return max(30, int(loss0 + 15) + 10)
 
 
 def _omega_determinant_sum(n_a: int, n_e: int, mu1, m1, mu2, m2) -> float:
@@ -279,19 +378,22 @@ def _omega_determinant_sum(n_a: int, n_e: int, mu1, m1, mu2, m2) -> float:
     x_k = R0^{-1} c_k, so one Gaussian elimination of [R0 | c_1 .. c_p]
     with partial pivoting and p back substitutions give the whole sum.
 
-    Evaluated entirely in mpmath. The initial precision anticipates the
-    (mu1 - mu2)^(m1 m2) blow-up; after evaluation the actual digit loss
+    Evaluated entirely in mpmath. The first precision (_first_dps) comes
+    from det R0 in closed form, det R0 = exp(-log_k): the digits it loses
+    against its Hadamard row-norm bound, which include the
+    (mu1 - mu2)^(m1 m2) blow-up. After evaluation the actual digit loss
     is audited and the whole computation retries at the audited precision
-    if the first guess was short. The audit adds the worst loss inside
-    the p + 1 determinants det R0 and det R_k (each one's Hadamard
-    row-norm bound against its value; R0 alone misses digits the solves
-    lose) and the cancellation across the k-sum (max_k |x_kk| against
-    |sum_k x_kk|). A determinant that is zero or above its own Hadamard
-    bound holds no correct digit, and the attempt counts as failed.
+    if the first guess was short, as it is where a det R_k loses more than
+    det R0 (at high SNR, or with one x_kk far below the others at low SNR).
+    The audit adds the worst loss inside the p + 1 determinants det R0 and
+    det R_k (each one's Hadamard row-norm bound against its value; R0
+    alone misses digits the solves lose) and the cancellation across the
+    k-sum (max_k |x_kk| against |sum_k x_kk|). A determinant that is zero
+    or above its own Hadamard bound holds no correct digit, and the
+    attempt counts as failed.
     """
     p = min(n_e, n_a)
-    relgap = (mu1 - mu2) / mu1
-    dps = 30 + max(0, int(-m1 * m2 * math.log10(relgap)))
+    dps = _first_dps(n_a, n_e, mu1, m1, mu2, m2)
     sign_k = (-1) ** (n_e * (n_a - p))
     # each row belongs to one eigenvalue group and carries a shift d: the
     # order of the derivative in that group's confluent block
@@ -409,8 +511,8 @@ def average_rate_bounds(
 
     Replaces omega with the single-group value at the larger (lower
     bound) or smaller (upper bound) of the two power scales alpha and
-    alpha beta. The two coincide exactly at beta = 1. ``common`` is as
-    in average_secrecy_rate.
+    alpha beta. The two coincide exactly at beta = 1, where one theta
+    serves both. ``common`` is as in average_secrecy_rate.
     """
     if cfg.alpha == 0.0:
         return (0.0, 0.0)
@@ -419,6 +521,8 @@ def average_rate_bounds(
     scale_min = min(cfg.alpha, cfg.alpha * cfg.beta)
     scale_max = max(cfg.alpha, cfg.alpha * cfg.beta)
     lower = common - theta(cfg.n_hat_min, cfg.n_hat_max, scale_max)
+    if scale_min == scale_max:
+        return (lower, lower)
     upper = common - theta(cfg.n_hat_min, cfg.n_hat_max, scale_min)
     return (lower, upper)
 

@@ -5,8 +5,9 @@ generator (Philox keyed by the seed, counter set to the trial's first
 block), so trial t draws identical numbers whether it is sampled alone,
 inside any batch, or on any worker. Reduction is likewise schedule-proof:
 trials are grouped into chunks whose boundaries depend only on the trial
-shape, each chunk is summed exactly (math.fsum), and chunk partials merge
-in chunk order. Chunks are evaluated on a thread pool with one worker per
+shape, each chunk is summed exactly (math.fsum) and its squares about
+its own mean by a fixed tree of adds, and chunk partials merge in chunk
+order. Chunks are evaluated on a thread pool with one worker per
 available core; the ANMIMO_WORKERS environment variable narrows or widens
 that pool. It can never change a result or an output byte, only the
 schedule. Each worker walks its chunk in slices of at most 2**19 words,
@@ -366,16 +367,40 @@ def _rate_chunk_values(cfg: SystemConfig, seed: int, t0: int, nt: int, clamp: bo
     return vals
 
 
-def _fsum_partials(vals: np.ndarray):
-    return (math.fsum(vals.tolist()), math.fsum((vals * vals).tolist()))
+def _sum_of_squares(x: np.ndarray) -> float:
+    """sum(x^2) by a fixed tree of elementwise pairwise adds.
+
+    Every add is one IEEE operation in an order set here, so the result
+    is the same on any machine. The terms are nonnegative, so the tree
+    rounds by at most about log2(len(x)) units in the last place, at a
+    fraction of an exact fsum's cost.
+    """
+    s = x * x
+    while len(s) > 1:
+        half = len(s) // 2
+        pairs = s[:half] + s[half : 2 * half]
+        s = np.append(pairs, s[2 * half :]) if len(s) % 2 else pairs
+    return float(s[0])
+
+
+def _chunk_partials(vals: np.ndarray):
+    """A chunk's exact sum, count and sum of squares about its own mean."""
+    total = math.fsum(vals.tolist())
+    return (total, len(vals), _sum_of_squares(vals - total / len(vals)))
 
 
 def _merge_mean_stderr(partials, trials: int):
-    total = math.fsum(s for s, _ in partials)
-    total_sq = math.fsum(q for _, q in partials)
-    mean = total / trials
-    var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-    return mean, math.sqrt(var / trials)
+    """Mean and standard error from chunk partials, in chunk order.
+
+    The mean is the exact sum over the trial count. The squares about it
+    merge by chunk (Chan, Golub & LeVeque, 1979): each chunk's centred
+    sum of squares plus its count times its mean's squared offset from
+    the overall mean. Unlike sum(x^2) - n mean^2, nothing cancels when
+    the mean is large against the spread.
+    """
+    mean = math.fsum(s for s, _, _ in partials) / trials
+    squares = math.fsum(q + n * (s / n - mean) ** 2 for s, n, q in partials)
+    return mean, math.sqrt(squares / (trials - 1) / trials)
 
 
 def mc_average_secrecy_rate(
@@ -392,7 +417,7 @@ def mc_average_secrecy_rate(
     seed = _check_seed(seed)
 
     def worker(t0, nt):
-        return _fsum_partials(_rate_chunk_values(cfg, seed, t0, nt, clamp))
+        return _chunk_partials(_rate_chunk_values(cfg, seed, t0, nt, clamp))
 
     partials = _map_chunks(_chunk_spans(trials, _rate_words(cfg)), worker)
     mean, stderr = _merge_mean_stderr(partials, trials)
@@ -435,7 +460,7 @@ def mc_logdet_oracle(
         return _logdet_eye_plus_gram(g * sqrt_profile)
 
     def worker(t0, nt):
-        return _fsum_partials(_sliced(values, t0, nt, words))
+        return _chunk_partials(_sliced(values, t0, nt, words))
 
     partials = _map_chunks(_chunk_spans(trials, words), worker)
     mean, stderr = _merge_mean_stderr(partials, trials)

@@ -1,0 +1,59 @@
+"""The closed-form benchmark points against the benchmark's recorded outputs.
+
+perfbench/run.py accepts a closed-form output within 1e-10 relative of
+perfbench/reference.json, so a last-bit drift would pass it unseen. Here
+every run_point output on the 45 closed-form points must equal the
+recorded double bit for bit, and omega must settle in one elimination on
+each of the 36 points that reach its determinant sum. The benchmark's
+files are only read.
+"""
+
+import json
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from anmimo import SystemConfig, closed_form, run_point
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # executed from its source, so no bytecode cache is written there
+    path = BENCH / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+        yield module
+    finally:
+        del sys.modules[module.__name__]
+
+
+def test_closed_form_points_match_reference_bitwise(workloads, monkeypatch):
+    reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))["closed-form"]
+    eliminations = []
+    real = closed_form._det_and_cramer_diagonal
+
+    def counting(*args):
+        eliminations.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(closed_form, "_det_and_cramer_diagonal", counting)
+    points = [op for slot in workloads.candidates("closed-form") for op in slot]
+    assert len(points) == 45
+    beyond_single_group = 0
+    for op in points:
+        before = len(eliminations)
+        row = run_point(SystemConfig(**op.params), list(workloads.CLOSED_FORM_OUTPUTS))
+        got = {name: value.hex() for name, value in row.items()}
+        want = {name: float(value).hex() for name, value in reference[op.key].items()}
+        assert got == want, op.params
+        if op.params["beta"] != 1.0:
+            beyond_single_group += 1
+            assert len(eliminations) - before == 1, op.params
+    assert beyond_single_group == 36 and len(eliminations) == 36

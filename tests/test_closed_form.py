@@ -7,6 +7,7 @@ exact identities, degeneracy routing, and validation behavior.
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -37,6 +38,51 @@ from anmimo.closed_form import _det_and_cramer_diagonal
 
 def cfg(n_a, n_b, n_e, alpha, beta, gamma):
     return SystemConfig(n_a=n_a, n_b=n_b, n_e=n_e, alpha=alpha, beta=beta, gamma=gamma)
+
+
+def theta_by_recursion(m, n, x):
+    """theta folded by the P_j, Q_j ladder recursion in Fractions, call by call.
+
+    The reference for the cached polynomial fold: S_P and S_Q as sums of
+    A_j p_j(b) and A_j q_j(b), with p_j, q_j rebuilt from their recursion.
+    """
+    if x == 0.0:
+        return 0.0
+    coeffs = closed_form._ladder_coeffs(m, n)
+    b = 1 / Fraction(x)
+    jmax = max(coeffs)
+    p = [Fraction(0)] * (jmax + 1)
+    q = [Fraction(0)] * (jmax + 1)
+    q[0] = Fraction(1)
+    for j in range(1, jmax + 1):
+        p[j] = (1 - b * p[j - 1]) / j
+        q[j] = -b * q[j - 1] / j
+    s_p = sum(coeffs[j] * p[j] for j in coeffs)
+    s_q = sum(coeffs[j] * q[j] for j in coeffs)
+    if s_p == 0 and s_q == 0:
+        return 0.0
+    dps = 30 + max(closed_form._fraction_digits(s_p), closed_form._fraction_digits(s_q))
+    with mp.workdps(dps):
+        bm = mp.mpf(b.numerator) / mp.mpf(b.denominator)
+        t0 = mp.exp(bm) * mp.e1(bm)
+        val = (
+            mp.mpf(s_p.numerator) / mp.mpf(s_p.denominator)
+            + (mp.mpf(s_q.numerator) / mp.mpf(s_q.denominator)) * t0
+        )
+        return float(val)
+
+
+def counting(monkeypatch, name):
+    """Replace closed_form.<name> by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(closed_form, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(closed_form, name, wrapper)
+    return calls
 
 
 class TestTheta:
@@ -70,6 +116,29 @@ class TestTheta:
             theta(2, 17, 1.0)  # beyond the validated envelope
         with pytest.raises(DomainError):
             theta(2, 3, -0.5)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_polynomial_fold_matches_recursion(self, n):
+        # the cached integer polynomials give the recursion's S_P and S_Q,
+        # hence its working precision and its double, bit for bit
+        for m in range(1, n + 1):
+            for x in (1e-3, 0.05, 1.0, 37.5, 1e3):
+                assert theta(m, n, x).hex() == theta_by_recursion(m, n, x).hex()
+        # only integers stay cached
+        assert not hasattr(closed_form._ladder_coeffs, "cache_info")
+        for coeffs, den in closed_form._theta_coeffs(n, n):
+            assert all(type(c) is int for c in coeffs + [den])
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=0, max_value=15),
+        st.floats(min_value=-6.0, max_value=6.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_polynomial_fold_matches_recursion_at_drawn_x(self, m, extra, log_x):
+        n = min(16, m + extra)
+        x = 10.0**log_x
+        assert theta(m, n, x).hex() == theta_by_recursion(m, n, x).hex()
 
     def test_envelope_boundary_finite(self):
         # largest supported size, stressed both at tiny and large scale
@@ -175,6 +244,84 @@ class TestOmega:
             rows = [row + [c[i] for c in cols] for i, row in enumerate(r0)]
             det, xkk = _det_and_cramer_diagonal(rows, n, p)
             assert abs(det * mp.fsum(xkk) - want) <= mp.mpf(10) ** -40 * abs(want)
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, n_e, alpha, beta",
+        [
+            # p = n_e < n_a and p = n_a <= n_e, each with the data level
+            # 1/alpha above the noise level (beta > 1) and below it
+            (6, 3, 4, 2.0, 3.0),
+            (9, 2, 5, 0.3, 40.0),
+            (16, 8, 5, 2.0, 0.3),
+            (12, 7, 3, 50.0, 0.01),
+            (6, 3, 12, 2.0, 1.7),
+            (4, 1, 4, 1e3, 1e3),
+            (8, 5, 16, 0.7, 0.25),
+            (10, 9, 13, 1e-2, 1e-3),
+        ],
+    )
+    def test_closed_form_det_r0(self, monkeypatch, n_a, n_b, n_e, alpha, beta):
+        # ln|det R0| before any elimination equals the elimination's det
+        levels = counting(monkeypatch, "_first_dps")
+        dets = []
+        real = closed_form._det_and_cramer_diagonal
+
+        def recording(*args):
+            det, xkk = real(*args)
+            dets.append(det)
+            return det, xkk
+
+        monkeypatch.setattr(closed_form, "_det_and_cramer_diagonal", recording)
+        omega(cfg(n_a, n_b, n_e, alpha, beta, 1.0))
+        (_, _, mu1, m1, mu2, m2), = levels
+        assert (mu1 == 1.0 / alpha) == (beta > 1.0)
+        want = float(mp.log(abs(dets[-1])))
+        got = closed_form._log_det_r0(n_e, min(n_e, n_a), mu1, m1, mu2, m2)
+        assert abs(got - want) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, n_e, alpha, beta, eliminations",
+        [
+            # the configs of test_regression_values and test_pinned_values
+            (6, 3, 12, 2.0, 0.5, 1),
+            (6, 3, 3, 1e3, 1e3, 1),
+            (16, 8, 16, 1.0, 1 + 1.5e-6, 1),
+            (16, 1, 16, 1e6, 1e-6, 1),
+            (12, 6, 12, 3.0, 0.7, 1),
+            (16, 8, 5, 2.0, 3.0, 1),
+            (6, 2, 16, 12875.740403196525, 7.538442576337261e-06, 1),
+            (8, 7, 8, 0.01901708027304142, 679156.6916577134, 1),
+            # the first precision sees only det R0. Here one det R_k loses
+            # more: by 20 digits at high SNR (column p-1 carries the E1
+            # tail sums in every row) and by 30 at low SNR (x_11 ~ 1e-30)
+            (16, 8, 16, 1e6, 1e6, 2),
+            (16, 15, 16, 1e-3, 1e3, 2),
+        ],
+    )
+    def test_first_precision_settles(self, monkeypatch, n_a, n_b, n_e, alpha, beta, eliminations):
+        calls = counting(monkeypatch, "_det_and_cramer_diagonal")
+        omega(cfg(n_a, n_b, n_e, alpha, beta, 1.0))
+        assert len(calls) == eliminations
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, n_e, alpha, beta",
+        [
+            (6, 3, 12, 2.0, 0.5),
+            (16, 8, 16, 1e6, 1e6),
+            (16, 15, 16, 1e-3, 1e3),
+            (16, 1, 16, 1e6, 1e-6),
+            (8, 7, 8, 0.01901708027304142, 679156.6916577134),
+            (4, 1, 12, 4.58036e-5, 0.2536),
+            (15, 7, 14, 2.5, 3.3),
+        ],
+    )
+    def test_doubled_first_precision_agrees(self, monkeypatch, n_a, n_b, n_e, alpha, beta):
+        # the audit's claim: what passes at D digits is what 2D digits give
+        c = cfg(n_a, n_b, n_e, alpha, beta, 1.0)
+        at_d = omega(c)
+        real = closed_form._first_dps
+        monkeypatch.setattr(closed_form, "_first_dps", lambda *args: 2 * real(*args))
+        assert omega(c) == pytest.approx(at_d, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize(
         "n_a, n_b, n_e, alpha, beta, expect",
@@ -342,20 +489,30 @@ class TestRateReport:
     def test_each_theta_term_computed_once(self, monkeypatch):
         # bob_capacity is the legitimate-link term the exact rate and the
         # bounds share, so the record needs four distinct theta values
-        calls = []
-        real_theta = closed_form.theta
-
-        def counting_theta(*args):
-            calls.append(args)
-            return real_theta(*args)
-
-        monkeypatch.setattr(closed_form, "theta", counting_theta)
+        calls = counting(monkeypatch, "theta")
         rep = rate_report(cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0))
         assert len(calls) == 4 and len(set(calls)) == 4
         # the record is bitwise the one each term computed on its own gave
         assert rep.exact == float.fromhex("0x1.43af8dd439066p+2")
         assert rep.lower == float.fromhex("0x1.0089c72ab1fbap+2")
         assert rep.upper == float.fromhex("0x1.8e66ebd1e8c04p+2")
+        assert rep.bob_capacity == float.fromhex("0x1.1b7592653e20ap+3")
+
+
+    def test_bounds_share_theta_at_beta_one(self, monkeypatch):
+        # at beta = 1 both bounds are common - theta(n_hat_min, n_hat_max,
+        # alpha): one call, not two. omega's single-group branch takes the
+        # same value, so the record's three rates are equal.
+        c = cfg(6, 3, 4, alpha=2.0, beta=1.0, gamma=2.0)
+        calls = counting(monkeypatch, "theta")
+        lower, upper = average_rate_bounds(c, common=1.0)
+        assert calls == [(4, 6, 2.0)]
+        assert lower == upper == 1.0 - theta(4, 6, 2.0)
+        calls.clear()
+        rep = rate_report(c)
+        assert calls == [(3, 6, 4.0), (3, 4, 2.0), (4, 6, 2.0), (4, 6, 2.0)]
+        assert rep.exact == rep.lower == rep.upper
+        assert rep.exact == float.fromhex("0x1.611203aa81dc2p+2")
         assert rep.bob_capacity == float.fromhex("0x1.1b7592653e20ap+3")
 
 

@@ -174,6 +174,35 @@ class TestAverageEstimator:
         assert est.mean == pytest.approx(5.076872147424457, rel=1e-14)
         assert est.stderr == pytest.approx(0.032026509227696245, rel=1e-12)
 
+    def test_stderr_merge_survives_large_mean(self):
+        # chunk-centred squares against a two-pass fsum over all values,
+        # at mean 1e6 and spread 1e-3, split into unequal chunks. Squares
+        # about zero cancel every digit here (sumsq - n mean^2 gave 18x
+        # the true stderr). What is left is the rounding of each chunk
+        # mean, ulp(1e6) ~ 1e-10 against chunk means ~4e-5 apart, in the
+        # between-chunk term, a 1/1000 share of the squares: ~1e-9.
+        rng = np.random.default_rng(7)
+        vals = 1e6 + 1e-3 * rng.standard_normal(3001)
+        spans = [(0, 700), (700, 300), (1000, 1024), (2024, 976), (3000, 1)]
+        partials = [mc._chunk_partials(vals[s : s + n]) for s, n in spans]
+        mean, stderr = mc._merge_mean_stderr(partials, len(vals))
+        # the mean is the exact sum of the chunk sums, as it always was
+        assert mean == math.fsum(math.fsum(vals[s : s + n].tolist()) for s, n in spans) / 3001
+        exact_mean = math.fsum(vals.tolist()) / 3001
+        squares = math.fsum(((vals - exact_mean) ** 2).tolist())
+        assert stderr == pytest.approx(math.sqrt(squares / 3000 / 3001), rel=1e-7)
+
+    def test_stderr_is_two_pass_over_chunks(self):
+        # three chunks at (16, 8, 8); mean 130 against a spread near 0.9
+        c = cfg(16, 8, 8, 1e3, 1e3, 1e3)
+        est = mc_average_secrecy_rate(c, 9000, seed=5, clamp=False)
+        vals = mc._rate_chunk_values(c, 5, 0, 9000, clamp=False)
+        mean = math.fsum(vals.tolist()) / 9000
+        squares = math.fsum(((vals - mean) ** 2).tolist())
+        assert len(mc._chunk_spans(9000, mc._rate_words(c))) == 3
+        assert est.mean == mean
+        assert est.stderr == pytest.approx(math.sqrt(squares / 8999 / 9000), rel=1e-14)
+
     def test_worker_count_changes_nothing(self, monkeypatch):
         c = cfg(16, 8, 8, 2.0, 0.5, 2.0)
         results = []
