@@ -2,7 +2,8 @@
 
 Closed-form average secrecy rates, two-sided bounds, large-system
 asymptotics with design thresholds, and a reproducible Monte Carlo
-ground truth, plus a config/sweep harness and CLI.
+ground truth, plus a config/sweep harness and CLI. The Monte Carlo names
+load ``monte_carlo``, and with it numpy, on first use.
 """
 
 from .asymptotics import (
@@ -56,15 +57,28 @@ from .harness import (
     run_point,
     run_sweep,
 )
-from .monte_carlo import (
-    ChannelRealization,
-    MCEstimate,
-    instantaneous_secrecy_rate,
-    mc_average_secrecy_rate,
-    mc_logdet_oracle,
-    mc_normalized_rate_sample,
-    sample_channel,
+
+_MONTE_CARLO_NAMES = frozenset(
+    {
+        "ChannelRealization",
+        "MCEstimate",
+        "instantaneous_secrecy_rate",
+        "mc_average_secrecy_rate",
+        "mc_logdet_oracle",
+        "mc_normalized_rate_sample",
+        "sample_channel",
+    }
 )
+
+
+def __getattr__(name):
+    # PEP 562: only Monte Carlo needs numpy, so it is imported on first use
+    if name in _MONTE_CARLO_NAMES:
+        from . import monte_carlo
+
+        return getattr(monte_carlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

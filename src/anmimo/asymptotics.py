@@ -81,11 +81,13 @@ class AsymptoticRatios:
             gamma=cfg.gamma,
         )
 
-    def _data_scale(self) -> float:
-        return self.p_u / (self.gamma * self.beta3)
+    def _scales(self) -> tuple[float, float]:
+        return _scale_pair(self.p_u, self.p_v, self.gamma, self.beta3, self.rho)
 
-    def _noise_scale(self) -> float:
-        return self.p_v / (self.gamma * self.rho)
+
+def _scale_pair(p_u, p_v, gamma, beta3, rho) -> tuple[float, float]:
+    # per-dimension powers of the data and the artificial-noise columns
+    return p_u / (gamma * beta3), p_v / (gamma * rho)
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,7 @@ def eta_of_delta(d: float, r: AsymptoticRatios) -> float:
     equals 1 at d = 0 and decreases in d.
     """
     d = _check_unit_interval(d)
-    a = r._data_scale()
-    b = r._noise_scale()
+    a, b = r._scales()
     w = 1.0 / r.beta2
     return w / (1.0 + d * a) + (1.0 - w) / (1.0 + d * b)
 
@@ -163,8 +164,7 @@ def eta_of_delta(d: float, r: AsymptoticRatios) -> float:
 def v_of_delta(d: float, r: AsymptoticRatios) -> float:
     """Two-atom Shannon transform at depth d (same weights as eta)."""
     d = _check_unit_interval(d)
-    a = r._data_scale()
-    b = r._noise_scale()
+    a, b = r._scales()
     w = 1.0 / r.beta2
     return w * math.log1p(d * a) + (1.0 - w) * math.log1p(d * b)
 
@@ -180,12 +180,16 @@ def solve_delta(r: AsymptoticRatios) -> DeltaSolution:
     """
     if r.p_u <= 0.0 or r.p_v <= 0.0:
         raise DomainError("fixed point requires p_u > 0 and p_v > 0")
+    a, b = r._scales()
+    w = 1.0 / r.beta2
+    beta1 = r.beta1
 
     def g(d: float) -> float:
-        eta = eta_of_delta(d, r)
+        # eta_of_delta(d, r); d stays inside [_BISECT_LO, 1]
+        eta = w / (1.0 + d * a) + (1.0 - w) / (1.0 + d * b)
         if not math.isfinite(eta):
             raise DomainError(f"eta transform not finite at d={d!r}")
-        return r.beta1 * (1.0 - eta) - (1.0 - d)
+        return beta1 * (1.0 - eta) - (1.0 - d)
 
     lo, hi = _BISECT_LO, 1.0
     g_lo, g_hi = g(lo), g(hi)
@@ -220,8 +224,7 @@ def delta_equal_scales(r: AsymptoticRatios) -> float:
     one atom and delta = 1 - f_func(a, beta1)/(4a). Cross-check path only;
     solve_delta is the production solver for every parameterization.
     """
-    a = r._data_scale()
-    b = r._noise_scale()
+    a, b = r._scales()
     if a <= 0.0:
         raise DomainError("requires positive power")
     if abs(a - b) > 1e-9 * max(a, b):
@@ -244,7 +247,7 @@ def psi(r: AsymptoticRatios) -> float:
     return (
         phi_func(r.p_u, r.beta2)
         - (r.beta1 * v_of_delta(d, r) - math.log(d) + d - 1.0) / r.beta3
-        + phi_func(r._noise_scale(), r.rho) / r.beta3
+        + phi_func(r._scales()[1], r.rho) / r.beta3
     )
 
 
@@ -262,25 +265,44 @@ def _entropy_gap(y: float) -> float:
     return (1.0 - y) / y * math.log(1.0 - y)
 
 
-def _high_snr_eve_term(x: float, r: AsymptoticRatios) -> float:
-    # high-SNR expansion of the eavesdropper term at scale x; branch on
-    # whether the eavesdropper outnumbers the transmitter (beta1 <= 1)
-    b1 = r.beta1
-    if b1 <= 1.0:
-        return r.beta2 * (math.log(x) - _entropy_gap(b1) - 1.0)
-    return (math.log(x * b1) - (b1 - 1.0) * math.log(1.0 - 1.0 / b1) - 1.0) / r.beta3
+def _eve_offset(beta1: float) -> float:
+    # the part of the high-SNR eavesdropper term that does not depend on
+    # the scale; branch on whether the eavesdropper outnumbers the
+    # transmitter (beta1 <= 1)
+    if beta1 <= 1.0:
+        return _entropy_gap(beta1)
+    return (beta1 - 1.0) * math.log(1.0 - 1.0 / beta1)
 
 
-def _residual_noise_term(r: AsymptoticRatios) -> float:
+def _residual_noise_term(p_v, gamma, rho, beta2, beta3) -> float:
     # high-SNR expansion of the artificial-noise correction; branch on
     # rho = (n_a - n_b)/n_e relative to 1
-    rho = r.rho
-    pv_g = r.p_v / r.gamma
+    pv_g = p_v / gamma
     if pv_g <= 0.0:
         raise DomainError("requires p_v > 0")
     if rho <= 1.0:
-        return (r.beta2 - 1.0) * (math.log(pv_g / rho) - _entropy_gap(rho) - 1.0)
-    return (math.log(pv_g) - (rho - 1.0) * math.log(1.0 - 1.0 / rho) - 1.0) / r.beta3
+        return (beta2 - 1.0) * (math.log(pv_g / rho) - _entropy_gap(rho) - 1.0)
+    return (math.log(pv_g) - (rho - 1.0) * math.log(1.0 - 1.0 / rho) - 1.0) / beta3
+
+
+def _checked_scale(x, p_u) -> float:
+    # delta_highsnr's argument checks, in its order
+    x = _finite("x", x, positive=True)
+    if p_u <= 0.0:
+        raise DomainError("requires p_u > 0")
+    return x
+
+
+def _margin(x, phi, noise, offset, beta1, beta2, beta3) -> float:
+    # delta_highsnr at scale x from its terms that do not depend on x:
+    # phi_func(p_u, beta2), the residual noise term and the eavesdropper
+    # offset. The eavesdropper term, here and in _eve_offset, raises
+    # nothing for x finite and > 0: every log argument stays > 0
+    if beta1 <= 1.0:
+        eve = beta2 * (math.log(x) - offset - 1.0)
+    else:
+        eve = (math.log(x * beta1) - offset - 1.0) / beta3
+    return phi - eve + noise
 
 
 def delta_highsnr(x: float, r: AsymptoticRatios) -> float:
@@ -295,11 +317,11 @@ def delta_highsnr(x: float, r: AsymptoticRatios) -> float:
     antenna counts at moderate power, while the finite-power form
     reproduces direct evaluation of the limit exactly.
     """
-    x = _finite("x", x, positive=True)
-    if r.p_u <= 0.0:
-        raise DomainError("requires p_u > 0")
+    x = _checked_scale(x, r.p_u)
     # AsymptoticRatios holds p_u finite and beta2 > 1, phi_func's domain
-    return _phi(r.p_u, r.beta2) - _high_snr_eve_term(x, r) + _residual_noise_term(r)
+    phi = _phi(r.p_u, r.beta2)
+    noise = _residual_noise_term(r.p_v, r.gamma, r.rho, r.beta2, r.beta3)
+    return _margin(x, phi, noise, _eve_offset(r.beta1), r.beta1, r.beta2, r.beta3)
 
 
 def a_min_max(r: AsymptoticRatios) -> tuple[float, float]:
@@ -308,8 +330,7 @@ def a_min_max(r: AsymptoticRatios) -> tuple[float, float]:
     The scales are p_u/(gamma beta3) and p_v/(gamma rho); they coincide
     exactly when the artificial-noise power ratio is 1.
     """
-    a = r._data_scale()
-    b = r._noise_scale()
+    a, b = r._scales()
     return (min(a, b), max(a, b))
 
 
@@ -356,10 +377,16 @@ def critical_eve_antennas(
 
     Returns (n_suff, n_nec): beyond n_suff positivity is no longer
     guaranteed by the sufficient condition, beyond n_nec it is ruled out
-    by the necessary one. Linear scan; if a margin is still positive at
-    max_eve_antennas the threshold is unresolved and the scan raises
-    UnboundedRangeError. Either value may be 0 when no antenna count
+    by the necessary one. Either value may be 0 when no antenna count
     satisfies its condition.
+
+    The scan visits every n_e up to max_eve_antennas: outside
+    applicability_guard the margins are not monotone in n_e (a sign can
+    come back after it turned), so no step may be skipped. If a margin is
+    still positive at the cap the threshold is unresolved and the scan
+    raises UnboundedRangeError. Thresholds and errors are those of
+    delta_highsnr on AsymptoticRatios at each n_e, but the ratios are
+    validated once and phi_func(p_u, beta2) is evaluated once.
     """
     for name, v in (("n_a", n_a), ("n_b", n_b)):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
@@ -376,20 +403,30 @@ def critical_eve_antennas(
 
     p_u = alpha * gamma * n_b
     p_v = alpha * beta * gamma * (n_a - n_b)
+    # the ratios at n_e = 1 carry every check that can fail except
+    # rho > 0, which moves with n_e (it fails only beyond 2**52 antennas)
+    beta2 = n_a / n_b
+    AsymptoticRatios(beta1=n_a / 1, beta2=beta2, beta3=n_b / 1, p_u=p_u, p_v=p_v, gamma=gamma)
+    phi = None  # evaluated after the first step's checks, as delta_highsnr does
     n_suff = n_nec = 0
     last_suff = last_nec = False
     for n_e in range(1, max_eve_antennas + 1):
-        r = AsymptoticRatios(
-            beta1=n_a / n_e,
-            beta2=n_a / n_b,
-            beta3=n_b / n_e,
-            p_u=p_u,
-            p_v=p_v,
-            gamma=gamma,
-        )
-        lo, hi = a_min_max(r)
-        last_suff = delta_highsnr(hi, r) > 0.0
-        last_nec = delta_highsnr(lo, r) > 0.0
+        beta1 = n_a / n_e
+        beta3 = n_b / n_e
+        rho = beta1 - beta3
+        if rho <= 0.0:
+            raise DomainError("need beta1 > beta3 (a nonempty null space)")
+        a, b = _scale_pair(p_u, p_v, gamma, beta3, rho)
+        hi = _checked_scale(max(a, b), p_u)
+        if phi is None:
+            phi = _phi(p_u, beta2)
+        # the eavesdropper term raises nothing (see _margin), so the noise
+        # term both margins share may come before it
+        noise = _residual_noise_term(p_v, gamma, rho, beta2, beta3)
+        offset = _eve_offset(beta1)
+        last_suff = _margin(hi, phi, noise, offset, beta1, beta2, beta3) > 0.0
+        lo = _checked_scale(min(a, b), p_u)
+        last_nec = _margin(lo, phi, noise, offset, beta1, beta2, beta3) > 0.0
         if last_suff:
             n_suff = n_e
         if last_nec:

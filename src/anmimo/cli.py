@@ -27,7 +27,6 @@ from .harness import (
     run_point,
     run_sweep,
 )
-from .monte_carlo import mc_logdet_oracle
 
 _DEFAULT_OUTPUTS = "exact,lower,upper,asymptotic"
 
@@ -142,6 +141,8 @@ def _cmd_design(args) -> List[dict]:
 
 
 def _cmd_oracle(args) -> List[dict]:
+    from .monte_carlo import mc_logdet_oracle  # numpy only when MC runs
+
     if args.profile is not None:
         try:
             profile = [float(s) for s in args.profile.split(",")]

@@ -34,7 +34,6 @@ from .closed_form import (
     average_secrecy_rate,
 )
 from .errors import ConfigError, SweepError
-from .monte_carlo import mc_average_secrecy_rate
 
 LN2 = math.log(2.0)
 
@@ -248,6 +247,8 @@ def run_point(
         if "upper" in wanted:
             row["upper"] = upper
     if "mc" in wanted:
+        from .monte_carlo import mc_average_secrecy_rate  # numpy only when MC runs
+
         est = mc_average_secrecy_rate(cfg, mc_trials, seed=seed, clamp=clamp)
         row["mc"] = est.mean
         row["mc_stderr"] = est.stderr

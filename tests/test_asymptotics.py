@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from anmimo import (
     AsymptoticRatios,
+    DeltaSolution,
     DomainError,
+    NoRootError,
     SystemConfig,
     UnboundedRangeError,
     a_min_max,
@@ -19,6 +21,7 @@ from anmimo import (
     critical_eve_antennas,
     delta_equal_scales,
     delta_highsnr,
+    design_report,
     eta_of_delta,
     f_func,
     mc_logdet_oracle,
@@ -37,6 +40,78 @@ def ratios(n_a, n_b, n_e, alpha, beta, gamma):
     return AsymptoticRatios.from_config(
         SystemConfig(n_a=n_a, n_b=n_b, n_e=n_e, alpha=alpha, beta=beta, gamma=gamma)
     )
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def random_configs(seed, count):
+    # n_a <= 40; alpha, beta and gamma log-uniform over 1e-3..1e4
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_a = rng.randint(2, 40)
+        n_b = rng.randint(1, n_a - 1)
+        yield n_a, n_b, *(10.0 ** rng.uniform(-3.0, 4.0) for _ in range(3)), rng
+
+
+def reference_scan(n_a, n_b, alpha, beta, gamma, max_eve_antennas=4096):
+    """critical_eve_antennas on the public API: fresh ratios and both
+    delta_highsnr margins at every n_e."""
+    p_u = alpha * gamma * n_b
+    p_v = alpha * beta * gamma * (n_a - n_b)
+    n_suff = n_nec = 0
+    suff = nec = False
+    for n_e in range(1, max_eve_antennas + 1):
+        r = AsymptoticRatios(
+            beta1=n_a / n_e, beta2=n_a / n_b, beta3=n_b / n_e, p_u=p_u, p_v=p_v, gamma=gamma
+        )
+        a_min, a_max = a_min_max(r)
+        suff = delta_highsnr(a_max, r) > 0.0
+        nec = delta_highsnr(a_min, r) > 0.0
+        n_suff = n_e if suff else n_suff
+        n_nec = n_e if nec else n_nec
+    if suff or nec:
+        raise UnboundedRangeError(
+            f"positivity margin still positive at the scan cap {max_eve_antennas}"
+        )
+    return n_suff, n_nec
+
+
+def reference_solve_delta(r):
+    """solve_delta's bisection with the balance written through eta_of_delta."""
+    if r.p_u <= 0.0 or r.p_v <= 0.0:
+        raise DomainError("fixed point requires p_u > 0 and p_v > 0")
+
+    def g(d):
+        eta = eta_of_delta(d, r)
+        if not math.isfinite(eta):
+            raise DomainError(f"eta transform not finite at d={d!r}")
+        return r.beta1 * (1.0 - eta) - (1.0 - d)
+
+    lo, hi = 1e-15, 1.0
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo > 0.0 or g_hi < 0.0:
+        raise NoRootError(f"no sign change on [{lo}, 1]: g(lo)={g_lo!r}, g(hi)={g_hi!r}")
+    for iterations in range(1, 101):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if abs(g_mid) <= 1e-12:
+            break
+        if g_lo * g_mid <= 0.0:
+            hi = mid
+        else:
+            lo, g_lo = mid, g_mid
+    residual = abs(g_mid)
+    if residual > 1e-12:
+        raise NoRootError(
+            f"bisection stalled at residual {residual!r} after {iterations} iterations"
+        )
+    return DeltaSolution(delta=mid, residual=residual, iterations=iterations)
 
 
 class TestFFunc:
@@ -165,6 +240,11 @@ class TestSolveDelta:
         with pytest.raises(DomainError):
             solve_delta(r0)
 
+    def test_matches_balance_through_eta_of_delta(self):
+        for n_a, n_b, alpha, beta, gamma, rng in random_configs(7, 300):
+            r = ratios(n_a, n_b, rng.randint(1, 40), alpha, beta, gamma)
+            assert outcome(solve_delta, r) == outcome(reference_solve_delta, r), r
+
     def test_equal_scale_helper_rejects_mismatch(self):
         r = ratios(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0)
         with pytest.raises(DomainError):
@@ -230,6 +310,29 @@ class TestHighSnrMargin:
         assert a_min == a_max
         assert delta_highsnr(a_min, r) == delta_highsnr(a_max, r)
 
+    def test_margin_matches_its_formula_bitwise(self):
+        # the expansion written out in full, in the order of the
+        # paper's terms: legitimate, eavesdropper, residual noise
+        def gap(y):
+            return 0.0 if y == 1.0 else (1.0 - y) / y * math.log(1.0 - y)
+
+        def margin(x, r):
+            b1, rho, pv_g = r.beta1, r.rho, r.p_v / r.gamma
+            if b1 <= 1.0:
+                eve = r.beta2 * (math.log(x) - gap(b1) - 1.0)
+            else:
+                eve = (math.log(x * b1) - (b1 - 1.0) * math.log(1.0 - 1.0 / b1) - 1.0) / r.beta3
+            if rho <= 1.0:
+                noise = (r.beta2 - 1.0) * (math.log(pv_g / rho) - gap(rho) - 1.0)
+            else:
+                noise = (math.log(pv_g) - (rho - 1.0) * math.log(1.0 - 1.0 / rho) - 1.0) / r.beta3
+            return phi_func(r.p_u, r.beta2) - eve + noise
+
+        for n_a, n_b, alpha, beta, gamma, rng in random_configs(3, 200):
+            r = ratios(n_a, n_b, rng.randint(1, 40), alpha, beta, gamma)
+            for x in a_min_max(r):
+                assert delta_highsnr(x, r) == margin(x, r), (r, x)
+
     def test_rejects_nonpositive_argument(self):
         r = ratios(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0)
         with pytest.raises(DomainError):
@@ -275,6 +378,57 @@ class TestDesignScan:
         )
         assert base == (12, 16)
         assert more == (11, 16)
+
+    def test_scan_matches_public_margins(self):
+        kinds = set()
+        for n_a, n_b, alpha, beta, gamma, rng in random_configs(11, 150):
+            cap = rng.choice((16, 64, 512))
+            want = outcome(reference_scan, n_a, n_b, alpha, beta, gamma, cap)
+            got = outcome(critical_eve_antennas, n_a, n_b, alpha, beta, gamma, cap)
+            assert got == want, (n_a, n_b, alpha, beta, gamma, cap)
+            kinds.add(want[0] if isinstance(want[0], type) else "thresholds")
+        assert kinds == {"thresholds", UnboundedRangeError}
+
+    @pytest.mark.parametrize(
+        "args, cap, message",
+        [
+            ((6, 3, 5e-324, 1.0, 0.1), 4096, "x must be finite and > 0, got 0.0"),
+            ((6, 3, 1e-300, 1e-300, 1.0), 4096, "requires p_v > 0"),
+            ((6, 3, 1e306, 1.0, 2.0), 4096, "x must be finite and > 0, got inf"),
+            ((6, 3, 1e300, 1e10, 2.0), 4096, "p_v must be finite, got inf"),
+            # the larger scale overflows at n_e = 1, where phi_func(p_u, beta2)
+            # would raise: the scale check comes first
+            (
+                (6, 3, 7.209213840107708e307, 2.493604954344727, 0.20875656860834363),
+                4096,
+                "x must be finite and > 0, got inf",
+            ),
+            # beta1 and beta3 round to the same double at n_e = 51
+            (
+                (36028797018976318, 36028797018976313, 1.0, 1.0, 2.0),
+                64,
+                "need beta1 > beta3 (a nonempty null space)",
+            ),
+        ],
+    )
+    def test_edge_errors_match_public_margins(self, args, cap, message):
+        want = outcome(reference_scan, *args, max_eve_antennas=cap)
+        assert want[1] == message
+        assert outcome(critical_eve_antennas, *args, max_eve_antennas=cap) == want
+
+    def test_non_monotone_margin_scans_to_cap(self):
+        # outside applicability_guard the sufficient margin turns positive
+        # again after it has failed, so the scan cannot stop at the first
+        # sign change
+        point = dict(alpha=3.6587, beta=0.1149, gamma=4.0394)
+        signs = [
+            positivity_conditions(SystemConfig(n_a=7, n_b=3, n_e=n_e, **point))[0]
+            for n_e in range(1, 9)
+        ]
+        assert signs == [True, True, True, False, True, False, True, False]
+        report = design_report(7, 3, **point)
+        assert (report["n_sufficient"], report["n_necessary"]) == (7, 199)
+        assert report["advisory"] is True
 
     def test_cutoff_reported(self):
         with pytest.raises(UnboundedRangeError):

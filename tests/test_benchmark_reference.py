@@ -1,10 +1,11 @@
-"""The closed-form benchmark points against the benchmark's recorded outputs.
+"""The benchmark's points against the benchmark's recorded outputs.
 
 perfbench/run.py accepts a closed-form output within 1e-10 relative of
 perfbench/reference.json, so a last-bit drift would pass it unseen. Here
 every run_point output on the 45 closed-form points must equal the
 recorded double bit for bit, and omega must settle in one elimination on
-each of the 36 points that reach its determinant sum. The benchmark's
+each of the 36 points that reach its determinant sum. Every design-cli
+candidate must write the recorded bytes through the CLI. The benchmark's
 files are only read.
 """
 
@@ -16,8 +17,14 @@ from pathlib import Path
 import pytest
 
 from anmimo import SystemConfig, closed_form, run_point
+from anmimo.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +41,8 @@ def workloads():
         del sys.modules[module.__name__]
 
 
-def test_closed_form_points_match_reference_bitwise(workloads, monkeypatch):
-    reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))["closed-form"]
+def test_closed_form_points_match_reference_bitwise(workloads, reference, monkeypatch):
+    reference = reference["closed-form"]
     eliminations = []
     real = closed_form._det_and_cramer_diagonal
 
@@ -57,3 +64,17 @@ def test_closed_form_points_match_reference_bitwise(workloads, monkeypatch):
             beyond_single_group += 1
             assert len(eliminations) - before == 1, op.params
     assert beyond_single_group == 36 and len(eliminations) == 36
+
+
+def test_design_cli_candidates_match_reference_bytes(workloads, reference, tmp_path):
+    reference = reference["design-cli"]
+    ops = [op for slot in workloads.candidates("design-cli") for op in slot]
+    assert len(ops) == 144
+    config, out = tmp_path / "op.cfg", tmp_path / "out.csv"
+    for op in ops:
+        config.write_text(op.params["text"], encoding="utf-8")
+        out.unlink(missing_ok=True)
+        rc = main([op.kind, "--config", str(config), "--out", str(out)])
+        want = reference[op.key]
+        assert rc == want["rc"] == 0, op.key
+        assert out.read_bytes() == want["text"].encode("utf-8"), op.key

@@ -301,12 +301,11 @@ class TestUsage:
 class TestSubprocess:
     """End-to-end runs through the real interpreter entry points."""
 
-    def run(self, args, env_extra=None, launcher=None):
+    def run(self, args, env_extra=None, entry=("-m", "anmimo")):
         env = dict(os.environ)
         env.pop("ANMIMO_WORKERS", None)
         if env_extra:
             env.update(env_extra)
-        entry = [str(launcher)] if launcher else ["-m", "anmimo"]
         return subprocess.run(
             [sys.executable, *entry, *args],
             capture_output=True,
@@ -314,6 +313,48 @@ class TestSubprocess:
             env=env,
             timeout=300,
         )
+
+    def test_rate_sweep_and_design_run_without_numpy(self, capsys, tmp_path):
+        rate = write(tmp_path, "p.cfg", POINT)
+        sweep = write(
+            tmp_path,
+            "s.cfg",
+            "axis = n_e\nvalues = 2, 4, 6\n"
+            "outputs = exact, lower, upper, asymptotic, delta_amax, delta_amin\n"
+            "n_a = 6\nn_b = 3\nalpha = 2\nbeta = 0.5\ngamma = 2\n",
+        )
+        design = write(tmp_path, "d.cfg", DESIGN)
+        argvs = [
+            ["rate", "--config", rate],
+            ["sweep", "--config", sweep],
+            ["design", "--config", design],
+        ]
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+            "import anmimo\n"
+            "from anmimo.cli import main\n"
+            f"sys.exit(max(main(argv) for argv in {argvs!r}))\n"
+        )
+        proc = self.run(["-c", script], entry=[])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "".join(run_main(capsys, argv)[1] for argv in argvs)
+
+    def test_monte_carlo_names_resolve_on_first_use(self):
+        script = (
+            "import sys\n"
+            "import anmimo\n"
+            "assert 'numpy' not in sys.modules\n"
+            "rate = anmimo.mc_average_secrecy_rate\n"
+            "assert 'numpy' in sys.modules\n"
+            "from anmimo.monte_carlo import mc_average_secrecy_rate\n"
+            "assert rate is mc_average_secrecy_rate\n"
+            "names = {}\n"
+            "exec('from anmimo import *', names)\n"
+            "assert set(anmimo.__all__) <= set(names)\n"
+        )
+        proc = self.run(["-c", script], entry=[])
+        assert proc.returncode == 0, proc.stderr
 
     def test_help_exits_zero(self):
         proc = self.run(["--help"])
@@ -343,10 +384,11 @@ class TestSubprocess:
         )
         cfg = write(tmp_path, "p.cfg", POINT)
         args = ["rate", "--config", cfg, "--outputs", "exact"]
-        proc = self.run(args, launcher=launcher)
+        proc = self.run(args, entry=[str(launcher)])
         assert proc.returncode == 0 and "exact" in proc.stdout
         assert proc.stdout == self.run(args).stdout
-        missing = self.run(["rate", "--config", str(tmp_path / "absent.cfg")], launcher=launcher)
+        absent = str(tmp_path / "absent.cfg")
+        missing = self.run(["rate", "--config", absent], entry=[str(launcher)])
         assert missing.returncode == 1
 
     @pytest.mark.skipif(
