@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NoRootError, UnboundedRangeError, _finite
+from .errors import DomainError, NoRootError, NumericError, UnboundedRangeError, _finite
 
 _BISECT_LO = 1e-15
 _BISECT_MAX_ITER = 100
@@ -86,8 +86,15 @@ class AsymptoticRatios:
 
 
 def _scale_pair(p_u, p_v, gamma, beta3, rho) -> tuple[float, float]:
-    # per-dimension powers of the data and the artificial-noise columns
-    return p_u / (gamma * beta3), p_v / (gamma * rho)
+    # per-dimension powers of the data and the artificial-noise columns;
+    # a subnormal gamma can round either divisor to zero
+    try:
+        return p_u / (gamma * beta3), p_v / (gamma * rho)
+    except ZeroDivisionError:
+        raise NumericError(
+            f"power scales out of float range: gamma * beta3 = {gamma * beta3!r}, "
+            f"gamma * rho = {gamma * rho!r} (gamma = {gamma!r})"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -135,11 +142,12 @@ def _phi(x: float, y: float) -> float:
     if x == 0.0:
         return 0.0
     quarter_f = _f(x, y) / 4.0
-    return (
-        y * math.log(1.0 + x - quarter_f)
-        - quarter_f / x
-        + math.log(1.0 + x * y - quarter_f)
-    )
+    data = 1.0 + x - quarter_f
+    cross = 1.0 + x * y - quarter_f
+    if not (data > 0.0 and cross > 0.0):
+        # x (1 + sqrt(y))^2 overflowed, or f cancelled 1 + x or 1 + x y away
+        raise NumericError(f"phi_func({x!r}, {y!r}) is out of float range")
+    return y * math.log(data) - quarter_f / x + math.log(cross)
 
 
 def _check_unit_interval(d: float) -> float:

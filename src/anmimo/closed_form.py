@@ -527,6 +527,16 @@ def average_rate_bounds(
     return (lower, upper)
 
 
+def _bounds_are_exact(cfg: SystemConfig) -> bool:
+    """True when omega(cfg) is the theta both bounds subtract.
+
+    That is omega's single-group branch with alpha beta == alpha, so the
+    exact rate and both bounds are the same double and one theta serves
+    all three.
+    """
+    return abs(cfg.beta - 1.0) < _BETA_DEGENERATE_TOL and cfg.alpha * cfg.beta == cfg.alpha
+
+
 def bob_capacity(cfg: SystemConfig) -> float:
     """Ergodic capacity of the legitimate link, theta(n_b, n_a, alpha gamma)."""
     return theta(cfg.n_b, cfg.n_a, cfg.alpha * cfg.gamma)
@@ -555,7 +565,7 @@ def rate_report(cfg: SystemConfig) -> RateReport:
     common = _common_theta(cfg, bob)
     lower, upper = average_rate_bounds(cfg, common=common)
     return RateReport(
-        exact=average_secrecy_rate(cfg, common=common),
+        exact=lower if _bounds_are_exact(cfg) else average_secrecy_rate(cfg, common=common),
         lower=lower,
         upper=upper,
         bob_capacity=bob,

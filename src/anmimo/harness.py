@@ -29,6 +29,7 @@ from .asymptotics import (
 )
 from .closed_form import (
     SystemConfig,
+    _bounds_are_exact,
     _common_theta,
     average_rate_bounds,
     average_secrecy_rate,
@@ -241,7 +242,10 @@ def run_point(
     if "asymptotic" in wanted:
         row["asymptotic"] = asymptotic_average_rate(cfg)
     if "lower" in wanted or "upper" in wanted:
-        lower, upper = average_rate_bounds(cfg, common=common)
+        if "exact" in wanted and _bounds_are_exact(cfg):
+            lower = upper = row["exact"]
+        else:
+            lower, upper = average_rate_bounds(cfg, common=common)
         if "lower" in wanted:
             row["lower"] = lower
         if "upper" in wanted:

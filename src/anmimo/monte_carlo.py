@@ -13,6 +13,16 @@ that pool. It can never change a result or an output byte, only the
 schedule. Each worker walks its chunk in slices of at most 2**19 words,
 which bounds memory without touching the per-trial values.
 
+Each public function runs OpenBLAS single-threaded for as long as it
+runs, on the serial path as on the pool, and restores the previous
+thread count when it returns or raises (_blas_threads). The setting is
+process-wide while a call lasts. Under OpenBLAS, values therefore do not
+depend on OPENBLAS_NUM_THREADS, and BLAS threads do not oversubscribe
+the workers' cores. Other BLAS libraries (MKL, Accelerate) are left as
+configured: small shapes are bitwise the same under any thread count,
+but at large shapes (n_a in the hundreds) a threaded BLAS can move the
+last bits of a rate with its thread count.
+
 Gaussians come from a rejection-free polar construction on (0, 1]-safe
 uniforms: each complex entry uses two words and has unit total variance
 (real and imaginary parts each 1/2), matching the unit-variance channel
@@ -36,6 +46,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
+from ._blas_threads import one_blas_thread
 from .closed_form import SystemConfig
 from .errors import ConfigError, DomainError, NumericError
 
@@ -282,6 +293,7 @@ def _precoding_basis(h: np.ndarray, n_b: int, t0: int):
     return q[..., :n_b], q[..., n_b:]
 
 
+@one_blas_thread
 def sample_channel(cfg: SystemConfig, trial_index: int, seed: int) -> ChannelRealization:
     """Channel pair for one trial, reproducible in isolation.
 
@@ -333,6 +345,7 @@ def _secrecy_rates(
     return legit - (eve_full - eve_noise)
 
 
+@one_blas_thread
 def instantaneous_secrecy_rate(ch: ChannelRealization, cfg: SystemConfig) -> float:
     """Secrecy rate of one realization in nats, unclamped.
 
@@ -403,6 +416,7 @@ def _merge_mean_stderr(partials, trials: int):
     return mean, math.sqrt(squares / (trials - 1) / trials)
 
 
+@one_blas_thread
 def mc_average_secrecy_rate(
     cfg: SystemConfig, trials: int, seed: int = 0, clamp: bool = True
 ) -> MCEstimate:
@@ -424,6 +438,7 @@ def mc_average_secrecy_rate(
     return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, clamped=bool(clamp))
 
 
+@one_blas_thread
 def mc_logdet_oracle(
     rows: int,
     cols: int,
@@ -467,6 +482,7 @@ def mc_logdet_oracle(
     return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, clamped=False)
 
 
+@one_blas_thread
 def mc_normalized_rate_sample(
     cfg: SystemConfig, realizations: int, seed: int = 0
 ) -> List[float]:

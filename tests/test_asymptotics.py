@@ -12,6 +12,7 @@ from anmimo import (
     DeltaSolution,
     DomainError,
     NoRootError,
+    NumericError,
     SystemConfig,
     UnboundedRangeError,
     a_min_max,
@@ -133,6 +134,13 @@ class TestFFunc:
 class TestPhiFunc:
     def test_zero_power(self):
         assert phi_func(0.0, 2.0) == 0.0
+
+    def test_overflow_is_a_numeric_error(self):
+        # x (1 + sqrt(y))^2 overflows to inf, which left a log of -inf
+        with pytest.raises(NumericError, match="out of float range"):
+            phi_func(1.7e308, 2.0)
+        with pytest.raises(NumericError, match="out of float range"):
+            critical_eve_antennas(6, 3, 1.7e308, 1.05, 0.3)
 
     def test_scaling_identity_grid(self):
         xs = [0.05 * 1.45 ** i for i in range(20)]
@@ -403,6 +411,19 @@ class TestDesignScan:
                 4096,
                 "x must be finite and > 0, got inf",
             ),
+            # gamma beta3 and gamma rho round to 0.0 at n_e = 7
+            (
+                (6, 3, 1e300, 1.0, 5e-324),
+                4096,
+                "power scales out of float range: gamma * beta3 = 0.0, "
+                "gamma * rho = 0.0 (gamma = 5e-324)",
+            ),
+            # p_u (1 + sqrt(beta2))^2 overflows in phi_func(p_u, beta2)
+            (
+                (6, 3, 1.7e308, 1.05, 0.3),
+                4096,
+                "phi_func(1.5299999999999998e+308, 2.0) is out of float range",
+            ),
             # beta1 and beta3 round to the same double at n_e = 51
             (
                 (36028797018976318, 36028797018976313, 1.0, 1.0, 2.0),
@@ -468,6 +489,13 @@ class TestRatioValidation:
     def test_rejects_thin_receive_array(self):
         with pytest.raises(ValueError):
             AsymptoticRatios(beta1=1.0, beta2=1.0, beta3=1.0, p_u=1.0, p_v=1.0, gamma=1.0)
+
+    def test_subnormal_gamma_scales_are_a_numeric_error(self):
+        # gamma beta3 = 5e-324 * 3/7 rounds to 0.0, which divided p_u by zero
+        r = ratios(6, 3, 7, alpha=1e300, beta=1.0, gamma=5e-324)
+        for fn in (a_min_max, solve_delta, psi):
+            with pytest.raises(NumericError, match="gamma \\* beta3 = 0.0"):
+                fn(r)
 
     @given(
         st.integers(min_value=2, max_value=12),

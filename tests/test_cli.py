@@ -216,6 +216,24 @@ class TestDesign:
         code, _, err = run_main(capsys, ["design", "--config", cfg])
         assert code == 1 and "n_e" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # gamma beta3 rounds to 0.0 in the scan
+            ("n_a = 6\nn_b = 3\nalpha = 1e300\nbeta = 1\ngamma = 5e-324\n",
+             "power scales out of float range"),
+            # p_u (1 + sqrt(beta2))^2 overflows in phi_func
+            ("n_a = 6\nn_b = 3\nalpha = 1.7e308\nbeta = 1.05\ngamma = 0.3\n",
+             "is out of float range"),
+        ],
+        ids=["subnormal-gamma", "phi-overflow"],
+    )
+    def test_float_range_is_numeric_failure(self, capsys, tmp_path, text, message):
+        cfg = write(tmp_path, "d.cfg", text)
+        code, out, err = run_main(capsys, ["design", "--config", cfg])
+        assert code == 2 and out == ""
+        assert err.startswith("numeric failure:") and message in err
+
 
 class TestIntegerFields:
     @pytest.mark.parametrize("value", ["inf", "nan"])

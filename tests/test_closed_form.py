@@ -30,6 +30,7 @@ from anmimo import (
     omega,
     phi_func,
     rate_report,
+    run_point,
     theta,
 )
 from anmimo import closed_form
@@ -502,7 +503,8 @@ class TestRateReport:
     def test_bounds_share_theta_at_beta_one(self, monkeypatch):
         # at beta = 1 both bounds are common - theta(n_hat_min, n_hat_max,
         # alpha): one call, not two. omega's single-group branch takes the
-        # same value, so the record's three rates are equal.
+        # same value, so the record's three rates are equal and that theta
+        # is evaluated once for all three.
         c = cfg(6, 3, 4, alpha=2.0, beta=1.0, gamma=2.0)
         calls = counting(monkeypatch, "theta")
         lower, upper = average_rate_bounds(c, common=1.0)
@@ -510,10 +512,25 @@ class TestRateReport:
         assert lower == upper == 1.0 - theta(4, 6, 2.0)
         calls.clear()
         rep = rate_report(c)
-        assert calls == [(3, 6, 4.0), (3, 4, 2.0), (4, 6, 2.0), (4, 6, 2.0)]
+        assert calls == [(3, 6, 4.0), (3, 4, 2.0), (4, 6, 2.0)]
         assert rep.exact == rep.lower == rep.upper
         assert rep.exact == float.fromhex("0x1.611203aa81dc2p+2")
         assert rep.bob_capacity == float.fromhex("0x1.1b7592653e20ap+3")
+        calls.clear()
+        row = run_point(c, ["exact", "lower", "upper"])
+        assert calls == [(3, 6, 4.0), (3, 4, 2.0), (4, 6, 2.0)]
+        assert row["exact"] == row["lower"] == row["upper"] == rep.exact
+
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 1.0 + 1e-7), (2.0, 1.0 - 1e-7), (0.0, 1.0)])
+    def test_near_beta_one_matches_separate_terms(self, alpha, beta):
+        # inside omega's single-group band but off beta = 1 the bounds take
+        # other scales, so each rate is computed on its own
+        c = cfg(6, 3, 4, alpha=alpha, beta=beta, gamma=2.0)
+        want = (average_secrecy_rate(c), *average_rate_bounds(c))
+        rep = rate_report(c)
+        row = run_point(c, ["exact", "lower", "upper"])
+        assert (rep.exact, rep.lower, rep.upper) == want
+        assert (row["exact"], row["lower"], row["upper"]) == want
 
 
 class TestSystemConfigValidation:

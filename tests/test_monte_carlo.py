@@ -8,6 +8,10 @@ against rates through an explicit SVD precoding basis.
 
 import math
 import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from anmimo import (
     sample_channel,
     theta,
 )
+from anmimo import _blas_threads
 from anmimo import monte_carlo as mc
 
 
@@ -430,3 +435,173 @@ class TestWorkerCount:
             assert mc._worker_count() == len(os.sched_getaffinity(0))
         else:
             assert mc._worker_count() == os.cpu_count()
+
+
+def thread_counts():
+    # the current thread count of each OpenBLAS the engine drives
+    return tuple(get() for get, _ in _blas_threads._SCOPE.libs)
+
+
+needs_openblas = pytest.mark.skipif(
+    not _blas_threads._SCOPE.libs,
+    reason="no OpenBLAS loaded: the MC calls leave the BLAS thread count alone",
+)
+
+# the (128, 64, 64) sample in a fresh process: the hex of every
+# normalized rate, then trial 100 rebuilt from sample_channel
+_LARGE_SAMPLE_SCRIPT = """
+from anmimo import (SystemConfig, instantaneous_secrecy_rate,
+                    mc_normalized_rate_sample, sample_channel)
+c = SystemConfig(n_a=128, n_b=64, n_e=64, alpha=2.0, beta=0.5, gamma=2.0)
+sample = mc_normalized_rate_sample(c, 128, seed=5)
+alone = instantaneous_secrecy_rate(sample_channel(c, 100, 5), c) / c.n_b
+print(" ".join(v.hex() for v in sample))
+print(alone.hex())
+"""
+
+
+def _batched_channel(c, trial):
+    # trial's h and g as the batched estimators draw them, without a basis
+    h, g = mc._sample_batch(c, 1, trial, 1)
+    return ChannelRealization(h=h[0], g=g[0], v1=None, z=None)
+
+
+@needs_openblas
+class TestOneBlasThread:
+    @pytest.fixture
+    def threaded(self):
+        # a count other than 1 where the MC call must hand it back
+        before = thread_counts()
+        for _, set_count in _blas_threads._SCOPE.libs:
+            set_count(2)
+        yield thread_counts()
+        for (_, set_count), count in zip(_blas_threads._SCOPE.libs, before):
+            set_count(count)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        # the thread counts at every _herm, which each public call reaches
+        counts = []
+        herm = mc._herm
+
+        def recording(x):
+            counts.append(thread_counts())
+            return herm(x)
+
+        monkeypatch.setattr(mc, "_herm", recording)
+        return counts
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: mc_average_secrecy_rate(BASE, 200, seed=1),
+            lambda: mc_logdet_oracle(3, 5, 1.0, 200, seed=1),
+            lambda: mc_normalized_rate_sample(BASE, 50, seed=1),
+            lambda: sample_channel(BASE, 3, 1),
+            lambda: instantaneous_secrecy_rate(_batched_channel(BASE, 3), BASE),
+        ],
+        ids=["rate", "oracle", "sample", "sample_channel", "instantaneous"],
+    )
+    def test_one_thread_inside_and_restored_after(self, threaded, seen, call):
+        call()
+        assert seen and all(counts == (1,) * len(threaded) for counts in seen)
+        assert thread_counts() == threaded
+
+    def test_restored_after_a_raise(self, threaded, monkeypatch):
+        stacked = mc._stacked_batch
+
+        def deficient(c, seed, t0, nt):
+            hg = stacked(c, seed, t0, nt).copy()
+            hg[:, 1] = hg[:, 0]  # every h has two equal rows
+            return hg
+
+        monkeypatch.setattr(mc, "_stacked_batch", deficient)
+        with pytest.raises(NumericError, match="rank-deficient"):
+            mc_average_secrecy_rate(BASE, 200, seed=1)
+        assert thread_counts() == threaded
+
+    def test_overlapping_calls_in_user_threads(self, threaded, monkeypatch):
+        # A enters, B enters, A leaves while B is still inside, B leaves:
+        # B must still see one thread after A left, and the count before
+        # either call comes back only when both are done
+        a_inside, b_inside, a_done = (threading.Event() for _ in range(3))
+        b_after_a = []
+        herm = mc._herm
+
+        def gated(x):
+            name = threading.current_thread().name
+            if name == "A" and not b_inside.is_set():
+                a_inside.set()
+                b_inside.wait(30)
+            elif name == "B" and not a_done.is_set():
+                b_inside.set()
+                a_done.wait(30)
+                b_after_a.append(thread_counts())
+            return herm(x)
+
+        def run_a():
+            mc_normalized_rate_sample(BASE, 50, seed=1)
+            a_done.set()
+
+        def run_b():
+            a_inside.wait(30)
+            sample_channel(BASE, 3, 1)
+
+        monkeypatch.setattr(mc, "_herm", gated)
+        threads = [
+            threading.Thread(target=run_a, name="A"),
+            threading.Thread(target=run_b, name="B"),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert a_done.is_set() and b_after_a == [(1,) * len(threaded)]
+        assert thread_counts() == threaded
+
+    def test_many_threads_share_the_scope(self, threaded, seen):
+        # more user threads than cores, switching often: a lost update of
+        # the scope's count would show as a count other than 1 inside a
+        # call or a wrong count after all of them
+        def calls():
+            for t in range(20):
+                sample_channel(BASE, t, 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) >= 8 * 20 and all(counts == (1,) * len(threaded) for counts in seen)
+        assert thread_counts() == threaded
+
+    def test_large_shape_bitwise_across_workers_and_blas_threads(self):
+        # 128 realizations are two chunks of 64 at this shape
+        c = cfg(128, 64, 64, 2.0, 0.5, 2.0)
+        assert len(mc._chunk_spans(128, mc._rate_words(c))) == 2
+        src = Path(__file__).resolve().parents[1] / "src"
+        paths = [str(src), os.environ.get("PYTHONPATH", "")]
+        outputs = set()
+        for workers in ("1", "2"):
+            for blas in (None, "1", "2"):
+                env = {**os.environ, "ANMIMO_WORKERS": workers}
+                env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+                env.pop("OPENBLAS_NUM_THREADS", None)
+                if blas is not None:
+                    env["OPENBLAS_NUM_THREADS"] = blas
+                proc = subprocess.run(
+                    [sys.executable, "-c", _LARGE_SAMPLE_SCRIPT],
+                    capture_output=True, text=True, env=env, timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+                sample, alone = proc.stdout.split("\n")[:2]
+                assert sample.split()[100] == alone, (workers, blas)
+                outputs.add(sample)
+        assert len(outputs) == 1
