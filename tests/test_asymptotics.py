@@ -411,6 +411,12 @@ class TestDesignScan:
                 4096,
                 "x must be finite and > 0, got inf",
             ),
+            # beta1 and beta3 round to the same double at n_e = 51
+            (
+                (36028797018976318, 36028797018976313, 1.0, 1.0, 2.0),
+                64,
+                "need beta1 > beta3 (a nonempty null space)",
+            ),
             # gamma beta3 and gamma rho round to 0.0 at n_e = 7
             (
                 (6, 3, 1e300, 1.0, 5e-324),
@@ -423,12 +429,6 @@ class TestDesignScan:
                 (6, 3, 1.7e308, 1.05, 0.3),
                 4096,
                 "phi_func(1.5299999999999998e+308, 2.0) is out of float range",
-            ),
-            # beta1 and beta3 round to the same double at n_e = 51
-            (
-                (36028797018976318, 36028797018976313, 1.0, 1.0, 2.0),
-                64,
-                "need beta1 > beta3 (a nonempty null space)",
             ),
         ],
     )
