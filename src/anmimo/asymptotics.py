@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NoRootError, NumericError, UnboundedRangeError, _finite
+from .errors import DomainError, NoRootError, NumericError, UnboundedRangeError, _finite, _integer
 
 _BISECT_LO = 1e-15
 _BISECT_MAX_ITER = 100
@@ -44,13 +44,11 @@ class AsymptoticRatios:
     gamma: float
 
     def __post_init__(self):
-        for name in ("beta1", "beta2", "beta3", "p_u", "p_v", "gamma"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
-        if self.beta1 <= 0.0 or self.beta3 <= 0.0 or self.gamma <= 0.0:
-            raise DomainError("beta1, beta3 and gamma must be positive")
+        for name, positive in (
+            ("beta1", True), ("beta2", False), ("beta3", True),
+            ("p_u", False), ("p_v", False), ("gamma", True),
+        ):
+            object.__setattr__(self, name, _finite(name, getattr(self, name), positive))
         if self.beta2 <= 1.0:
             raise DomainError(
                 f"beta2 must exceed 1 (fewer legitimate than transmit antennas), "
@@ -63,8 +61,6 @@ class AsymptoticRatios:
             )
         if self.beta1 - self.beta3 <= 0.0:
             raise DomainError("need beta1 > beta3 (a nonempty null space)")
-        if self.p_u < 0.0 or self.p_v < 0.0:
-            raise DomainError("powers must be nonnegative")
 
     @property
     def rho(self) -> float:
@@ -396,18 +392,14 @@ def critical_eve_antennas(
     delta_highsnr on AsymptoticRatios at each n_e, but the ratios are
     validated once and phi_func(p_u, beta2) is evaluated once.
     """
-    for name, v in (("n_a", n_a), ("n_b", n_b)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise DomainError(f"{name} must be a positive integer, got {v!r}")
+    n_a = _integer("n_a", n_a, 1)
+    n_b = _integer("n_b", n_b, 1)
     if n_b >= n_a:
         raise DomainError(f"need n_b < n_a, got n_b={n_b}, n_a={n_a}")
     alpha = _finite("alpha", alpha, positive=True)
     beta = _finite("beta", beta, positive=True)
     gamma = _finite("gamma", gamma, positive=True)
-    if isinstance(max_eve_antennas, bool) or not isinstance(max_eve_antennas, int):
-        raise DomainError("max_eve_antennas must be an integer")
-    if max_eve_antennas < 1:
-        raise DomainError("max_eve_antennas must be positive")
+    max_eve_antennas = _integer("max_eve_antennas", max_eve_antennas, 1)
 
     p_u = alpha * gamma * n_b
     p_v = alpha * beta * gamma * (n_a - n_b)

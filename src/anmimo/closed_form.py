@@ -55,7 +55,7 @@ from itertools import accumulate
 import mpmath as mp
 from mpmath import libmp
 
-from .errors import DomainError, NumericError, _finite
+from .errors import DomainError, NumericError, _finite, _integer
 
 _THETA_MAX_N = 16
 _BETA_DEGENERATE_TOL = 1e-6
@@ -83,11 +83,7 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("n_a", "n_b", "n_e"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise DomainError(f"{name} must be an integer, got {v!r}")
-            if v < 1:
-                raise DomainError(f"{name} must be positive, got {v}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         if self.n_b >= self.n_a:
             raise DomainError(
                 f"need n_b < n_a for a transmit null space, "
@@ -223,10 +219,9 @@ def theta(m: int, n: int, x: float) -> float:
     S_P and S_Q are polynomials in b, cached per (m, n) with integer
     coefficients and evaluated exactly at b.
     """
-    for name, v in (("m", m), ("n", n)):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise DomainError(f"{name} must be an integer, got {v!r}")
-    if not 1 <= m <= n:
+    m = _integer("m", m, 1)
+    n = _integer("n", n, 1)
+    if m > n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
     if n > _THETA_MAX_N:
         raise DomainError(

@@ -6,11 +6,14 @@ bracket that never closes, a scan that hits its cap) raise subclasses of
 ``NumericError`` so callers can distinguish "you asked a malformed question"
 from "the computation could not be completed".
 
-Every layer checks a real argument that must be finite and >= 0 (or > 0)
-with ``_finite``, at its public entry, so the message reads the same.
+Every public entry checks its arguments with two helpers, so a message
+reads the same whichever layer raises it: ``_finite`` for a real that
+must be finite and >= 0 (or > 0), ``_integer`` for a count or index that
+must be an integer at or above a minimum.
 """
 
 import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -36,6 +39,21 @@ def _finite(name: str, value, positive: bool = False) -> float:
         bound = ">" if positive else ">="
         raise DomainError(f"{name} must be finite and {bound} 0, got {v!r}")
     return v
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """int(value); DomainError unless it is an integer (not a bool) >= minimum.
+
+    Any numbers.Integral (numpy integers too) is accepted and returned as
+    a plain int.
+    """
+    if type(value) is not int:  # the common case skips the ABC check
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 class ConfigError(ValueError):

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .asymptotics import (
@@ -109,24 +109,19 @@ def parse_config_text(text: str) -> Dict[str, float]:
     return out
 
 
-def _integer(value, message: str) -> int:
+def _whole_number(value, message: str) -> int:
     """``value`` as an int; ConfigError(message) unless it is a whole number.
 
-    An int skips float(), which raises OverflowError beyond float range.
+    A bool is refused, not read as 0 or 1. An int skips float(), which
+    raises OverflowError beyond float range.
     """
+    if isinstance(value, bool):
+        raise ConfigError(message)
     if isinstance(value, int):
         return int(value)
     if not float(value).is_integer():
         raise ConfigError(message)
     return int(value)
-
-
-def _count(value, name: str) -> int:
-    """``value`` as an int; ConfigError unless it is a whole number, not a bool."""
-    message = f"{name} must be an integer, got {value!r}"
-    if isinstance(value, bool):
-        raise ConfigError(message)
-    return _integer(value, message)
 
 
 def _resolve_linear(raw: Mapping[str, float], name: str) -> float:
@@ -149,7 +144,7 @@ def config_from_mapping(raw: Mapping[str, float]) -> SystemConfig:
     for name in ("n_a", "n_b", "n_e"):
         if name not in raw:
             raise ConfigError(f"missing {name}")
-        dims[name] = _integer(raw[name], f"{name} must be an integer, got {raw[name]!r}")
+        dims[name] = _whole_number(raw[name], f"{name} must be an integer, got {raw[name]!r}")
     try:
         return SystemConfig(
             n_a=dims["n_a"],
@@ -181,7 +176,7 @@ def parse_design_text(text: str) -> Dict[str, float]:
     for name in ("n_a", "n_b"):
         if name not in raw:
             raise ConfigError(f"missing {name}")
-        out[name] = _integer(raw[name], f"{name} must be an integer, got {raw[name]!r}")
+        out[name] = _whole_number(raw[name], f"{name} must be an integer, got {raw[name]!r}")
     for name in ("alpha", "beta", "gamma"):
         out[name] = _resolve_linear(raw, name)
     return out
@@ -274,7 +269,8 @@ class SweepSpec:
 
     axis is one of gamma_db, beta_db, n_e; values must be strictly
     increasing. Each row evaluates the base config with that axis value
-    substituted (dB axes converted to linear scale per row).
+    substituted (dB axes converted to linear scale per row); configs
+    holds those row configs, built once when the spec is.
     """
 
     base: SystemConfig
@@ -285,6 +281,7 @@ class SweepSpec:
     seed: int = 0
     units: str = "nats"
     clamp: bool = True
+    configs: Tuple[SystemConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -298,38 +295,32 @@ class SweepSpec:
         object.__setattr__(self, "outputs", tuple(_check_outputs(self.outputs)))
         if self.units not in ("nats", "bits"):
             raise ConfigError(f"units must be 'nats' or 'bits', got {self.units!r}")
-        trials = _count(self.mc_trials, "mc_trials")
+        trials = _whole_number(
+            self.mc_trials, f"mc_trials must be an integer, got {self.mc_trials!r}"
+        )
         if trials < 2:
             raise ConfigError(f"mc_trials must be >= 2, got {self.mc_trials}")
         object.__setattr__(self, "mc_trials", trials)
-        object.__setattr__(self, "seed", _count(self.seed, "seed"))
+        seed = _whole_number(self.seed, f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
         # fail fast if any row cannot even be constructed
-        for v in values:
-            self.config_at(v)
+        object.__setattr__(self, "configs", tuple(self.config_at(v) for v in values))
 
     def config_at(self, value: float) -> SystemConfig:
-        base = self.base
         if self.axis == "n_e":
-            kwargs = {"n_e": _sweep_n_e(value)}
+            change = {"n_e": _sweep_n_e(value)}
         elif self.axis == "gamma_db":
-            kwargs = {"gamma": 10.0 ** (value / 10.0)}
+            change = {"gamma": 10.0 ** (value / 10.0)}
         else:
-            kwargs = {"beta": 10.0 ** (value / 10.0)}
+            change = {"beta": 10.0 ** (value / 10.0)}
         try:
-            return SystemConfig(
-                n_a=base.n_a,
-                n_b=base.n_b,
-                n_e=kwargs.get("n_e", base.n_e),
-                alpha=base.alpha,
-                beta=kwargs.get("beta", base.beta),
-                gamma=kwargs.get("gamma", base.gamma),
-            )
+            return replace(self.base, **change)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
 
 def _sweep_n_e(value: float) -> int:
-    return _integer(value, f"n_e sweep value {value!r} is not an integer")
+    return _whole_number(value, f"n_e sweep value {value!r} is not an integer")
 
 
 SWEEP_ONLY_KEYS = frozenset(
@@ -426,8 +417,7 @@ def run_sweep(spec: SweepSpec) -> List[Dict[str, float]]:
     A failure partway raises a SweepError carrying the completed rows.
     """
     rows: List[Dict[str, float]] = []
-    for value in spec.values:
-        cfg = spec.config_at(value)
+    for value, cfg in zip(spec.values, spec.configs):
         try:
             row = run_point(
                 cfg,
@@ -479,6 +469,7 @@ def design_report(
     n_suff, n_nec = critical_eve_antennas(
         n_a, n_b, alpha, beta, gamma, max_eve_antennas=max_eve_antennas
     )
+    n_a, n_b = int(n_a), int(n_b)  # validated above; the report holds plain ints
     advisory = not _in_trust_region(alpha, beta, gamma, n_a, n_b, n_a - n_b)
     return {
         "n_a": n_a,

@@ -10,7 +10,10 @@ its own mean by a fixed tree of adds, and chunk partials merge in chunk
 order. Chunks are evaluated on a thread pool with one worker per
 available core; the ANMIMO_WORKERS environment variable narrows or widens
 that pool. It can never change a result or an output byte, only the
-schedule. Each worker walks its chunk in slices of at most 2**19 words,
+schedule. Results are bitwise the same for one numpy and BLAS build on
+one CPU kernel; another BLAS kernel (say, another OPENBLAS_CORETYPE) can
+round the per-trial log-dets differently, by a few units in the last
+place. Each worker walks its chunk in slices of at most 2**19 words,
 which bounds memory without touching the per-trial values.
 
 Each public function runs OpenBLAS single-threaded for as long as it
@@ -48,7 +51,7 @@ import numpy as np
 
 from ._blas_threads import one_blas_thread
 from .closed_form import SystemConfig
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, _integer
 
 _WORKERS_ENV = "ANMIMO_WORKERS"
 _INV_2_53 = 1.0 / float(2**53)
@@ -89,32 +92,10 @@ class MCEstimate:
 
 
 def _check_seed(seed) -> int:
-    out_of_range = "seed must fit in 64 unsigned bits, got {value}"
-    seed = _check_int(seed, 0, "seed must be an integer, got {value!r}", out_of_range)
+    seed = _integer("seed", seed, 0)
     if seed >= _MAX_SEED:
-        raise DomainError(out_of_range.format(value=seed))
+        raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
     return seed
-
-
-def _check_int(value, minimum: int, not_int: str, too_small: str | None = None) -> int:
-    """value as an int; DomainError unless it is an integer >= minimum.
-
-    The messages are format strings over ``value``; too_small defaults to
-    not_int.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(not_int.format(value=value))
-    if value < minimum:
-        raise DomainError((too_small or not_int).format(value=value))
-    return int(value)
-
-
-def _check_trials(trials) -> int:
-    return _check_int(
-        trials, 2,
-        "trials must be an integer, got {value!r}",
-        "need trials >= 2 for a standard error, got {value}",
-    )
 
 
 def _worker_count() -> int:
@@ -301,11 +282,7 @@ def sample_channel(cfg: SystemConfig, trial_index: int, seed: int) -> ChannelRea
     it is bit-identical to the one any batched estimator uses internally
     for that trial index.
     """
-    trial_index = _check_int(
-        trial_index, 0,
-        "trial_index must be an integer, got {value!r}",
-        "trial_index must be nonnegative, got {value}",
-    )
+    trial_index = _integer("trial_index", trial_index, 0)
     seed = _check_seed(seed)
     h, g = _sample_batch(cfg, seed, trial_index, 1)
     v1, z = _precoding_basis(h, cfg.n_b, trial_index)
@@ -427,7 +404,7 @@ def mc_average_secrecy_rate(
     closed-form expectation. Bitwise reproducible for fixed inputs at any
     worker count.
     """
-    trials = _check_trials(trials)
+    trials = _integer("trials", trials, 2)
     seed = _check_seed(seed)
 
     def worker(t0, nt):
@@ -453,9 +430,9 @@ def mc_logdet_oracle(
     scale (applied to every column) or a length-cols sequence of
     nonnegative scales.
     """
-    rows = _check_int(rows, 1, "rows must be a positive integer, got {value!r}")
-    cols = _check_int(cols, 1, "cols must be a positive integer, got {value!r}")
-    trials = _check_trials(trials)
+    rows = _integer("rows", rows, 1)
+    cols = _integer("cols", cols, 1)
+    trials = _integer("trials", trials, 2)
     seed = _check_seed(seed)
     profile = np.asarray(scale_profile, dtype=np.float64)
     if profile.ndim == 0:
@@ -490,11 +467,7 @@ def mc_normalized_rate_sample(
 
     Raw material for concentration studies against the large-system limit.
     """
-    realizations = _check_int(
-        realizations, 1,
-        "realizations must be an integer, got {value!r}",
-        "realizations must be positive, got {value}",
-    )
+    realizations = _integer("realizations", realizations, 1)
     seed = _check_seed(seed)
 
     def worker(t0, nt):

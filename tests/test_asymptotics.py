@@ -300,6 +300,22 @@ class TestPsi:
         c = SystemConfig(n_a=6, n_b=3, n_e=4, alpha=0.0, beta=0.5, gamma=2.0)
         assert asymptotic_average_rate(c) == 0.0
 
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma", [(4.0, 2.0, 4.0), (2.0, 0.5, 2.0), (10.0, 1.0, 1.0)]
+    )
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (3, 1, 2), (4, 2, 1)])
+    def test_per_antenna_gap_shrinks_at_fixed_ratios(self, shape, alpha, beta, gamma):
+        # the large-system limit at fixed antenna ratios (Tulino & Verdu
+        # 2004): scaling every count by k, the gap per legitimate antenna
+        # falls at every step of k up to the theta envelope n <= 16
+        gaps = []
+        for k in range(1, 16 // max(shape[0], shape[2]) + 1):
+            n_a, n_b, n_e = (k * s for s in shape)
+            c = SystemConfig(n_a=n_a, n_b=n_b, n_e=n_e, alpha=alpha, beta=beta, gamma=gamma)
+            gaps.append(abs(average_secrecy_rate(c) - asymptotic_average_rate(c)) / n_b)
+        assert len(gaps) >= 4
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:])), gaps
+
 
 class TestHighSnrMargin:
     def test_example_thresholds_sign_pattern(self):
@@ -403,7 +419,7 @@ class TestDesignScan:
             ((6, 3, 5e-324, 1.0, 0.1), 4096, "x must be finite and > 0, got 0.0"),
             ((6, 3, 1e-300, 1e-300, 1.0), 4096, "requires p_v > 0"),
             ((6, 3, 1e306, 1.0, 2.0), 4096, "x must be finite and > 0, got inf"),
-            ((6, 3, 1e300, 1e10, 2.0), 4096, "p_v must be finite, got inf"),
+            ((6, 3, 1e300, 1e10, 2.0), 4096, "p_v must be finite and >= 0, got inf"),
             # the larger scale overflows at n_e = 1, where phi_func(p_u, beta2)
             # would raise: the scale check comes first
             (

@@ -14,6 +14,7 @@ from anmimo import (
     SystemConfig,
     average_rate_bounds,
     average_secrecy_rate,
+    config_from_mapping,
     critical_eve_antennas,
     design_report,
     format_config,
@@ -79,6 +80,12 @@ class TestConfigParsing:
     def test_fractional_dimension_rejected(self):
         with pytest.raises(ConfigError, match="integer"):
             parse_config("n_a=6.5\nn_b=3\nn_e=4\nalpha=2\nbeta=0.5\ngamma=2\n")
+
+    def test_bool_dimension_rejected(self):
+        # True is not the count 1, in a mapping as in SweepSpec(mc_trials=True)
+        raw = {"n_a": 6, "n_b": True, "n_e": True, "alpha": 2.0, "beta": 0.5, "gamma": 2.0}
+        with pytest.raises(ConfigError, match="n_b must be an integer, got True"):
+            config_from_mapping(raw)
 
     def test_dimension_constraint_surfaces_as_config_error(self):
         with pytest.raises(ConfigError):
@@ -209,6 +216,25 @@ class TestSweepSpec:
         cfg = spec.config_at(3.0)
         assert cfg.gamma == 10.0**0.3
         assert cfg.beta == base_cfg().beta
+
+    @pytest.mark.parametrize(
+        "axis, values, linear",
+        [
+            ("n_e", (1.0, 2.0, 7.0), int),
+            ("gamma_db", (-7.3, 0.0, 4.1), lambda v: 10.0 ** (v / 10.0)),
+            ("beta_db", (-20.0, 1.5, 30.0), lambda v: 10.0 ** (v / 10.0)),
+        ],
+        ids=["n_e", "gamma_db", "beta_db"],
+    )
+    def test_rows_change_only_the_axis(self, axis, values, linear):
+        base = base_cfg()
+        spec = SweepSpec(**self.kwargs(axis=axis, values=values))
+        name = axis.removesuffix("_db")
+        for v in values:
+            want = {k: getattr(base, k) for k in ("n_a", "n_b", "n_e", "alpha", "beta", "gamma")}
+            want[name] = linear(v)
+            assert spec.config_at(v) == SystemConfig(**want)
+        assert spec.configs == tuple(spec.config_at(v) for v in values)
 
     def test_fail_fast_on_unbuildable_row(self):
         with pytest.raises(ConfigError):
