@@ -201,9 +201,6 @@ def solve_delta(r: AsymptoticRatios) -> DeltaSolution:
         raise NoRootError(
             f"no sign change on [{_BISECT_LO}, 1]: g(lo)={g_lo!r}, g(hi)={g_hi!r}"
         )
-    mid = 0.5 * (lo + hi)
-    g_mid = g(mid)
-    iterations = 0
     for iterations in range(1, _BISECT_MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
         g_mid = g(mid)

@@ -72,6 +72,7 @@ def _build_parser() -> _Parser:
 
     p_mc = sub.add_parser("mc", help="Monte Carlo average secrecy rate")
     _add_common(p_mc)
+    p_mc.set_defaults(outputs="mc")
 
     p_design = sub.add_parser("design", help="critical eavesdropper antenna counts")
     _add_common(p_design, mc=False)
@@ -130,11 +131,6 @@ def _cmd_sweep(args) -> List[dict]:
     return run_sweep(parse_sweep_text(_read_text(args.config), **_mc_kwargs(args)))
 
 
-def _cmd_mc(args) -> List[dict]:
-    cfg = config_from_mapping(parse_config_text(_read_text(args.config)))
-    return [point_row(cfg, run_point(cfg, ["mc"], **_mc_kwargs(args)))]
-
-
 def _cmd_design(args) -> List[dict]:
     kwargs = parse_design_text(_read_text(args.config))
     return [design_report(max_eve_antennas=args.max_ne, **kwargs)]
@@ -165,7 +161,7 @@ def _cmd_oracle(args) -> List[dict]:
 _COMMANDS = {
     "rate": _cmd_rate,
     "sweep": _cmd_sweep,
-    "mc": _cmd_mc,
+    "mc": _cmd_rate,
     "design": _cmd_design,
     "oracle": _cmd_oracle,
 }

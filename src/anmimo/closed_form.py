@@ -19,7 +19,8 @@ Numerical notes, since both closed forms are badly alternating:
   at m = n = 16, x = 0.05, hence the exact fold. The fold is two
   polynomials in b, cached per (m, n) with integer coefficients over a
   common denominator and evaluated exactly at b. Supported envelope is
-  n <= 16 (hard error beyond).
+  n <= 16 (hard error beyond). The last 64 values are memoized, so the
+  exact rate and its bounds, which share theta terms, compute each once.
 * The exponential prefactor of the published theta sum appears with a
   negative exponent; the m = n = 1 reduction E[ln(1+x|g|^2)] =
   exp(1/x) E1(1/x) and Monte Carlo both fix the true sign as positive,
@@ -227,7 +228,12 @@ def theta(m: int, n: int, x: float) -> float:
         raise DomainError(
             f"supported envelope is n <= {_THETA_MAX_N}, got n={n}"
         )
-    x = _finite("x", x)
+    return _theta_value(m, n, _finite("x", x))
+
+
+@lru_cache(maxsize=64)
+def _theta_value(m: int, n: int, x: float) -> float:
+    """theta(m, n, x) for checked arguments; one rate point needs at most five."""
     if x == 0.0:
         return 0.0
 
@@ -471,65 +477,41 @@ def omega(cfg: SystemConfig) -> float:
     return _omega_determinant_sum(cfg.n_a, cfg.n_e, mu1, m1, mu2, m2)
 
 
-def _common_theta(cfg: SystemConfig, bob: float | None = None) -> float:
+def _common_theta(cfg: SystemConfig) -> float:
     """theta(n_b, n_a, alpha gamma) + theta(n_min, n_max, alpha beta).
 
     The legitimate-link and artificial-noise-only terms, which the exact
-    rate and both bounds share. A caller that already holds the first
-    term, bob_capacity(cfg), passes it as ``bob``.
+    rate and both bounds share.
     """
-    if bob is None:
-        bob = bob_capacity(cfg)
-    return bob + theta(cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta)
+    return bob_capacity(cfg) + theta(cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta)
 
 
-def average_secrecy_rate(cfg: SystemConfig, *, common: float | None = None) -> float:
+def average_secrecy_rate(cfg: SystemConfig) -> float:
     """Unclamped average secrecy rate in nats; may be negative.
 
     Legitimate-link term theta(n_b, n_a, alpha gamma) plus the
     artificial-noise-only term theta(n_min, n_max, alpha beta), minus the
-    full eavesdropper term omega(cfg). A caller that also wants the
-    bounds passes the sum of the first two as ``common``, so that it is
-    computed once.
+    full eavesdropper term omega(cfg).
     """
     if cfg.alpha == 0.0:
         return 0.0
-    if common is None:
-        common = _common_theta(cfg)
-    return common - omega(cfg)
+    return _common_theta(cfg) - omega(cfg)
 
 
-def average_rate_bounds(
-    cfg: SystemConfig, *, common: float | None = None
-) -> tuple[float, float]:
+def average_rate_bounds(cfg: SystemConfig) -> tuple[float, float]:
     """Two-sided bounds (lower, upper) on the average secrecy rate.
 
     Replaces omega with the single-group value at the larger (lower
     bound) or smaller (upper bound) of the two power scales alpha and
-    alpha beta. The two coincide exactly at beta = 1, where one theta
-    serves both. ``common`` is as in average_secrecy_rate.
+    alpha beta. The two coincide exactly at beta = 1.
     """
     if cfg.alpha == 0.0:
         return (0.0, 0.0)
-    if common is None:
-        common = _common_theta(cfg)
-    scale_min = min(cfg.alpha, cfg.alpha * cfg.beta)
-    scale_max = max(cfg.alpha, cfg.alpha * cfg.beta)
-    lower = common - theta(cfg.n_hat_min, cfg.n_hat_max, scale_max)
-    if scale_min == scale_max:
-        return (lower, lower)
-    upper = common - theta(cfg.n_hat_min, cfg.n_hat_max, scale_min)
+    common = _common_theta(cfg)
+    scales = (cfg.alpha, cfg.alpha * cfg.beta)
+    lower = common - theta(cfg.n_hat_min, cfg.n_hat_max, max(scales))
+    upper = common - theta(cfg.n_hat_min, cfg.n_hat_max, min(scales))
     return (lower, upper)
-
-
-def _bounds_are_exact(cfg: SystemConfig) -> bool:
-    """True when omega(cfg) is the theta both bounds subtract.
-
-    That is omega's single-group branch with alpha beta == alpha, so the
-    exact rate and both bounds are the same double and one theta serves
-    all three.
-    """
-    return abs(cfg.beta - 1.0) < _BETA_DEGENERATE_TOL and cfg.alpha * cfg.beta == cfg.alpha
 
 
 def bob_capacity(cfg: SystemConfig) -> float:
@@ -556,12 +538,10 @@ def eve_leakage_upper_bound(cfg: SystemConfig) -> float:
 
 def rate_report(cfg: SystemConfig) -> RateReport:
     """Exact rate, both bounds, and the legitimate capacity in one record."""
-    bob = bob_capacity(cfg)
-    common = _common_theta(cfg, bob)
-    lower, upper = average_rate_bounds(cfg, common=common)
+    lower, upper = average_rate_bounds(cfg)
     return RateReport(
-        exact=lower if _bounds_are_exact(cfg) else average_secrecy_rate(cfg, common=common),
+        exact=average_secrecy_rate(cfg),
         lower=lower,
         upper=upper,
-        bob_capacity=bob,
+        bob_capacity=bob_capacity(cfg),
     )

@@ -27,13 +27,7 @@ from .asymptotics import (
     critical_eve_antennas,
     delta_highsnr,
 )
-from .closed_form import (
-    SystemConfig,
-    _bounds_are_exact,
-    _common_theta,
-    average_rate_bounds,
-    average_secrecy_rate,
-)
+from .closed_form import SystemConfig, average_rate_bounds, average_secrecy_rate
 from .errors import ConfigError, SweepError
 
 LN2 = math.log(2.0)
@@ -229,18 +223,14 @@ def run_point(
     if units not in ("nats", "bits"):
         raise ConfigError(f"units must be 'nats' or 'bits', got {units!r}")
     row: Dict[str, float] = {}
-    common = _common_theta(cfg) if {"exact", "lower", "upper"} & set(wanted) else None
     if "exact" in wanted:
-        exact = average_secrecy_rate(cfg, common=common)
+        exact = average_secrecy_rate(cfg)
         row["exact"] = exact
         row["exact_clamped"] = max(exact, 0.0)
     if "asymptotic" in wanted:
         row["asymptotic"] = asymptotic_average_rate(cfg)
     if "lower" in wanted or "upper" in wanted:
-        if "exact" in wanted and _bounds_are_exact(cfg):
-            lower = upper = row["exact"]
-        else:
-            lower, upper = average_rate_bounds(cfg, common=common)
+        lower, upper = average_rate_bounds(cfg)
         if "lower" in wanted:
             row["lower"] = lower
         if "upper" in wanted:

@@ -289,9 +289,7 @@ def sample_channel(cfg: SystemConfig, trial_index: int, seed: int) -> ChannelRea
     return ChannelRealization(h=h[0], g=g[0], v1=v1[0], z=z[0])
 
 
-def _secrecy_rates(
-    cfg: SystemConfig, hg: np.ndarray, t0: int | None = None
-) -> np.ndarray:
+def _secrecy_rates(cfg: SystemConfig, hg: np.ndarray, t0: int) -> np.ndarray:
     """Unclamped secrecy rates of a batch of h stacked over g, from h and g alone.
 
     One Householder QR of [h^H g^H] gives R = [[R11, R12], [0, R22]]: R11
@@ -300,8 +298,8 @@ def _secrecy_rates(
     log-dets, ln det(I + g (alpha P + alpha beta (I - P)) g^H) and
     ln det(I + alpha beta g (I - P) g^H), are then Grams of the computed
     blocks [sqrt(alpha) R12; sqrt(alpha beta) R22] and sqrt(alpha beta) R22,
-    with no difference of Grams to cancel at high SNR. Given t0, a
-    rank-deficient h raises NumericError naming trial t0 + i first.
+    with no difference of Grams to cancel at high SNR. A rank-deficient h
+    raises NumericError naming trial t0 + i first.
     """
     n_b, n_e = cfg.n_b, cfg.n_e
     # the QR runs on the transpose [h^T g^T], whose R is the conjugate of
@@ -310,8 +308,7 @@ def _secrecy_rates(
     # holds column n_b + j of that R on and left of the diagonal
     raw = np.linalg.qr(np.swapaxes(hg, -2, -1), mode="raw")[0]
     k = min(cfg.n_a, n_b + n_e)
-    if t0 is not None:
-        _check_rank(hg[..., :n_b, :], np.diagonal(raw, axis1=-2, axis2=-1)[..., :n_b], t0)
+    _check_rank(hg[..., :n_b, :], np.diagonal(raw, axis1=-2, axis2=-1)[..., :n_b], t0)
     col_scale = np.full(k, math.sqrt(cfg.alpha * cfg.beta))
     col_scale[:n_b] = math.sqrt(cfg.alpha)
     on_r = np.arange(k) <= np.arange(n_b, n_b + n_e)[:, None]
@@ -329,13 +326,14 @@ def instantaneous_secrecy_rate(ch: ChannelRealization, cfg: SystemConfig) -> flo
     Legitimate log-det minus the eavesdropper log-det gap, each computed
     by Cholesky on the smaller side of the Gram pairing (never from raw
     eigenvalues, which lose digits at high SNR). Only ch.h and ch.g enter.
+    A rank-deficient ch.h raises NumericError, as in the batched estimators.
     """
     if ch.h.shape != (cfg.n_b, cfg.n_a) or ch.g.shape != (cfg.n_e, cfg.n_a):
         raise DomainError(
             f"realization shaped h{ch.h.shape}, g{ch.g.shape} does not match "
             f"config ({cfg.n_b}x{cfg.n_a}, {cfg.n_e}x{cfg.n_a})"
         )
-    rate = _secrecy_rates(cfg, np.concatenate((ch.h, ch.g))[None, ...])[0]
+    rate = _secrecy_rates(cfg, np.concatenate((ch.h, ch.g))[None, ...], 0)[0]
     if not math.isfinite(rate):
         raise NumericError(f"non-finite rate {rate!r}")
     return float(rate)

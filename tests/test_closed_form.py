@@ -488,39 +488,68 @@ class TestRateReport:
         assert rep.bob_capacity == bob_capacity(c)
         assert rep.bob_capacity >= rep.exact
 
-    def test_each_theta_term_computed_once(self, monkeypatch):
+    def test_each_theta_term_computed_once(self):
         # bob_capacity is the legitimate-link term the exact rate and the
-        # bounds share, so the record needs four distinct theta values
-        calls = counting(monkeypatch, "theta")
+        # bounds share, so the record needs four distinct theta values; the
+        # memo computes each once
+        memo = closed_form._theta_value
+        memo.cache_clear()
         rep = rate_report(cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0))
-        assert len(calls) == 4 and len(set(calls)) == 4
+        assert memo.cache_info().misses == 4
+        # and they are these four: asking for them again computes nothing
+        for args in [(3, 6, 4.0), (3, 4, 1.0), (4, 6, 2.0), (4, 6, 1.0)]:
+            theta(*args)
+        assert memo.cache_info().misses == 4
         # the record is bitwise the one each term computed on its own gave
         assert rep.exact == float.fromhex("0x1.43af8dd439066p+2")
         assert rep.lower == float.fromhex("0x1.0089c72ab1fbap+2")
         assert rep.upper == float.fromhex("0x1.8e66ebd1e8c04p+2")
         assert rep.bob_capacity == float.fromhex("0x1.1b7592653e20ap+3")
 
-
-    def test_bounds_share_theta_at_beta_one(self, monkeypatch):
+    def test_bounds_share_theta_at_beta_one(self):
         # at beta = 1 both bounds are common - theta(n_hat_min, n_hat_max,
-        # alpha): one call, not two. omega's single-group branch takes the
-        # same value, so the record's three rates are equal and that theta
-        # is evaluated once for all three.
+        # alpha), and omega's single-group branch takes the same value, so
+        # the record's three rates are equal and need three theta values
         c = cfg(6, 3, 4, alpha=2.0, beta=1.0, gamma=2.0)
-        calls = counting(monkeypatch, "theta")
-        lower, upper = average_rate_bounds(c, common=1.0)
-        assert calls == [(4, 6, 2.0)]
-        assert lower == upper == 1.0 - theta(4, 6, 2.0)
-        calls.clear()
+        memo = closed_form._theta_value
+        memo.cache_clear()
         rep = rate_report(c)
-        assert calls == [(3, 6, 4.0), (3, 4, 2.0), (4, 6, 2.0)]
+        assert memo.cache_info().misses == 3
+        for args in [(3, 6, 4.0), (3, 4, 2.0), (4, 6, 2.0)]:
+            theta(*args)
+        assert memo.cache_info().misses == 3
         assert rep.exact == rep.lower == rep.upper
         assert rep.exact == float.fromhex("0x1.611203aa81dc2p+2")
         assert rep.bob_capacity == float.fromhex("0x1.1b7592653e20ap+3")
-        calls.clear()
+        memo.cache_clear()
         row = run_point(c, ["exact", "lower", "upper"])
-        assert calls == [(3, 6, 4.0), (3, 4, 2.0), (4, 6, 2.0)]
+        assert memo.cache_info().misses == 3
         assert row["exact"] == row["lower"] == row["upper"] == rep.exact
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.0 + 1e-7])
+    def test_memo_is_invisible(self, beta):
+        # cold or warm, the memo gives the same bits, and the argument
+        # checks run before it, so a bad argument raises either way
+        c = cfg(6, 3, 4, alpha=2.0, beta=beta, gamma=2.0)
+        outputs = ["exact", "lower", "upper", "asymptotic"]
+
+        def report():
+            rep = rate_report(c)
+            return [v.hex() for v in (rep.exact, rep.lower, rep.upper, rep.bob_capacity)]
+
+        def row():
+            return [(k, v.hex()) for k, v in run_point(c, outputs).items()]
+
+        for call in (report, row):
+            closed_form._theta_value.cache_clear()
+            cold = call()
+            assert call() == cold
+        theta(2, 3, 1.0)
+        theta(3, 3, 1.0)
+        with pytest.raises(DomainError):
+            theta(3, 2, 1.0)
+        with pytest.raises(DomainError):
+            theta(2, 3, -1.0)
 
     @pytest.mark.parametrize("alpha, beta", [(2.0, 1.0 + 1e-7), (2.0, 1.0 - 1e-7), (0.0, 1.0)])
     def test_near_beta_one_matches_separate_terms(self, alpha, beta):

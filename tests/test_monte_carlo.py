@@ -125,6 +125,17 @@ class TestInstantaneousRate:
         with pytest.raises(DomainError):
             instantaneous_secrecy_rate(ch, other)
 
+    def test_rank_deficient_h_raises(self):
+        # the batched estimators refuse such an h; one realization must too,
+        # not return a rate for a link whose null space is the wrong size
+        ch = sample_channel(BASE, 0, 1)
+        twin = ch.h.copy()
+        twin[2] = twin[1]
+        for h in (twin, np.zeros_like(ch.h)):
+            bad = ChannelRealization(h=h, g=ch.g, v1=ch.v1, z=ch.z)
+            with pytest.raises(NumericError, match="rank-deficient legitimate channel at trial 0"):
+                instantaneous_secrecy_rate(bad, BASE)
+
     def test_matches_normalized_sample_across_chunk_boundary(self):
         # words/trial = 3072 puts the chunk boundary at 682 trials; the
         # counter-based stream must make trial 690 identical whether it is
