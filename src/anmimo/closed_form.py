@@ -34,9 +34,10 @@ Numerical notes, since both closed forms are badly alternating:
   lemma). The audit compares the Hadamard row-norm bound of R0 and of
   each R_k with its value, fails an attempt whose determinant is zero or
   above its own bound, and adds the cancellation across the k-sum. R0 is
-  a confluent Vandermonde matrix, so det R0 = exp(-log_k) and its
-  Hadamard bound are known in closed form before any elimination; the
-  first precision covers the digits det R0 loses against that bound.
+  a confluent Vandermonde matrix, so det R0 and its Hadamard bound are
+  known in closed form before any elimination; the first precision
+  covers the digits det R0 loses against that bound. The expansion's
+  prefactor is 1 / det R0, so omega is the Cramer sum sum_k x_kk.
   Near-degenerate inputs (|beta - 1| < 1e-6) route to the single-group
   branch instead.
 * The E1 ladder T_t = exp(mu) E_{t+1}(mu) that fills omega's columns runs
@@ -329,8 +330,8 @@ def _log_det_r0(n_e: int, p: int, mu1, m1, mu2, m2) -> float:
 
     R0 is a confluent Vandermonde matrix in the functions mu^-n_e mu^k,
     k < n_a, at the two levels, so its determinant is a product of
-    factorials, level powers and the gap (mu1 - mu2)^(m1 m2). It is
-    -log_k of _omega_determinant_sum.
+    factorials, level powers and the gap (mu1 - mu2)^(m1 m2). The
+    expansion's prefactor is 1 / det R0; only _first_dps needs this.
     """
     return (
         sum(math.lgamma(n_e - p + c + 1) for c in range(p))
@@ -372,30 +373,29 @@ def _omega_determinant_sum(n_a: int, n_e: int, mu1, m1, mu2, m2) -> float:
     """Alternating determinant expansion of the two-level ergodic log-det.
 
     The levels are mu1 > mu2 > 0 with multiplicities m1 + m2 = n_a. The
-    expansion sums p = min(n_e, n_a) determinants det(R_k). R_k equals a
-    base matrix R0 except in column k, which is R0's column scaled
-    entrywise by the E1 tail sums; call that column c_k. By the matrix
-    determinant lemma (Cramer's rule), det(R_k) = det(R0) x_kk with
-    x_k = R0^{-1} c_k, so one Gaussian elimination of [R0 | c_1 .. c_p]
-    with partial pivoting and p back substitutions give the whole sum.
+    expansion sums p = min(n_e, n_a) determinants det(R_k) times a
+    prefactor that is exactly 1 / det R0. R_k equals a base matrix R0
+    except in column k, which is R0's column scaled entrywise by the E1
+    tail sums; call that column c_k. By the matrix determinant lemma
+    (Cramer's rule), det(R_k) = det(R0) x_kk with x_k = R0^{-1} c_k, so
+    the sum is sum_k x_kk = tr(R0^{-1} C): one Gaussian elimination of
+    [R0 | c_1 .. c_p] with partial pivoting and p back substitutions.
 
-    Evaluated entirely in mpmath. The first precision (_first_dps) comes
-    from det R0 in closed form, det R0 = exp(-log_k): the digits it loses
-    against its Hadamard row-norm bound, which include the
-    (mu1 - mu2)^(m1 m2) blow-up. After evaluation the actual digit loss
-    is audited and the whole computation retries at the audited precision
-    if the first guess was short, as it is where a det R_k loses more than
+    Evaluated entirely in mpmath; det R0 enters only the first precision and
+    the audit. The first precision (_first_dps) is the digits det R0, in
+    closed form, loses against its Hadamard row-norm bound, which include
+    the (mu1 - mu2)^(m1 m2) blow-up. After evaluation the actual digit loss
+    is audited and the whole computation retries at the audited precision if
+    the first guess was short, as it is where a det R_k loses more than
     det R0 (at high SNR, or with one x_kk far below the others at low SNR).
     The audit adds the worst loss inside the p + 1 determinants det R0 and
-    det R_k (each one's Hadamard row-norm bound against its value; R0
-    alone misses digits the solves lose) and the cancellation across the
-    k-sum (max_k |x_kk| against |sum_k x_kk|). A determinant that is zero
-    or above its own Hadamard bound holds no correct digit, and the
-    attempt counts as failed.
+    det R_k (each one's Hadamard row-norm bound against its value; R0 alone
+    misses digits the solves lose) and the cancellation across the k-sum
+    (max_k |x_kk| against |sum_k x_kk|). A determinant that is zero or above
+    its own Hadamard bound holds no correct digit, and the attempt fails.
     """
     p = min(n_e, n_a)
     dps = _first_dps(n_a, n_e, mu1, m1, mu2, m2)
-    sign_k = (-1) ** (n_e * (n_a - p))
     # each row belongs to one eigenvalue group and carries a shift d: the
     # order of the derivative in that group's confluent block
     rows = [(0, m1 - i) for i in range(1, m1 + 1)] + [
@@ -406,14 +406,6 @@ def _omega_determinant_sum(n_a: int, n_e: int, mu1, m1, mu2, m2) -> float:
         with mp.workdps(dps):
             levels = (mp.mpf(mu1), mp.mpf(mu2))
             tail_sums = [list(accumulate(_exp_e1_ladder(mu, phi_max))) for mu in levels]
-            log_k = (
-                m1 * n_e * mp.log(levels[0])
-                + m2 * n_e * mp.log(levels[1])
-                - sum(mp.loggamma(n_e - i + 1) for i in range(1, p + 1))
-                - sum(mp.loggamma(m1 - i + 1) for i in range(1, m1 + 1))
-                - sum(mp.loggamma(m2 - i + 1) for i in range(1, m2 + 1))
-                - m1 * m2 * mp.log(levels[0] - levels[1])
-            )
             # rows of [R0 | C], and their squared norms in R0, R_1 .. R_p
             a, hadamard = [], []
             for g, d in rows:
@@ -446,8 +438,7 @@ def _omega_determinant_sum(n_a: int, n_e: int, mu1, m1, mu2, m2) -> float:
                 inner, cross = float(dps), 0.0
             needed = inner + cross + 15.0
             if dps >= needed:
-                total = det * x_sum
-                return float(sign_k * mp.sign(total) * mp.exp(log_k + mp.log(abs(total))))
+                return float(x_sum)
             dps = int(needed) + 10
     raise NumericError(
         "adaptive precision for the determinant sum did not settle "

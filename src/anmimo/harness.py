@@ -118,12 +118,20 @@ def _whole_number(value, message: str) -> int:
     return int(value)
 
 
+def _db_to_linear(db: float) -> float:
+    """10^(db/10); inf past float range, for the finiteness checks to refuse."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _resolve_linear(raw: Mapping[str, float], name: str) -> float:
     db_name = name + "_db"
     if name in raw and db_name in raw:
         raise ConfigError(f"give {name} or {db_name}, not both")
     if db_name in raw:
-        return 10.0 ** (raw[db_name] / 10.0)
+        return _db_to_linear(raw[db_name])
     if name in raw:
         return raw[name]
     raise ConfigError(f"missing {name} (or {db_name})")
@@ -299,10 +307,8 @@ class SweepSpec:
     def config_at(self, value: float) -> SystemConfig:
         if self.axis == "n_e":
             change = {"n_e": _sweep_n_e(value)}
-        elif self.axis == "gamma_db":
-            change = {"gamma": 10.0 ** (value / 10.0)}
         else:
-            change = {"beta": 10.0 ** (value / 10.0)}
+            change = {self.axis.removesuffix("_db"): _db_to_linear(value)}
         try:
             return replace(self.base, **change)
         except ValueError as exc:

@@ -258,6 +258,31 @@ class TestIntegerFields:
         assert err == f"error: {message.format(v=value)}\n"
 
 
+class TestDecibelRange:
+    # 10^(4000/10) is past float range: one error line, no traceback
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("rate", POINT.replace("alpha = 2", "alpha_db = 4000"),
+             "alpha must be finite and >= 0, got inf"),
+            ("design", DESIGN.replace("alpha_db = 3", "alpha_db = 4000"),
+             "alpha must be finite and > 0, got inf"),
+            ("sweep", "axis = gamma_db\nvalues = 0, 4000\noutputs = exact\n"
+             + POINT.replace("gamma = 2\n", ""),
+             "gamma must be finite and > 0, got inf"),
+            ("sweep", "axis = beta_db\nvalues = 0, 4000\noutputs = exact\n"
+             + POINT.replace("beta = 0.5\n", ""),
+             "beta must be finite and > 0, got inf"),
+        ],
+        ids=["rate", "design", "sweep-gamma", "sweep-beta"],
+    )
+    def test_overflowing_db_is_config_error(self, capsys, tmp_path, command, text, message):
+        cfg = write(tmp_path, "c.cfg", text)
+        code, out, err = run_main(capsys, [command, "--config", cfg])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestOracle:
     def test_uniform_scale(self, capsys):
         code, out, _ = run_main(

@@ -86,6 +86,20 @@ def counting(monkeypatch, name):
     return calls
 
 
+def recording_dets(monkeypatch):
+    """Record det R0 from each elimination of the determinant sum."""
+    dets = []
+    real = closed_form._det_and_cramer_diagonal
+
+    def recording(*args):
+        det, xkk = real(*args)
+        dets.append(det)
+        return det, xkk
+
+    monkeypatch.setattr(closed_form, "_det_and_cramer_diagonal", recording)
+    return dets
+
+
 class TestTheta:
     def test_zero_snr(self):
         assert theta(3, 6, 0.0) == 0.0
@@ -262,23 +276,34 @@ class TestOmega:
         ],
     )
     def test_closed_form_det_r0(self, monkeypatch, n_a, n_b, n_e, alpha, beta):
-        # ln|det R0| before any elimination equals the elimination's det
+        # ln|det R0| before any elimination equals the elimination's det,
+        # and its sign is the shape's (-1)^(n_e (n_a - p)): sign -1 at
+        # (16, 8, 5) and (12, 7, 3)
         levels = counting(monkeypatch, "_first_dps")
-        dets = []
-        real = closed_form._det_and_cramer_diagonal
-
-        def recording(*args):
-            det, xkk = real(*args)
-            dets.append(det)
-            return det, xkk
-
-        monkeypatch.setattr(closed_form, "_det_and_cramer_diagonal", recording)
+        dets = recording_dets(monkeypatch)
         omega(cfg(n_a, n_b, n_e, alpha, beta, 1.0))
         (_, _, mu1, m1, mu2, m2), = levels
         assert (mu1 == 1.0 / alpha) == (beta > 1.0)
         want = float(mp.log(abs(dets[-1])))
         got = closed_form._log_det_r0(n_e, min(n_e, n_a), mu1, m1, mu2, m2)
         assert abs(got - want) <= 1e-10
+        assert mp.sign(dets[-1]) == (-1) ** (n_e * (n_a - min(n_e, n_a)))
+
+    def test_det_r0_sign_depends_only_on_shape(self, monkeypatch):
+        # omega is sum_k x_kk because the expansion's prefactor is exactly
+        # 1 / det R0, sign included. det R0 is continuous in (mu1, mu2) and,
+        # by its closed form (_log_det_r0), never zero on mu1 > mu2 > 0, so
+        # its sign is fixed per shape and one level pair per level order
+        # checks it
+        dets = recording_dets(monkeypatch)
+        for n_a in range(2, 9):
+            for n_b in range(1, n_a):
+                for n_e in range(1, 9):
+                    want = (-1) ** (n_e * (n_a - min(n_e, n_a)))
+                    for beta in (0.5, 2.0):
+                        dets.clear()
+                        omega(cfg(n_a, n_b, n_e, 1.0, beta, 1.0))
+                        assert dets and mp.sign(dets[-1]) == want, (n_a, n_b, n_e, beta)
 
     @pytest.mark.parametrize(
         "n_a, n_b, n_e, alpha, beta, eliminations",

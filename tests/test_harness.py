@@ -91,6 +91,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("n_a=3\nn_b=6\nn_e=4\nalpha=2\nbeta=0.5\ngamma=2\n")
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    def test_db_beyond_float_range_rejected(self, name):
+        # 10^(4000/10) overflows; it reaches the finiteness check as inf
+        raw = {"n_a": 6, "n_b": 3, "n_e": 4, "alpha": 2.0, "beta": 0.5, "gamma": 2.0}
+        del raw[name]
+        raw[name + "_db"] = 4000.0
+        with pytest.raises(ConfigError, match=f"{name} must be finite .* got inf"):
+            config_from_mapping(raw)
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("n_a 6\n")
@@ -239,6 +248,12 @@ class TestSweepSpec:
     def test_fail_fast_on_unbuildable_row(self):
         with pytest.raises(ConfigError):
             SweepSpec(**self.kwargs(values=(0, 2)))
+
+    @pytest.mark.parametrize("axis", ["gamma_db", "beta_db"])
+    def test_db_row_beyond_float_range_rejected(self, axis):
+        name = axis.removesuffix("_db")
+        with pytest.raises(ConfigError, match=f"{name} must be finite and > 0, got inf"):
+            SweepSpec(**self.kwargs(axis=axis, values=(0.0, 4000.0)))
 
 
 class TestParseSweepText:
