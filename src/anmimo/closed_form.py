@@ -37,7 +37,10 @@ Numerical notes, since both closed forms are badly alternating:
   a confluent Vandermonde matrix, so det R0 and its Hadamard bound are
   known in closed form before any elimination; the first precision
   covers the digits det R0 loses against that bound. The expansion's
-  prefactor is 1 / det R0, so omega is the Cramer sum sum_k x_kk.
+  prefactor is 1 / det R0, so omega is the Cramer sum sum_k x_kk. The
+  audit needs only floats of its logs, so it runs in float log10 space
+  from each mpf's mantissa and exponent, which holds far outside double
+  range; the matrix entries share each level's powers mu^e.
   Near-degenerate inputs (|beta - 1| < 1e-6) route to the single-group
   branch instead.
 * The E1 ladder T_t = exp(mu) E_{t+1}(mu) that fills omega's columns runs
@@ -286,17 +289,22 @@ def _det_and_cramer_diagonal(a, n, p):
     The arithmetic runs on the raw libmp values under the mpf objects, at
     the context's precision and rounding: the same calls the mpf
     operators and mp.fsum make, so every intermediate is bitwise the one
-    mpf arithmetic gives, without an mpf object per operation.
+    mpf arithmetic gives, without an mpf object per operation. A
+    difference is mpf_add with its subtract flag, which is all mpf_sub
+    does.
     """
     prec, rnd = mp.mp._prec_rounding
+    mpf_abs, mpf_gt, mpf_add, mpf_mul, mpf_div = (
+        libmp.mpf_abs, libmp.mpf_gt, libmp.mpf_add, libmp.mpf_mul, libmp.mpf_div
+    )
     a = [[v._mpf_ for v in row] for row in a]
     det = libmp.fone
     for col in range(n):
         # the first row of largest |entry|, as max() would pick it
-        piv, big = col, libmp.mpf_abs(a[col][col], prec, rnd)
+        piv, big = col, mpf_abs(a[col][col], prec, rnd)
         for i in range(col + 1, n):
-            v = libmp.mpf_abs(a[i][col], prec, rnd)
-            if libmp.mpf_gt(v, big):
+            v = mpf_abs(a[i][col], prec, rnd)
+            if mpf_gt(v, big):
                 piv, big = i, v
         if big == libmp.fzero:
             return mp.mpf(0), []
@@ -304,12 +312,13 @@ def _det_and_cramer_diagonal(a, n, p):
             a[col], a[piv] = a[piv], a[col]
             det = libmp.mpf_neg(det, prec, rnd)
         top = a[col]
-        det = libmp.mpf_mul(det, top[col], prec, rnd)
+        pivot = top[col]
+        det = mpf_mul(det, pivot, prec, rnd)
         tail = top[col + 1 :]
         for row in a[col + 1 :]:
-            f = libmp.mpf_div(row[col], top[col], prec, rnd)
+            f = mpf_div(row[col], pivot, prec, rnd)
             row[col + 1 :] = [
-                libmp.mpf_sub(r, libmp.mpf_mul(f, t, prec, rnd), prec, rnd)
+                mpf_add(r, mpf_mul(f, t, prec, rnd), prec, rnd, 1)
                 for r, t in zip(row[col + 1 :], tail)
             ]
     xkk = []
@@ -318,11 +327,88 @@ def _det_and_cramer_diagonal(a, n, p):
         for i in range(n - 1, k - 1, -1):
             row = a[i]
             rest = libmp.mpf_sum(
-                [libmp.mpf_mul(row[j], x[j], prec, rnd) for j in range(i + 1, n)], prec, rnd
+                [mpf_mul(row[j], x[j], prec, rnd) for j in range(i + 1, n)], prec, rnd
             )
-            x[i] = libmp.mpf_div(libmp.mpf_sub(row[n + k], rest, prec, rnd), row[i], prec, rnd)
+            x[i] = mpf_div(mpf_add(row[n + k], rest, prec, rnd, 1), row[i], prec, rnd)
         xkk.append(mp.make_mpf(x[k]))
     return mp.make_mpf(det), xkk
+
+
+def _log10_abs(v) -> float:
+    """log10|v| of an mpf from its raw (sign, man, exp, bc); -inf at zero.
+
+    v is man * 2^exp exactly, so this holds far outside double range, where
+    float(v) overflows or flushes to zero.
+    """
+    _, man, exp, _ = v._mpf_
+    if not man:
+        return -math.inf
+    return math.log10(int(man)) + exp * _LOG10_2
+
+
+def _log10_norm(logs) -> float:
+    """log10 of the Euclidean norm of a vector given each entry's log10|entry|."""
+    top = max(logs)
+    return top + math.log10(math.fsum(10.0 ** (2 * (v - top)) for v in logs)) / 2
+
+
+def _digit_losses(a, n, det, xkk):
+    """Digits lost inside det R0 and each det R_k = det R0 x_kk, as floats.
+
+    Each loss is log10 of the determinant's Hadamard row-norm bound over
+    its value, in float log10 space from each mpf's mantissa and exponent
+    (_log10_abs), so no mpf arithmetic is spent on it. det and every x_kk
+    must be nonzero. The row of R_k is the row of R0 with entry k replaced
+    by the row's entry of c_k; its sum of squares adds the squares before
+    k, after k and of that entry, so nothing cancels.
+    """
+    p = len(xkk)
+    log_hadamard = [0.0] * (p + 1)
+    for row in a:
+        logs = [_log10_abs(v) for v in row]
+        top = max(logs)
+        squares = [10.0 ** (2 * (v - top)) for v in logs]
+        before = list(accumulate(squares[: p - 1], initial=0.0))
+        after = list(accumulate(reversed(squares[:n]), initial=0.0))
+        log_hadamard[0] += top + math.log10(after[n]) / 2
+        for k in range(p):
+            s = before[k] + after[n - 1 - k] + squares[n + k]
+            if s < 1e-290:
+                # the row of R_k lies hundreds of digits below the row's
+                # largest entry: sum its squares on its own scale instead
+                log_hadamard[k + 1] += _log10_norm(logs[:k] + [logs[n + k]] + logs[k + 1 : n])
+            else:
+                log_hadamard[k + 1] += top + math.log10(s) / 2
+    log_det = _log10_abs(det)
+    log_dets = [log_det] + [log_det + _log10_abs(x) for x in xkk]
+    return [h - d for h, d in zip(log_hadamard, log_dets)]
+
+
+def _augmented_rows(n_a: int, n_e: int, mu1, m1, mu2, m2):
+    """The rows of [R0 | c_1 .. c_p] at the current precision.
+
+    Each row belongs to one level and carries a shift d: the order of the
+    derivative in that level's confluent block. Its first p entries are
+    (-1)^d phi! / mu^(phi+1), then (k)_d mu^(k-d) for k = n_a - j, j > p;
+    c_k is R0's column k scaled entrywise by the E1 tail sums. Each level's
+    powers mu^e are computed once and shared by its rows.
+    """
+    p = min(n_e, n_a)
+    phi_max = n_e - 1 + max(m1, m2) - 1
+    a = []
+    for mu, m in ((mu1, m1), (mu2, m2)):
+        mu = mp.mpf(mu)
+        tails = list(accumulate(_exp_e1_ladder(mu, phi_max)))
+        powers = {e: mu ** e for e in {*range(n_a - p), *range(n_e - p + 1, n_e + m)}}
+        for d in range(m - 1, -1, -1):
+            phis = range(n_e - p + d, n_e + d)
+            r0 = [(-1) ** d * math.factorial(phi) / powers[phi + 1] for phi in phis]
+            r0 += [
+                math.perm(k, d) * powers[k - d] if k >= d else mp.mpf(0)
+                for k in range(n_a - p - 1, -1, -1)
+            ]
+            a.append(r0 + [v * tails[phi] for v, phi in zip(r0, phis)])
+    return a
 
 
 def _log_det_r0(n_e: int, p: int, mu1, m1, mu2, m2) -> float:
@@ -381,59 +467,36 @@ def _omega_determinant_sum(n_a: int, n_e: int, mu1, m1, mu2, m2) -> float:
     the sum is sum_k x_kk = tr(R0^{-1} C): one Gaussian elimination of
     [R0 | c_1 .. c_p] with partial pivoting and p back substitutions.
 
-    Evaluated entirely in mpmath; det R0 enters only the first precision and
-    the audit. The first precision (_first_dps) is the digits det R0, in
-    closed form, loses against its Hadamard row-norm bound, which include
-    the (mu1 - mu2)^(m1 m2) blow-up. After evaluation the actual digit loss
+    Evaluated in mpmath at a working precision; det R0 enters only the first
+    precision and the audit. The first precision (_first_dps) is the digits
+    det R0, in closed form, loses against its Hadamard row-norm bound, which
+    include the (mu1 - mu2)^(m1 m2) blow-up. The rows share each level's
+    powers mu^e (_augmented_rows). After evaluation the actual digit loss
     is audited and the whole computation retries at the audited precision if
     the first guess was short, as it is where a det R_k loses more than
     det R0 (at high SNR, or with one x_kk far below the others at low SNR).
     The audit adds the worst loss inside the p + 1 determinants det R0 and
     det R_k (each one's Hadamard row-norm bound against its value; R0 alone
     misses digits the solves lose) and the cancellation across the k-sum
-    (max_k |x_kk| against |sum_k x_kk|). A determinant that is zero or above
-    its own Hadamard bound holds no correct digit, and the attempt fails.
+    (max_k |x_kk| against |sum_k x_kk|). It only needs a float of these
+    logs, so it runs in float log10 space from each mpf's mantissa and
+    exponent (_digit_losses), with log10|det R_k| = log10|det R0| +
+    log10|x_kk|. A zero det R0, x_kk or sum, or a determinant above its own
+    Hadamard bound, holds no correct digit, and the attempt fails.
     """
     p = min(n_e, n_a)
     dps = _first_dps(n_a, n_e, mu1, m1, mu2, m2)
-    # each row belongs to one eigenvalue group and carries a shift d: the
-    # order of the derivative in that group's confluent block
-    rows = [(0, m1 - i) for i in range(1, m1 + 1)] + [
-        (1, n_a - i) for i in range(m1 + 1, n_a + 1)
-    ]
-    phi_max = n_e - 1 + max(m1, m2) - 1
     for _ in range(8):
         with mp.workdps(dps):
-            levels = (mp.mpf(mu1), mp.mpf(mu2))
-            tail_sums = [list(accumulate(_exp_e1_ladder(mu, phi_max))) for mu in levels]
-            # rows of [R0 | C], and their squared norms in R0, R_1 .. R_p
-            a, hadamard = [], []
-            for g, d in rows:
-                mu, tails = levels[g], tail_sums[g]
-                phis = range(n_e - p + d, n_e + d)
-                r0 = [(-1) ** d * math.factorial(phi) / mu ** (phi + 1) for phi in phis]
-                r0 += [
-                    math.perm(n_a - j, d) * mu ** (n_a - j - d)
-                    if n_a - j >= d
-                    else mp.mpf(0)
-                    for j in range(p + 1, n_a + 1)
-                ]
-                c = [v * tails[phi] for v, phi in zip(r0, phis)]
-                norm2 = mp.fsum(v * v for v in r0)
-                hadamard.append([norm2] + [norm2 - v * v + w * w for v, w in zip(r0, c)])
-                a.append(r0 + c)
+            a = _augmented_rows(n_a, n_e, mu1, m1, mu2, m2)
             det, xkk = _det_and_cramer_diagonal(a, n_a, p)
-            # digits lost inside det R0 and each det R_k = det R0 x_kk: its
-            # Hadamard row-norm bound over its value. A determinant that is
-            # zero or above its bound holds no correct digit.
-            losses = [
-                mp.log(abs(mp.fprod(norms2)), 10) / 2 - mp.log(abs(dk), 10) if dk else -1
-                for norms2, dk in zip(zip(*hadamard), [det] + [det * x for x in xkk])
-            ]
             x_sum = mp.fsum(xkk)
-            if min(losses) >= 0 and x_sum:
-                inner = float(max(losses))
-                cross = float(mp.log(max(abs(x) for x in xkk) / abs(x_sum), 10))
+            # a zero det R0, x_kk or sum, or a determinant above its
+            # Hadamard bound (a negative loss), holds no correct digit
+            losses = _digit_losses(a, n_a, det, xkk) if det and all(xkk) and x_sum else [-1.0]
+            if min(losses) >= 0:
+                inner = max(losses)
+                cross = max(map(_log10_abs, xkk)) - _log10_abs(x_sum)
             else:
                 inner, cross = float(dps), 0.0
             needed = inner + cross + 15.0

@@ -23,9 +23,9 @@ from .asymptotics import (
     AsymptoticRatios,
     _in_trust_region,
     a_min_max,
-    asymptotic_average_rate,
     critical_eve_antennas,
     delta_highsnr,
+    psi,
 )
 from .closed_form import SystemConfig, average_rate_bounds, average_secrecy_rate
 from .errors import ConfigError, SweepError
@@ -235,8 +235,11 @@ def run_point(
         exact = average_secrecy_rate(cfg)
         row["exact"] = exact
         row["exact_clamped"] = max(exact, 0.0)
+    # the asymptotic column and the margins share one set of ratios
+    ratios = None
     if "asymptotic" in wanted:
-        row["asymptotic"] = asymptotic_average_rate(cfg)
+        ratios = AsymptoticRatios.from_config(cfg)
+        row["asymptotic"] = cfg.n_b * psi(ratios) if cfg.alpha != 0.0 else 0.0
     if "lower" in wanted or "upper" in wanted:
         lower, upper = average_rate_bounds(cfg)
         if "lower" in wanted:
@@ -250,7 +253,8 @@ def run_point(
         row["mc"] = est.mean
         row["mc_stderr"] = est.stderr
     if "delta_amax" in wanted or "delta_amin" in wanted:
-        ratios = AsymptoticRatios.from_config(cfg)
+        if ratios is None:
+            ratios = AsymptoticRatios.from_config(cfg)
         a_min, a_max = a_min_max(ratios)
         if "delta_amax" in wanted:
             row["delta_amax"] = delta_highsnr(a_max, ratios)

@@ -330,6 +330,74 @@ class TestOmega:
         assert len(calls) == eliminations
 
     @pytest.mark.parametrize(
+        "value",
+        ["1e5000", "-1e5000", "1e-5000", "-1e-5000", "1", "-3.5", "0.1", "7e300", "2e-310"],
+    )
+    def test_log10_abs_matches_mpmath(self, value):
+        # from the mantissa and exponent alone, also past double range
+        with mp.workdps(50):
+            v = mp.mpf(value)
+            assert closed_form._log10_abs(v) == pytest.approx(
+                float(mp.log10(abs(v))), rel=1e-15, abs=1e-15
+            )
+        assert closed_form._log10_abs(mp.mpf(0)) == -math.inf
+
+    def test_float_audit_matches_working_precision(self):
+        # the audit's float log10 losses against the same losses at working
+        # precision: log10 of the product of squared row norms of R0 and of
+        # each R_k (column k of R0 replaced by c_k), halved, minus
+        # log10|det R_k|, with det R_k = det R0 x_kk
+        rng = random.Random(14)
+        shapes = []
+        for _ in range(8):
+            n_a = rng.randint(2, 16)
+            shapes.append((n_a, rng.randint(1, n_a - 1), rng.randint(1, 16),
+                           10 ** rng.uniform(-6, 6), 10 ** rng.uniform(-6, 6)))
+        # levels 1e4 and 1e8: entries phi! / mu^(phi+1) reach 1e-376
+        shapes.append((32, 16, 32, 1e-4, 1e-4))
+        # levels 1e200 and 5e199: rows of R_k hundreds of digits below
+        # the largest entry of their row in [R0 | C]
+        shapes.append((6, 3, 12, 1e-200, 2.0))
+        for n_a, n_b, n_e, alpha, beta in shapes:
+            data, noise = (1.0 / alpha, n_b), (1.0 / (alpha * beta), n_a - n_b)
+            (mu1, m1), (mu2, m2) = sorted((data, noise), reverse=True)
+            p = min(n_e, n_a)
+            with mp.workdps(40):
+                a = closed_form._augmented_rows(n_a, n_e, mu1, m1, mu2, m2)
+                det, xkk = _det_and_cramer_diagonal(a, n_a, p)
+                got = closed_form._digit_losses(a, n_a, det, xkk)
+                assert len(got) == p + 1
+                if n_a == 32:
+                    assert any(v and not 1e-308 < abs(v) < 1e308 for row in a for v in row)
+                matrices = [[row[:n_a] for row in a]] + [
+                    [row[:k] + [row[n_a + k]] + row[k + 1 : n_a] for row in a] for k in range(p)
+                ]
+                dets = [det] + [det * x for x in xkk]
+                for k, (matrix, d_k) in enumerate(zip(matrices, dets)):
+                    norms2 = [mp.fsum(v * v for v in row) for row in matrix]
+                    want = mp.log(mp.fprod(norms2), 10) / 2 - mp.log(abs(d_k), 10)
+                    assert abs(got[k] - float(want)) <= 1e-9, (n_a, n_b, n_e, alpha, beta, k)
+
+    def test_zero_cramer_entry_retries(self, monkeypatch):
+        # a zero x_kk makes det R_k zero: no correct digit, so the attempt
+        # fails and the retry at higher precision gives the usual value
+        c = cfg(6, 3, 12, 2.0, 0.5, 1.0)
+        want = omega(c)
+        calls = []
+        real = closed_form._det_and_cramer_diagonal
+
+        def zeroing(*args):
+            det, xkk = real(*args)
+            if not calls:
+                xkk[1] = mp.mpf(0)
+            calls.append(args)
+            return det, xkk
+
+        monkeypatch.setattr(closed_form, "_det_and_cramer_diagonal", zeroing)
+        assert omega(c) == want
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
         "n_a, n_b, n_e, alpha, beta",
         [
             (6, 3, 12, 2.0, 0.5),
