@@ -16,9 +16,8 @@ from typing import List, Optional
 
 from .errors import ConfigError, NumericError, SweepError
 from .harness import (
-    config_from_mapping,
     design_report,
-    parse_config_text,
+    parse_config,
     parse_design_text,
     parse_sweep_text,
     point_row,
@@ -105,9 +104,12 @@ def _emit(rows, args) -> None:
     text = rows_to_json(rows) if args.json else rows_to_csv(rows)
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {args.out!r}: {exc}") from exc
 
 
 def _mc_kwargs(args) -> dict:
@@ -122,7 +124,7 @@ def _mc_kwargs(args) -> dict:
 
 
 def _cmd_rate(args) -> List[dict]:
-    cfg = config_from_mapping(parse_config_text(_read_text(args.config)))
+    cfg = parse_config(_read_text(args.config))
     outputs = [s.strip() for s in args.outputs.split(",") if s.strip()]
     return [point_row(cfg, run_point(cfg, outputs, **_mc_kwargs(args)))]
 

@@ -522,9 +522,11 @@ def omega(cfg: SystemConfig) -> float:
     if abs(cfg.beta - 1.0) < _BETA_DEGENERATE_TOL:
         return theta(cfg.n_hat_min, cfg.n_hat_max, cfg.alpha)
     # the eavesdropper's two levels: 1/alpha on the n_b data dimensions,
-    # 1/(alpha beta) on the n_a - n_b noise dimensions, larger one first
+    # 1/(alpha beta) on the n_a - n_b noise dimensions, larger one first;
+    # a product that underflows to 0 is an infinite level, refused below
+    ab = cfg.alpha * cfg.beta
     data = (1.0 / cfg.alpha, cfg.n_b)
-    noise = (1.0 / (cfg.alpha * cfg.beta), cfg.n_a - cfg.n_b)
+    noise = (1.0 / ab if ab else math.inf, cfg.n_a - cfg.n_b)
     (mu1, m1), (mu2, m2) = (data, noise) if data[0] > noise[0] else (noise, data)
     if not (mu1 > mu2 > 0.0 and math.isfinite(mu1)):
         raise DomainError(f"need mu1 > mu2 > 0, got mu1={mu1!r}, mu2={mu2!r}")

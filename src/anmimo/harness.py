@@ -6,6 +6,11 @@ both is an error, and the dB form is converted exactly once, at the parse
 boundary. Unit conversion (nats to bits) likewise happens at exactly one
 point, after all rate columns are assembled, so every output path agrees.
 
+One reader states what a point is, for config, design and sweep files
+alike: ``_floats`` turns the file's strings into numbers, ``_point_fields``
+checks the antenna counts and resolves alpha, beta and gamma, and
+``POINT_COLUMNS`` orders the six point fields wherever they are written.
+
 CSV bytes are deterministic: fixed column order, ``%.12g`` floats, and a
 bare-newline line terminator regardless of platform.
 """
@@ -32,19 +37,10 @@ from .errors import ConfigError, SweepError
 
 LN2 = math.log(2.0)
 
-CONFIG_KEYS = frozenset(
-    {
-        "n_a",
-        "n_b",
-        "n_e",
-        "alpha",
-        "alpha_db",
-        "beta",
-        "beta_db",
-        "gamma",
-        "gamma_db",
-    }
-)
+# the six fields of an operating point, in the order every output uses
+POINT_COLUMNS: Tuple[str, ...] = ("n_a", "n_b", "n_e", "alpha", "beta", "gamma")
+
+CONFIG_KEYS = frozenset(POINT_COLUMNS + ("alpha_db", "beta_db", "gamma_db"))
 
 # every column a point evaluation can emit, in canonical order
 OUTPUT_COLUMNS: Tuple[str, ...] = (
@@ -94,8 +90,13 @@ def parse_config_text(text: str) -> Dict[str, float]:
     unknown keys, and unparseable values are all rejected rather than
     silently last-one-wins.
     """
+    return _floats(_parse_lines(text, CONFIG_KEYS))
+
+
+def _floats(pairs: Mapping[str, str]) -> Dict[str, float]:
+    """Each value of ``pairs`` as a float; ConfigError names the first bad one."""
     out: Dict[str, float] = {}
-    for key, value in _parse_lines(text, CONFIG_KEYS).items():
+    for key, value in pairs.items():
         try:
             out[key] = float(value)
         except ValueError:
@@ -137,25 +138,31 @@ def _resolve_linear(raw: Mapping[str, float], name: str) -> float:
     raise ConfigError(f"missing {name} (or {db_name})")
 
 
+def _point_fields(raw: Mapping[str, float], counts: Sequence[str]) -> Dict[str, float]:
+    """The named antenna counts as ints, then linear alpha, beta and gamma.
+
+    ConfigError for a missing or fractional count, or a level given both
+    ways or not at all. Ranges are left to what the fields are passed to
+    (SystemConfig, or design_report for a design file).
+    """
+    fields: Dict[str, float] = {}
+    for name in counts:
+        if name not in raw:
+            raise ConfigError(f"missing {name}")
+        fields[name] = _whole_number(raw[name], f"{name} must be an integer, got {raw[name]!r}")
+    for name in ("alpha", "beta", "gamma"):
+        fields[name] = _resolve_linear(raw, name)
+    return fields
+
+
 def config_from_mapping(raw: Mapping[str, float]) -> SystemConfig:
     """Build a validated system description from parsed key/value pairs."""
     for key in raw:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown key {key!r}")
-    dims = {}
-    for name in ("n_a", "n_b", "n_e"):
-        if name not in raw:
-            raise ConfigError(f"missing {name}")
-        dims[name] = _whole_number(raw[name], f"{name} must be an integer, got {raw[name]!r}")
+    fields = _point_fields(raw, ("n_a", "n_b", "n_e"))
     try:
-        return SystemConfig(
-            n_a=dims["n_a"],
-            n_b=dims["n_b"],
-            n_e=dims["n_e"],
-            alpha=_resolve_linear(raw, "alpha"),
-            beta=_resolve_linear(raw, "beta"),
-            gamma=_resolve_linear(raw, "gamma"),
-        )
+        return SystemConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -174,30 +181,16 @@ def parse_design_text(text: str) -> Dict[str, float]:
     raw = parse_config_text(text)
     if "n_e" in raw:
         raise ConfigError("design config must not fix n_e; it is the unknown")
-    out: Dict[str, float] = {}
-    for name in ("n_a", "n_b"):
-        if name not in raw:
-            raise ConfigError(f"missing {name}")
-        out[name] = _whole_number(raw[name], f"{name} must be an integer, got {raw[name]!r}")
-    for name in ("alpha", "beta", "gamma"):
-        out[name] = _resolve_linear(raw, name)
-    return out
+    return _point_fields(raw, ("n_a", "n_b"))
 
 
 def format_config(cfg: SystemConfig) -> str:
     """Render a config as parseable text; round-trips through parse_config."""
-    lines = [
-        f"n_a = {cfg.n_a}",
-        f"n_b = {cfg.n_b}",
-        f"n_e = {cfg.n_e}",
-        f"alpha = {cfg.alpha:.12g}",
-        f"beta = {cfg.beta:.12g}",
-        f"gamma = {cfg.gamma:.12g}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {_format_cell(getattr(cfg, name))}\n" for name in POINT_COLUMNS)
 
 
-def _check_outputs(outputs: Sequence[str]) -> List[str]:
+def _check_outputs(outputs: Sequence[str], units: str) -> List[str]:
+    """The requested outputs, duplicates dropped; then the units are checked."""
     if not outputs:
         raise ConfigError("outputs must be a nonempty list")
     seen = []
@@ -208,6 +201,8 @@ def _check_outputs(outputs: Sequence[str]) -> List[str]:
             )
         if name not in seen:
             seen.append(name)
+    if units not in ("nats", "bits"):
+        raise ConfigError(f"units must be 'nats' or 'bits', got {units!r}")
     return seen
 
 
@@ -227,9 +222,7 @@ def run_point(
     "mc_stderr". With units="bits" every rate-like column is divided by
     ln 2 in a single pass at the end.
     """
-    wanted = _check_outputs(outputs)
-    if units not in ("nats", "bits"):
-        raise ConfigError(f"units must be 'nats' or 'bits', got {units!r}")
+    wanted = _check_outputs(outputs, units)
     row: Dict[str, float] = {}
     if "exact" in wanted:
         exact = average_secrecy_rate(cfg)
@@ -294,9 +287,7 @@ class SweepSpec:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("sweep values must be strictly increasing")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "outputs", tuple(_check_outputs(self.outputs)))
-        if self.units not in ("nats", "bits"):
-            raise ConfigError(f"units must be 'nats' or 'bits', got {self.units!r}")
+        object.__setattr__(self, "outputs", tuple(_check_outputs(self.outputs, self.units)))
         trials = _whole_number(
             self.mc_trials, f"mc_trials must be an integer, got {self.mc_trials!r}"
         )
@@ -323,10 +314,7 @@ def _sweep_n_e(value: float) -> int:
     return _whole_number(value, f"n_e sweep value {value!r} is not an integer")
 
 
-SWEEP_ONLY_KEYS = frozenset(
-    {"axis", "values", "outputs", "mc_trials", "seed", "units", "clamp"}
-)
-SWEEP_FILE_KEYS = frozenset(CONFIG_KEYS | SWEEP_ONLY_KEYS)
+SWEEP_FILE_KEYS = CONFIG_KEYS | {"axis", "values", "outputs", "mc_trials", "seed", "units", "clamp"}
 
 
 def parse_bool(text: str) -> bool:
@@ -385,20 +373,11 @@ def parse_sweep_text(
     flags = {"mc_trials": mc_trials, "seed": seed, "units": units, "clamp": clamp}
     settings.update((k, v) for k, v in flags.items() if v is not None)
 
-    base_raw = {}
-    for key, value in raw.items():
-        try:
-            base_raw[key] = float(value)
-        except ValueError:
-            raise ConfigError(f"bad value {value!r} for {key!r}") from None
+    base_raw = _floats(raw)
     # the swept coordinate may be left out of the base point; any value
     # from the axis list is substituted per row anyway
-    if axis == "n_e" and "n_e" not in base_raw:
-        base_raw["n_e"] = _sweep_n_e(values[0])
-    if axis == "gamma_db" and "gamma" not in base_raw and "gamma_db" not in base_raw:
-        base_raw["gamma_db"] = values[0]
-    if axis == "beta_db" and "beta" not in base_raw and "beta_db" not in base_raw:
-        base_raw["beta_db"] = values[0]
+    if axis in SWEEP_AXES and axis not in base_raw and axis.removesuffix("_db") not in base_raw:
+        base_raw[axis] = _sweep_n_e(values[0]) if axis == "n_e" else values[0]
     base = config_from_mapping(base_raw)
     return SweepSpec(
         base=base,
@@ -437,14 +416,7 @@ def run_sweep(spec: SweepSpec) -> List[Dict[str, float]]:
 
 def point_row(cfg: SystemConfig, computed: Mapping[str, float]) -> Dict[str, float]:
     """Prepend the config columns to a computed output mapping."""
-    row: Dict[str, float] = {
-        "n_a": cfg.n_a,
-        "n_b": cfg.n_b,
-        "n_e": cfg.n_e,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "gamma": cfg.gamma,
-    }
+    row: Dict[str, float] = {name: getattr(cfg, name) for name in POINT_COLUMNS}
     row.update(computed)
     return row
 
@@ -487,7 +459,7 @@ def _column_order(rows: Sequence[Mapping[str, object]]) -> List[str]:
     present = set()
     for row in rows:
         present.update(row.keys())
-    ordered = [c for c in ("n_a", "n_b", "n_e", "alpha", "beta", "gamma") if c in present]
+    ordered = [c for c in POINT_COLUMNS if c in present]
     ordered += [c for c in OUTPUT_COLUMNS if c in present]
     # anything nonstandard (e.g. design report fields) keeps first-seen order
     for row in rows:

@@ -90,6 +90,23 @@ class TestRate:
         assert code == 0 and out == ""
         assert dest.read_text() == stdout_text
 
+    @pytest.mark.parametrize("dest", ["missing/row.csv", "."], ids=["no-parent", "directory"])
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path, dest):
+        cfg = write(tmp_path, "p.cfg", POINT)
+        out_path = str(tmp_path / dest)
+        code, out, err = run_main(capsys, ["rate", "--config", cfg, "--out", out_path])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write output {out_path!r}: ")
+        assert err.count("\n") == 1
+
+    def test_underflowing_noise_level_is_domain_error(self, capsys, tmp_path):
+        # alpha beta underflows to 0: an infinite level, not a ZeroDivisionError
+        text = POINT.replace("alpha = 2\nbeta = 0.5", "alpha = 1e-200\nbeta = 1e-200")
+        cfg = write(tmp_path, "p.cfg", text)
+        code, out, err = run_main(capsys, ["rate", "--config", cfg])
+        assert code == 1 and out == ""
+        assert err == "error: need mu1 > mu2 > 0, got mu1=inf, mu2=1e+200\n"
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_main(capsys, ["rate", "--config", "/nonexistent/x.cfg"])
         assert code == 1 and err.startswith("error:")

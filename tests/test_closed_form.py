@@ -225,6 +225,9 @@ class TestOmega:
             (1e200, 1e200, "need mu1 > mu2 > 0, got mu1=1e-200, mu2=0.0"),
             (1e-310, 2.0, "need mu1 > mu2 > 0, got mu1=inf, mu2=inf"),
             (1e-300, 1e-10, "need mu1 > mu2 > 0, got mu1=inf, mu2=9.999999999999999e+299"),
+            # alpha beta itself underflows to 0 (once a ZeroDivisionError)
+            (1e-200, 1e-200, "need mu1 > mu2 > 0, got mu1=inf, mu2=1e+200"),
+            (5e-324, 0.5, "need mu1 > mu2 > 0, got mu1=inf, mu2=inf"),
         ],
     )
     def test_levels_outside_float_range(self, alpha, beta, message):

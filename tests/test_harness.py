@@ -140,6 +140,52 @@ class TestConfigParsing:
         assert out["beta"] == 10.0**0.1
 
 
+class TestReadersAgree:
+    """Config, design and sweep files read their base point one way."""
+
+    BASE = "n_a = 6\nn_b = 3\nalpha = 2\nbeta = 0.5\ngamma = 2\n"
+
+    @staticmethod
+    def refusals(base):
+        """The ConfigError text of each reader, given a file around ``base``."""
+        files = {
+            "config": (parse_config, base + "n_e = 4\n"),
+            "design": (parse_design_text, base),
+            "sweep": (parse_sweep_text, "axis = n_e\nvalues = 2, 4\noutputs = exact\n" + base),
+        }
+        messages = {}
+        for reader, (parse, text) in files.items():
+            try:
+                parse(text)
+            except ConfigError as exc:
+                messages[reader] = str(exc)
+        return messages
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("gamma = 2\n", "", "missing gamma (or gamma_db)"),
+            ("gamma = 2", "gamma = x", "bad value 'x' for 'gamma'"),
+            ("n_a = 6", "n_a = 6.5", "n_a must be an integer, got 6.5"),
+            ("alpha = 2\n", "alpha = 2\nalpha_db = 3\n", "give alpha or alpha_db, not both"),
+        ],
+        ids=["missing-gamma", "bad-number", "fractional-count", "both-spellings"],
+    )
+    def test_same_message_from_every_reader(self, old, new, message):
+        messages = self.refusals(self.BASE.replace(old, new))
+        assert messages == {"config": message, "design": message, "sweep": message}
+
+    def test_overflowing_db_refused_by_each_points_own_range(self):
+        # the design reader leaves ranges to design_report, which needs alpha > 0
+        base = self.BASE.replace("alpha = 2", "alpha_db = 4000")
+        message = "alpha must be finite and >= 0, got inf"
+        assert self.refusals(base) == {"config": message, "sweep": message}
+        fields = parse_design_text(base)
+        assert fields["alpha"] == math.inf
+        with pytest.raises(ValueError, match="^alpha must be finite and > 0, got inf$"):
+            design_report(**fields)
+
+
 class TestRunPoint:
     def test_exact_carries_clamped_twin(self):
         row = run_point(base_cfg(), ["exact"])
