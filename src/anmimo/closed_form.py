@@ -25,46 +25,45 @@ Numerical notes, since both closed forms are badly alternating:
   negative exponent; the m = n = 1 reduction E[ln(1+x|g|^2)] =
   exp(1/x) E1(1/x) and Monte Carlo both fix the true sign as positive,
   and that is what is implemented.
-* omega's determinant sum divides by (mu1 - mu2)^(m1 m2) and cancels
-  catastrophically as the two eigenvalue groups merge, so it runs at
-  adaptive arbitrary precision with an a-posteriori digit-loss audit,
-  retrying at higher precision until the audit passes. Its p determinants
-  differ from one base matrix R0 in one column each, so one elimination
-  of R0 and p back substitutions give all of them (matrix determinant
-  lemma). The audit compares the Hadamard row-norm bound of R0 and of
-  each R_k with its value, fails an attempt whose determinant is zero or
-  above its own bound, and adds the cancellation across the k-sum. R0 is
-  a confluent Vandermonde matrix, so det R0 and its Hadamard bound are
-  known in closed form before any elimination; the first precision
-  covers the digits det R0 loses against that bound. The expansion's
-  prefactor is 1 / det R0, so omega is the Cramer sum sum_k x_kk. The
-  audit needs only floats of its logs, so it runs in float log10 space
-  from each mpf's mantissa and exponent, which holds far outside double
-  range; the matrix entries share each level's powers mu^e.
+* omega, the eavesdropper's two-level log-det, is the Cramer sum
+  tr(R0^-1 C) of a determinant expansion. R0 is a two-node confluent
+  Vandermonde matrix, so R0^-1 is Hermite interpolation, and taking the
+  interpolant's coefficients by residues turns the sum into
+  sum_{l,phi} w_{l,phi} tail_l(phi): exact weights on the E1 tail sums
+  tail_l(phi) = sum_{t <= phi} T_t(mu_l) of each level. The weights are
+  homogeneous of degree 0 in the levels, so they are built from the two
+  levels scaled to integers as Python ints over one denominator per
+  level, in at most about 2 ms up to n = 16. Only their dot product with
+  the tails is rounded. It cancels as the two eigenvalue groups merge
+  (the weights grow like (mu1 / (mu1 - mu2))^(n_a - 1)), so it runs at a
+  precision sized from the largest weight and is accepted only when that
+  covers the digits it cancels plus 20 guard digits, retrying otherwise.
   Near-degenerate inputs (|beta - 1| < 1e-6) route to the single-group
   branch instead.
-* The E1 ladder T_t = exp(mu) E_{t+1}(mu) that fills omega's columns runs
+* The E1 ladder T_t = exp(mu) E_{t+1}(mu) that gives omega's tails runs
   forward, which multiplies T_0's rounding error by up to mu^t / t!. At
   low SNR (mu = 1/alpha >> 1) that is up to hundreds of digits, which
   the ladder adds to its working precision.
+
+mpmath is imported on first use, so the asymptotic layer and the CLI's
+design reports never load it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-
-import mpmath as mp
-from mpmath import libmp
 
 from .errors import DomainError, NumericError, _finite, _integer
 
 _THETA_MAX_N = 16
 _BETA_DEGENERATE_TOL = 1e-6
 _LOG10_2 = math.log10(2.0)
+_OMEGA_GUARD_DIGITS = 20
 
 
 @dataclass(frozen=True)
@@ -248,6 +247,8 @@ def _theta_value(m: int, n: int, x: float) -> float:
     if s_p == 0 and s_q == 0:
         return 0.0
 
+    import mpmath as mp
+
     dps = 30 + max(_fraction_digits(s_p), _fraction_digits(s_q))
     with mp.workdps(dps):
         bm = mp.mpf(b.numerator) / mp.mpf(b.denominator)
@@ -267,6 +268,8 @@ def _exp_e1_ladder(mu, tmax):
     of digits, so the ladder runs with that many extra digits, plus
     log10(mu + tmax + 1) for the cancellation inside each step and a guard.
     """
+    import mpmath as mp
+
     log10_mu = math.log10(mu)
     lost = max(
         t * log10_mu - math.lgamma(t + 1) / math.log(10) for t in range(tmax + 1)
@@ -276,62 +279,6 @@ def _exp_e1_ladder(mu, tmax):
         for t in range(1, tmax + 1):
             out.append((1 - mu * out[-1]) / t)
     return out
-
-
-def _det_and_cramer_diagonal(a, n, p):
-    """det(R0) and x_kk = (R0^{-1} c_k)_k for k < p, from the rows of [R0 | C].
-
-    a holds the n rows of R0 (n columns) followed by the p columns c_k of
-    C. One Gaussian elimination with partial pivoting over all n + p
-    columns, then each back substitution stops at row k, the only entry
-    of x_k the sum needs. A singular R0 gives (0, []).
-
-    The arithmetic runs on the raw libmp values under the mpf objects, at
-    the context's precision and rounding: the same calls the mpf
-    operators and mp.fsum make, so every intermediate is bitwise the one
-    mpf arithmetic gives, without an mpf object per operation. A
-    difference is mpf_add with its subtract flag, which is all mpf_sub
-    does.
-    """
-    prec, rnd = mp.mp._prec_rounding
-    mpf_abs, mpf_gt, mpf_add, mpf_mul, mpf_div = (
-        libmp.mpf_abs, libmp.mpf_gt, libmp.mpf_add, libmp.mpf_mul, libmp.mpf_div
-    )
-    a = [[v._mpf_ for v in row] for row in a]
-    det = libmp.fone
-    for col in range(n):
-        # the first row of largest |entry|, as max() would pick it
-        piv, big = col, mpf_abs(a[col][col], prec, rnd)
-        for i in range(col + 1, n):
-            v = mpf_abs(a[i][col], prec, rnd)
-            if mpf_gt(v, big):
-                piv, big = i, v
-        if big == libmp.fzero:
-            return mp.mpf(0), []
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = libmp.mpf_neg(det, prec, rnd)
-        top = a[col]
-        pivot = top[col]
-        det = mpf_mul(det, pivot, prec, rnd)
-        tail = top[col + 1 :]
-        for row in a[col + 1 :]:
-            f = mpf_div(row[col], pivot, prec, rnd)
-            row[col + 1 :] = [
-                mpf_add(r, mpf_mul(f, t, prec, rnd), prec, rnd, 1)
-                for r, t in zip(row[col + 1 :], tail)
-            ]
-    xkk = []
-    for k in range(p):
-        x = [None] * n
-        for i in range(n - 1, k - 1, -1):
-            row = a[i]
-            rest = libmp.mpf_sum(
-                [mpf_mul(row[j], x[j], prec, rnd) for j in range(i + 1, n)], prec, rnd
-            )
-            x[i] = mpf_div(mpf_add(row[n + k], rest, prec, rnd, 1), row[i], prec, rnd)
-        xkk.append(mp.make_mpf(x[k]))
-    return mp.make_mpf(det), xkk
 
 
 def _log10_abs(v) -> float:
@@ -346,165 +293,129 @@ def _log10_abs(v) -> float:
     return math.log10(int(man)) + exp * _LOG10_2
 
 
-def _log10_norm(logs) -> float:
-    """log10 of the Euclidean norm of a vector given each entry's log10|entry|."""
-    top = max(logs)
-    return top + math.log10(math.fsum(10.0 ** (2 * (v - top)) for v in logs)) / 2
+def _omega_weights(n_a: int, n_e: int, mu1: float, m1: int, mu2: float, m2: int):
+    """Exact weights w_{l,phi} of omega's E1 tail sums, as integers per level.
 
+    For each level l (mu1 first) returns (numerators, denominator): the
+    integer numerators of w_{l,phi} for phi = n_e - p .. n_e + m_l - 2 and
+    their one denominator A_l^(n_e + m_l - 1) (A_l - A_other)^(n_a - 1).
+    The weights are homogeneous of degree 0 in (mu1, mu2), and both levels
+    are dyadic floats, so the A_l are the levels scaled to coprime integers.
 
-def _digit_losses(a, n, det, xkk):
-    """Digits lost inside det R0 and each det R_k = det R0 x_kk, as floats.
-
-    Each loss is log10 of the determinant's Hadamard row-norm bound over
-    its value, in float log10 space from each mpf's mantissa and exponent
-    (_log10_abs), so no mpf arithmetic is spent on it. det and every x_kk
-    must be nonzero. The row of R_k is the row of R0 with entry k replaced
-    by the row's entry of c_k; its sum of squares adds the squares before
-    k, after k and of that entry, so nothing cancels.
-    """
-    p = len(xkk)
-    log_hadamard = [0.0] * (p + 1)
-    for row in a:
-        logs = [_log10_abs(v) for v in row]
-        top = max(logs)
-        squares = [10.0 ** (2 * (v - top)) for v in logs]
-        before = list(accumulate(squares[: p - 1], initial=0.0))
-        after = list(accumulate(reversed(squares[:n]), initial=0.0))
-        log_hadamard[0] += top + math.log10(after[n]) / 2
-        for k in range(p):
-            s = before[k] + after[n - 1 - k] + squares[n + k]
-            if s < 1e-290:
-                # the row of R_k lies hundreds of digits below the row's
-                # largest entry: sum its squares on its own scale instead
-                log_hadamard[k + 1] += _log10_norm(logs[:k] + [logs[n + k]] + logs[k + 1 : n])
-            else:
-                log_hadamard[k + 1] += top + math.log10(s) / 2
-    log_det = _log10_abs(det)
-    log_dets = [log_det] + [log_det + _log10_abs(x) for x in xkk]
-    return [h - d for h, d in zip(log_hadamard, log_dets)]
-
-
-def _augmented_rows(n_a: int, n_e: int, mu1, m1, mu2, m2):
-    """The rows of [R0 | c_1 .. c_p] at the current precision.
-
-    Each row belongs to one level and carries a shift d: the order of the
-    derivative in that level's confluent block. Its first p entries are
-    (-1)^d phi! / mu^(phi+1), then (k)_d mu^(k-d) for k = n_a - j, j > p;
-    c_k is R0's column k scaled entrywise by the E1 tail sums. Each level's
-    powers mu^e are computed once and shared by its rows.
+    x_kk is the coefficient of z^q, q = p - 1 - k, of the Hermite
+    interpolant of z^q tail_{b_k}(z), b_k = n_e - p + k, on the nodes of
+    Q(z) = (z - A1)^m1 (z - A2)^m2, which by residues is
+    sum_l Res_{A_l} z^q tail_{b_k}(z) R_q(z) / Q(z) with
+    R_q = sum_{j > q} Q_j z^(j - q - 1). With w_l the other level's factor
+    of Q, K_q = z^n_e R_q / w_l obeys K_{n_a - 1} = z^n_e / w_l and
+    K_q = z K_{q+1} + Q_{q+1} z^n_e / w_l, so its Taylor coefficients
+    kappa_{q,j} at A_l, j < m_l, follow by a short recurrence, and
+    w_{l,phi} = sum_{k,d: b_k + d = phi} (-1)^d C(phi, d) A_l^-(phi+1)
+    kappa_{q_k, m_l - 1 - d}.
     """
     p = min(n_e, n_a)
-    phi_max = n_e - 1 + max(m1, m2) - 1
-    a = []
-    for mu, m in ((mu1, m1), (mu2, m2)):
-        mu = mp.mpf(mu)
-        tails = list(accumulate(_exp_e1_ladder(mu, phi_max)))
-        powers = {e: mu ** e for e in {*range(n_a - p), *range(n_e - p + 1, n_e + m)}}
-        for d in range(m - 1, -1, -1):
-            phis = range(n_e - p + d, n_e + d)
-            r0 = [(-1) ** d * math.factorial(phi) / powers[phi + 1] for phi in phis]
-            r0 += [
-                math.perm(k, d) * powers[k - d] if k >= d else mp.mpf(0)
-                for k in range(n_a - p - 1, -1, -1)
-            ]
-            a.append(r0 + [v * tails[phi] for v, phi in zip(r0, phis)])
-    return a
+    base = n_e - p
+    (n1, d1), (n2, d2) = mu1.as_integer_ratio(), mu2.as_integer_ratio()
+    a1, a2 = n1 * (max(d1, d2) // d1), n2 * (max(d1, d2) // d2)
+    g = math.gcd(a1, a2)
+    a1, a2 = a1 // g, a2 // g
+    q_poly = [1]  # coefficients of Q, lowest first
+    for a in [a1] * m1 + [a2] * m2:
+        q_poly = [c - a * c_next for c, c_next in zip([0] + q_poly, q_poly + [0])]
+    levels = []
+    for a, m, other, m_other in ((a1, m1, a2, m2), (a2, m2, a1, m1)):
+        top = n_e + m - 2
+        a_pow = list(accumulate([a] * (top + 1), operator.mul, initial=1))
+        gap_pow = list(accumulate([a - other] * (n_a - 1), operator.mul, initial=1))
+        # Taylor coefficients at A of z^n_e (z - A_other)^-m_other, times
+        # gap^(n_a - 1); C(n_e, i) vanishes for i > n_e
+        e = [
+            sum(
+                math.comb(n_e, i) * a_pow[n_e - i]
+                * (-1) ** (j - i) * math.comb(m_other - 1 + j - i, j - i)
+                * gap_pow[m - 1 - j + i]
+                for i in range(min(j, n_e) + 1)
+            )
+            for j in range(m)
+        ]
+        kappa = e
+        nums = [0] * (top + 1 - base)
+        for q in range(n_a - 1, -1, -1):
+            if q < n_a - 1:
+                # z K_{q+1} at z = A + (z - A), plus Q_{q+1} z^n_e / w_l
+                kappa = [
+                    a * k + k_prev + q_poly[q + 1] * e_j
+                    for k, k_prev, e_j in zip(kappa, [0] + kappa, e)
+                ]
+            if q < p:
+                b = n_e - 1 - q
+                for d in range(m):
+                    nums[b + d - base] += (
+                        (-1) ** d * math.comb(b + d, d) * a_pow[top - b - d] * kappa[m - 1 - d]
+                    )
+        levels.append((nums, a_pow[top + 1] * gap_pow[n_a - 1]))
+    return levels
 
 
-def _log_det_r0(n_e: int, p: int, mu1, m1, mu2, m2) -> float:
-    """ln|det R0|, in closed form.
+def _weighted_tail_sum(base: int, mus, weights):
+    """sum_{l,phi} w_{l,phi} tail_l(phi) and sum_{l,phi} |w_{l,phi} tail_l(phi)|.
 
-    R0 is a confluent Vandermonde matrix in the functions mu^-n_e mu^k,
-    k < n_a, at the two levels, so its determinant is a product of
-    factorials, level powers and the gap (mu1 - mu2)^(m1 m2). The
-    expansion's prefactor is 1 / det R0; only _first_dps needs this.
+    One mp dot product per level at the current precision, over
+    phi = base .. base + len(numerators) - 1, with the E1 tail sums
+    tail_l(phi) = sum_{t <= phi} T_t(mu_l) from the ladder.
     """
-    return (
-        sum(math.lgamma(n_e - p + c + 1) for c in range(p))
-        - n_e * (m1 * math.log(mu1) + m2 * math.log(mu2))
-        + sum(math.lgamma(d + 1) for m in (m1, m2) for d in range(m))
-        + m1 * m2 * math.log(mu1 - mu2)
-    )
+    import mpmath as mp
+
+    total = size = mp.mpf(0)
+    for mu, (nums, den) in zip(mus, weights):
+        tails = list(accumulate(_exp_e1_ladder(mp.mpf(mu), base + len(nums) - 1)))
+        terms = [mp.mpf(n) * t for n, t in zip(nums, tails[base:])]
+        den = mp.mpf(den)
+        total += mp.fsum(terms) / den
+        size += mp.fsum(terms, absolute=True) / abs(den)
+    return total, size
 
 
-def _first_dps(n_a: int, n_e: int, mu1, m1, mu2, m2) -> int:
-    """First working precision of the determinant sum, before any elimination.
+def _tail_sum_first_dps(weights) -> int:
+    """First working precision of omega's dot product, from its weights alone.
 
-    The digits det R0 loses, log10 of its Hadamard row-norm bound over
-    |det R0| (both in closed form, in log space), sized as the audit's
-    retry rule would size them. The gap (mu1 - mu2)^(m1 m2) is part of
-    det R0. The audit still guards the result: a short guess retries.
+    The sum cancels about as many digits as its largest weight has (on
+    random configs across shapes and decades, never half a digit more), so
+    the first attempt covers those and the guard digits, and at least 30.
     """
-    p = min(n_e, n_a)
-    log_hadamard = 0.0
-    for mu, m in ((mu1, m1), (mu2, m2)):
-        ln_mu = math.log(mu)
-        for d in range(m):
-            # ln|entry| of the row with shift d: phi! / mu^(phi+1) in the
-            # first p columns, then (k)_d mu^(k-d) for k = n_a - j >= d
-            logs = [
-                math.lgamma(phi + 1) - (phi + 1) * ln_mu for phi in range(n_e - p + d, n_e + d)
-            ]
-            logs += [
-                math.lgamma(k + 1) - math.lgamma(k - d + 1) + (k - d) * ln_mu
-                for k in range(d, n_a - p)
-            ]
-            top = max(logs)
-            log_hadamard += top + math.log(math.fsum(math.exp(2 * (v - top)) for v in logs)) / 2
-    loss0 = (log_hadamard - _log_det_r0(n_e, p, mu1, m1, mu2, m2)) / math.log(10)
-    return max(30, int(loss0 + 15) + 10)
+    bits = max(abs(n).bit_length() - abs(den).bit_length() for nums, den in weights for n in nums)
+    return max(30, int(bits * _LOG10_2) + _OMEGA_GUARD_DIGITS + 2)
 
 
-def _omega_determinant_sum(n_a: int, n_e: int, mu1, m1, mu2, m2) -> float:
-    """Alternating determinant expansion of the two-level ergodic log-det.
+def _omega_tail_sum(n_a: int, n_e: int, mu1: float, m1: int, mu2: float, m2: int) -> float:
+    """omega at two levels mu1 > mu2 > 0 with multiplicities m1 + m2 = n_a.
 
-    The levels are mu1 > mu2 > 0 with multiplicities m1 + m2 = n_a. The
-    expansion sums p = min(n_e, n_a) determinants det(R_k) times a
-    prefactor that is exactly 1 / det R0. R_k equals a base matrix R0
-    except in column k, which is R0's column scaled entrywise by the E1
-    tail sums; call that column c_k. By the matrix determinant lemma
-    (Cramer's rule), det(R_k) = det(R0) x_kk with x_k = R0^{-1} c_k, so
-    the sum is sum_k x_kk = tr(R0^{-1} C): one Gaussian elimination of
-    [R0 | c_1 .. c_p] with partial pivoting and p back substitutions.
-
-    Evaluated in mpmath at a working precision; det R0 enters only the first
-    precision and the audit. The first precision (_first_dps) is the digits
-    det R0, in closed form, loses against its Hadamard row-norm bound, which
-    include the (mu1 - mu2)^(m1 m2) blow-up. The rows share each level's
-    powers mu^e (_augmented_rows). After evaluation the actual digit loss
-    is audited and the whole computation retries at the audited precision if
-    the first guess was short, as it is where a det R_k loses more than
-    det R0 (at high SNR, or with one x_kk far below the others at low SNR).
-    The audit adds the worst loss inside the p + 1 determinants det R0 and
-    det R_k (each one's Hadamard row-norm bound against its value; R0 alone
-    misses digits the solves lose) and the cancellation across the k-sum
-    (max_k |x_kk| against |sum_k x_kk|). It only needs a float of these
-    logs, so it runs in float log10 space from each mpf's mantissa and
-    exponent (_digit_losses), with log10|det R_k| = log10|det R0| +
-    log10|x_kk|. A zero det R0, x_kk or sum, or a determinant above its own
-    Hadamard bound, holds no correct digit, and the attempt fails.
+    omega is the Cramer sum tr(R0^-1 C) of the determinant expansion, and
+    by Hermite interpolation on R0's two confluent nodes that is
+    sum_{l,phi} w_{l,phi} tail_l(phi) with exact integer weights
+    (_omega_weights). Only the dot product with the tails is rounded. An
+    attempt is accepted when its working precision covers the digits the
+    sum cancels, log10(sum |w tail| / |sum w tail|), plus
+    _OMEGA_GUARD_DIGITS, more than the 17 that fix a double's last bit;
+    otherwise it retries at the precision so sized. A zero sum holds no
+    correct digit and doubles the precision.
     """
-    p = min(n_e, n_a)
-    dps = _first_dps(n_a, n_e, mu1, m1, mu2, m2)
+    import mpmath as mp
+
+    weights = _omega_weights(n_a, n_e, mu1, m1, mu2, m2)
+    dps = _tail_sum_first_dps(weights)
     for _ in range(8):
         with mp.workdps(dps):
-            a = _augmented_rows(n_a, n_e, mu1, m1, mu2, m2)
-            det, xkk = _det_and_cramer_diagonal(a, n_a, p)
-            x_sum = mp.fsum(xkk)
-            # a zero det R0, x_kk or sum, or a determinant above its
-            # Hadamard bound (a negative loss), holds no correct digit
-            losses = _digit_losses(a, n_a, det, xkk) if det and all(xkk) and x_sum else [-1.0]
-            if min(losses) >= 0:
-                inner = max(losses)
-                cross = max(map(_log10_abs, xkk)) - _log10_abs(x_sum)
-            else:
-                inner, cross = float(dps), 0.0
-            needed = inner + cross + 15.0
-            if dps >= needed:
-                return float(x_sum)
-            dps = int(needed) + 10
+            total, size = _weighted_tail_sum(n_e - min(n_e, n_a), (mu1, mu2), weights)
+        if not total:
+            dps *= 2
+            continue
+        needed = _log10_abs(size) - _log10_abs(total) + _OMEGA_GUARD_DIGITS
+        if dps >= needed:
+            return float(total)
+        dps = int(needed) + 1
     raise NumericError(
-        "adaptive precision for the determinant sum did not settle "
+        "adaptive precision for omega's tail sum did not settle "
         f"(n_a={n_a}, n_e={n_e}, mu1={mu1!r}, mu2={mu2!r})"
     )
 
@@ -515,7 +426,7 @@ def omega(cfg: SystemConfig) -> float:
     Single-group branch theta(n_hat_min, n_hat_max, alpha) whenever
     |beta - 1| < 1e-6 (the general expansion divides by the eigenvalue
     gap and explodes there; continuity across the switch is a tested
-    property), the audited determinant expansion otherwise.
+    property), the exact tail weights at a sized precision otherwise.
     """
     if cfg.alpha == 0.0:
         return 0.0
@@ -530,7 +441,7 @@ def omega(cfg: SystemConfig) -> float:
     (mu1, m1), (mu2, m2) = (data, noise) if data[0] > noise[0] else (noise, data)
     if not (mu1 > mu2 > 0.0 and math.isfinite(mu1)):
         raise DomainError(f"need mu1 > mu2 > 0, got mu1={mu1!r}, mu2={mu2!r}")
-    return _omega_determinant_sum(cfg.n_a, cfg.n_e, mu1, m1, mu2, m2)
+    return _omega_tail_sum(cfg.n_a, cfg.n_e, mu1, m1, mu2, m2)
 
 
 def _common_theta(cfg: SystemConfig) -> float:

@@ -3,8 +3,9 @@
 perfbench/run.py accepts a closed-form output within 1e-10 relative of
 perfbench/reference.json, so a last-bit drift would pass it unseen. Here
 every run_point output on the 45 closed-form points must equal the
-recorded double bit for bit, and omega must settle in one elimination on
-each of the 36 points that reach its determinant sum. Every design-cli
+recorded double bit for bit, and omega must build its weights once and
+settle in one attempt on each of the 36 points beyond its single-group
+branch. Every design-cli
 candidate must write the recorded bytes through the CLI. The benchmark's
 files are only read.
 """
@@ -43,27 +44,28 @@ def workloads():
 
 def test_closed_form_points_match_reference_bitwise(workloads, reference, monkeypatch):
     reference = reference["closed-form"]
-    eliminations = []
-    real = closed_form._det_and_cramer_diagonal
+    weights, attempts = [], []
+    for name, calls in (("_omega_weights", weights), ("_weighted_tail_sum", attempts)):
+        real = getattr(closed_form, name)
 
-    def counting(*args):
-        eliminations.append(args[1])
-        return real(*args)
+        def counting(*args, real=real, calls=calls):
+            calls.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(closed_form, "_det_and_cramer_diagonal", counting)
+        monkeypatch.setattr(closed_form, name, counting)
     points = [op for slot in workloads.candidates("closed-form") for op in slot]
     assert len(points) == 45
     beyond_single_group = 0
     for op in points:
-        before = len(eliminations)
+        before = len(weights), len(attempts)
         row = run_point(SystemConfig(**op.params), list(workloads.CLOSED_FORM_OUTPUTS))
         got = {name: value.hex() for name, value in row.items()}
         want = {name: float(value).hex() for name, value in reference[op.key].items()}
         assert got == want, op.params
         if op.params["beta"] != 1.0:
             beyond_single_group += 1
-            assert len(eliminations) - before == 1, op.params
-    assert beyond_single_group == 36 and len(eliminations) == 36
+            assert (len(weights) - before[0], len(attempts) - before[1]) == (1, 1), op.params
+    assert beyond_single_group == 36 and len(weights) == len(attempts) == 36
 
 
 def test_design_cli_candidates_match_reference_bytes(workloads, reference, tmp_path):

@@ -400,6 +400,28 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "".join(run_main(capsys, argv)[1] for argv in argvs)
 
+    def test_design_and_asymptotic_sweep_run_without_mpmath(self, capsys, tmp_path):
+        sweep = write(
+            tmp_path,
+            "s.cfg",
+            "axis = n_e\nvalues = 2, 4, 6\n"
+            "outputs = asymptotic, delta_amax, delta_amin\n"
+            "n_a = 6\nn_b = 3\nalpha = 2\nbeta = 0.5\ngamma = 2\n",
+        )
+        design = write(tmp_path, "d.cfg", DESIGN)
+        argvs = [["sweep", "--config", sweep], ["design", "--config", design]]
+        script = (
+            "import sys\n"
+            "import anmimo\n"
+            "from anmimo.cli import main\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "sys.modules['mpmath'] = None  # any import of mpmath now fails\n"
+            f"sys.exit(max(main(argv) for argv in {argvs!r}))\n"
+        )
+        proc = self.run(["-c", script], entry=[])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "".join(run_main(capsys, argv)[1] for argv in argvs)
+
     def test_monte_carlo_names_resolve_on_first_use(self):
         script = (
             "import sys\n"

@@ -7,7 +7,9 @@ exact identities, degeneracy routing, and validation behavior.
 
 import math
 import random
+import time
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath as mp
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from anmimo import (
     AsymptoticRatios,
     DomainError,
+    NumericError,
     SystemConfig,
     average_rate_bounds,
     average_secrecy_rate,
@@ -34,7 +37,6 @@ from anmimo import (
     theta,
 )
 from anmimo import closed_form
-from anmimo.closed_form import _det_and_cramer_diagonal
 
 
 def cfg(n_a, n_b, n_e, alpha, beta, gamma):
@@ -86,18 +88,66 @@ def counting(monkeypatch, name):
     return calls
 
 
-def recording_dets(monkeypatch):
-    """Record det R0 from each elimination of the determinant sum."""
-    dets = []
-    real = closed_form._det_and_cramer_diagonal
+def eve_levels(n_a, n_b, alpha, beta):
+    """omega's two levels (mu, multiplicity), the larger first."""
+    data, noise = (1.0 / alpha, n_b), (1.0 / (alpha * beta), n_a - n_b)
+    return sorted((data, noise), reverse=True)
 
-    def recording(*args):
-        det, xkk = real(*args)
-        dets.append(det)
-        return det, xkk
 
-    monkeypatch.setattr(closed_form, "_det_and_cramer_diagonal", recording)
-    return dets
+def cramer_matrices(n_a, n_b, n_e, alpha, beta):
+    """R0, C and each row's (level, shift) of omega's expansion, at the current precision.
+
+    A row of level mu and shift d holds the d-th derivatives at mu of the
+    column functions phi! mu^-(phi+1), phi = n_e - p + k for k < p, then
+    mu^j for j = n_a - p - 1 .. 0. Column k of C is column k of R0 scaled
+    entrywise by the E1 tail sums sum_{t <= phi} exp(mu) E_{t+1}(mu), the
+    E_{t+1} by their forward recursion from mp.e1.
+    """
+    p = min(n_e, n_a)
+    r0, c, labels = [], [], []
+    for level, (mu, m) in enumerate(eve_levels(n_a, n_b, alpha, beta)):
+        mu = mp.mpf(mu)
+        ts = [mp.exp(mu) * mp.e1(mu)]
+        for t in range(1, n_e + m - 1):
+            ts.append((1 - mu * ts[-1]) / t)
+        tails = list(accumulate(ts))
+        for d in range(m - 1, -1, -1):
+            phis = range(n_e - p + d, n_e + d)
+            row = [(-1) ** d * math.factorial(phi) / mu ** (phi + 1) for phi in phis]
+            c.append([v * tails[phi] for v, phi in zip(row, phis)])
+            r0.append(row + [
+                math.perm(j, d) * mu ** (j - d) if j >= d else mp.mpf(0)
+                for j in range(n_a - p - 1, -1, -1)
+            ])
+            labels.append((level, d))
+    return mp.matrix(r0), mp.matrix(c), labels
+
+
+def omega_by_cramer(n_a, n_b, n_e, alpha, beta, dps=600):
+    """omega as the Cramer sum tr(R0^-1 C), from one inverse of R0 at fixed precision.
+
+    The reference for omega's residue form: it shares neither the weights
+    nor the precision rule. On every config it checks here, 600 digits gave
+    the same double as 1500.
+    """
+    with mp.workdps(dps):
+        r0, c, _ = cramer_matrices(n_a, n_b, n_e, alpha, beta)
+        inv = mp.inverse(r0)
+        return float(mp.fsum(inv[k, j] * c[j, k] for k in range(c.cols) for j in range(c.rows)))
+
+
+def reference_configs(seed, count):
+    """Seeded configs over every shape up to n = 16 and alpha, beta over decades."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n_a = rng.randint(2, 16)
+        beta = 10 ** rng.uniform(-6, 6)
+        if rng.random() < 0.2:
+            # just outside the single-group switch, where the sum cancels most
+            beta = 1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-5.9, -2)
+        out.append((n_a, rng.randint(1, n_a - 1), rng.randint(1, 16), 10 ** rng.uniform(-6, 6), beta))
+    return out
 
 
 class TestTheta:
@@ -247,21 +297,23 @@ class TestOmega:
         assert omega(cfg(6, 3, 4, alpha=0.0, beta=0.5, gamma=1.0)) == 0.0
 
     def test_one_elimination_matches_per_column_determinants(self):
-        # sum_k det(R_k), R_k = R0 with column k replaced by c_k
-        rng = random.Random(3)
-        n, p = 6, 4
-        with mp.workdps(50):
-            r0 = [[mp.mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
-            cols = [[mp.mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(p)]
-            want = mp.mpf(0)
-            for k, c in enumerate(cols):
-                r = mp.matrix(r0)
-                for i in range(n):
-                    r[i, k] = c[i]
-                want += mp.det(r)
-            rows = [row + [c[i] for c in cols] for i, row in enumerate(r0)]
-            det, xkk = _det_and_cramer_diagonal(rows, n, p)
-            assert abs(det * mp.fsum(xkk) - want) <= mp.mpf(10) ** -40 * abs(want)
+        # the reference's tr(R0^-1 C) is the expansion sum_k det(R_k) / det R0,
+        # R_k = R0 with column k replaced by column k of C, and omega is it;
+        # p = n_e < n_a, then p = n_a < n_e
+        for n_a, n_b, n_e in ((6, 3, 4), (5, 2, 9)):
+            with mp.workdps(50):
+                r0, c, _ = cramer_matrices(n_a, n_b, n_e, 2.0, 0.5)
+                dets = []
+                for k in range(c.cols):
+                    r_k = r0.copy()
+                    for i in range(r0.rows):
+                        r_k[i, k] = c[i, k]
+                    dets.append(mp.det(r_k))
+                want = mp.fsum(dets) / mp.det(r0)
+                inv = mp.inverse(r0)
+                got = mp.fsum(inv[k, j] * c[j, k] for k in range(c.cols) for j in range(c.rows))
+                assert abs(got - want) <= mp.mpf(10) ** -40 * abs(want)
+            assert omega(cfg(n_a, n_b, n_e, 2.0, 0.5, 1.0)) == float(want)
 
     @pytest.mark.parametrize(
         "n_a, n_b, n_e, alpha, beta",
@@ -278,38 +330,100 @@ class TestOmega:
             (10, 9, 13, 1e-2, 1e-3),
         ],
     )
-    def test_closed_form_det_r0(self, monkeypatch, n_a, n_b, n_e, alpha, beta):
-        # ln|det R0| before any elimination equals the elimination's det,
-        # and its sign is the shape's (-1)^(n_e (n_a - p)): sign -1 at
-        # (16, 8, 5) and (12, 7, 3)
-        levels = counting(monkeypatch, "_first_dps")
-        dets = recording_dets(monkeypatch)
-        omega(cfg(n_a, n_b, n_e, alpha, beta, 1.0))
-        (_, _, mu1, m1, mu2, m2), = levels
+    def test_closed_form_det_r0(self, n_a, n_b, n_e, alpha, beta):
+        # R0 is the two-node confluent Vandermonde matrix whose inverse the
+        # residue form takes as Hermite interpolation: its determinant is
+        # factorials, level powers and the gap (mu1 - mu2)^(m1 m2), with the
+        # shape's sign (-1)^(n_e (n_a - p)); -1 at (16, 8, 5) and (12, 7, 3)
+        (mu1, m1), (mu2, m2) = eve_levels(n_a, n_b, alpha, beta)
         assert (mu1 == 1.0 / alpha) == (beta > 1.0)
-        want = float(mp.log(abs(dets[-1])))
-        got = closed_form._log_det_r0(n_e, min(n_e, n_a), mu1, m1, mu2, m2)
-        assert abs(got - want) <= 1e-10
-        assert mp.sign(dets[-1]) == (-1) ** (n_e * (n_a - min(n_e, n_a)))
-
-    def test_det_r0_sign_depends_only_on_shape(self, monkeypatch):
-        # omega is sum_k x_kk because the expansion's prefactor is exactly
-        # 1 / det R0, sign included. det R0 is continuous in (mu1, mu2) and,
-        # by its closed form (_log_det_r0), never zero on mu1 > mu2 > 0, so
-        # its sign is fixed per shape and one level pair per level order
-        # checks it
-        dets = recording_dets(monkeypatch)
-        for n_a in range(2, 9):
-            for n_b in range(1, n_a):
-                for n_e in range(1, 9):
-                    want = (-1) ** (n_e * (n_a - min(n_e, n_a)))
-                    for beta in (0.5, 2.0):
-                        dets.clear()
-                        omega(cfg(n_a, n_b, n_e, 1.0, beta, 1.0))
-                        assert dets and mp.sign(dets[-1]) == want, (n_a, n_b, n_e, beta)
+        p = min(n_e, n_a)
+        want = (
+            sum(math.lgamma(n_e - p + c + 1) for c in range(p))
+            - n_e * (m1 * math.log(mu1) + m2 * math.log(mu2))
+            + sum(math.lgamma(d + 1) for m in (m1, m2) for d in range(m))
+            + m1 * m2 * math.log(mu1 - mu2)
+        )
+        with mp.workdps(600):
+            det = mp.det(cramer_matrices(n_a, n_b, n_e, alpha, beta)[0])
+            assert float(mp.log(abs(det))) == pytest.approx(want, rel=1e-12, abs=1e-10)
+            assert mp.sign(det) == (-1) ** (n_e * (n_a - p))
 
     @pytest.mark.parametrize(
-        "n_a, n_b, n_e, alpha, beta, eliminations",
+        "n_a, n_b, n_e, alpha, beta",
+        [(6, 3, 4, 2.0, 3.0), (9, 2, 5, 0.3, 40.0), (6, 3, 12, 2.0, 1.7), (10, 9, 13, 1e-2, 1e-3)],
+    )
+    def test_weights_are_the_cramer_diagonal(self, n_a, n_b, n_e, alpha, beta):
+        # w_{l,phi} = sum of (R0^-1)_kj (R0)_jk over the k < p and the rows j
+        # of level l and shift d with n_e - p + k + d = phi
+        (mu1, m1), (mu2, m2) = eve_levels(n_a, n_b, alpha, beta)
+        weights = closed_form._omega_weights(n_a, n_e, mu1, m1, mu2, m2)
+        base = n_e - min(n_e, n_a)
+        with mp.workdps(600):
+            r0, c, labels = cramer_matrices(n_a, n_b, n_e, alpha, beta)
+            inv = mp.inverse(r0)
+            got = {}
+            for k in range(c.cols):
+                for j, (level, d) in enumerate(labels):
+                    key = (level, base + k + d)
+                    got[key] = got.get(key, 0) + inv[k, j] * r0[j, k]
+            want = {
+                (level, base + i): mp.mpf(num) / den
+                for level, (nums, den) in enumerate(weights)
+                for i, num in enumerate(nums)
+            }
+            assert got.keys() == want.keys()
+            scale = max(abs(v) for v in want.values())
+            for key, value in want.items():
+                assert abs(got[key] - value) <= mp.mpf(10) ** -100 * scale, key
+
+    def test_weights_sum_to_p(self):
+        # one per diagonal entry of R0^-1 R0, exactly, on every shape up to
+        # n_a = 16 and n_e = 16 at levels drawn over twelve decades
+        rng = random.Random(2)
+        for n_a in range(2, 17):
+            for n_b in range(1, n_a):
+                for n_e in range(1, 17):
+                    (mu1, m1), (mu2, m2) = eve_levels(
+                        n_a, n_b, 10 ** rng.uniform(-6, 6), 10 ** rng.uniform(-6, 6)
+                    )
+                    (nums1, den1), (nums2, den2) = closed_form._omega_weights(
+                        n_a, n_e, mu1, m1, mu2, m2
+                    )
+                    total = sum(nums1) * den2 + sum(nums2) * den1
+                    assert total == min(n_e, n_a) * den1 * den2, (n_a, n_b, n_e)
+
+    def test_matches_cramer_reference_bitwise(self):
+        for n_a, n_b, n_e, alpha, beta in reference_configs(16, 60):
+            c = cfg(n_a, n_b, n_e, alpha, beta, 1.0)
+            assert omega(c) == omega_by_cramer(n_a, n_b, n_e, alpha, beta), c
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, n_e, alpha, beta",
+        [
+            # 15 guard digits once rounded this one ulp off
+            (5, 4, 9, 0.6089089015057949, 35842.306809073016),
+            # an elimination at an audited precision once returned this
+            # 921 ulp off
+            (5, 4, 6, 0.04732917054040971, 996882.9950898642),
+        ],
+    )
+    def test_guard_digits_fix_the_last_bit(self, n_a, n_b, n_e, alpha, beta):
+        assert omega(cfg(n_a, n_b, n_e, alpha, beta, 1.0)) == omega_by_cramer(
+            n_a, n_b, n_e, alpha, beta
+        )
+
+    @pytest.mark.parametrize("n_a, n_b, n_e", [(24, 12, 24), (32, 16, 32)])
+    def test_beyond_the_theta_envelope(self, n_a, n_b, n_e):
+        # omega has no cap, and an elimination took seconds here
+        c = cfg(n_a, n_b, n_e, 1e3, 1e3, 1.0)
+        start = time.perf_counter()
+        value = omega(c)
+        assert time.perf_counter() - start < 1.0
+        assert value == omega_by_cramer(n_a, n_b, n_e, 1e3, 1e3)
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, n_e, alpha, beta, attempts",
         [
             # the configs of test_regression_values and test_pinned_values
             (6, 3, 12, 2.0, 0.5, 1),
@@ -320,17 +434,16 @@ class TestOmega:
             (16, 8, 5, 2.0, 3.0, 1),
             (6, 2, 16, 12875.740403196525, 7.538442576337261e-06, 1),
             (8, 7, 8, 0.01901708027304142, 679156.6916577134, 1),
-            # the first precision sees only det R0. Here one det R_k loses
-            # more: by 20 digits at high SNR (column p-1 carries the E1
-            # tail sums in every row) and by 30 at low SNR (x_11 ~ 1e-30)
-            (16, 8, 16, 1e6, 1e6, 2),
-            (16, 15, 16, 1e-3, 1e3, 2),
+            # high and low SNR, where one det R_k once lost more digits
+            # than det R0 showed; the largest weight sizes the sum's loss
+            (16, 8, 16, 1e6, 1e6, 1),
+            (16, 15, 16, 1e-3, 1e3, 1),
         ],
     )
-    def test_first_precision_settles(self, monkeypatch, n_a, n_b, n_e, alpha, beta, eliminations):
-        calls = counting(monkeypatch, "_det_and_cramer_diagonal")
+    def test_first_precision_settles(self, monkeypatch, n_a, n_b, n_e, alpha, beta, attempts):
+        calls = counting(monkeypatch, "_weighted_tail_sum")
         omega(cfg(n_a, n_b, n_e, alpha, beta, 1.0))
-        assert len(calls) == eliminations
+        assert len(calls) == attempts
 
     @pytest.mark.parametrize(
         "value",
@@ -345,60 +458,40 @@ class TestOmega:
             )
         assert closed_form._log10_abs(mp.mpf(0)) == -math.inf
 
-    def test_float_audit_matches_working_precision(self):
-        # the audit's float log10 losses against the same losses at working
-        # precision: log10 of the product of squared row norms of R0 and of
-        # each R_k (column k of R0 replaced by c_k), halved, minus
-        # log10|det R_k|, with det R_k = det R0 x_kk
-        rng = random.Random(14)
-        shapes = []
-        for _ in range(8):
-            n_a = rng.randint(2, 16)
-            shapes.append((n_a, rng.randint(1, n_a - 1), rng.randint(1, 16),
-                           10 ** rng.uniform(-6, 6), 10 ** rng.uniform(-6, 6)))
-        # levels 1e4 and 1e8: entries phi! / mu^(phi+1) reach 1e-376
-        shapes.append((32, 16, 32, 1e-4, 1e-4))
-        # levels 1e200 and 5e199: rows of R_k hundreds of digits below
-        # the largest entry of their row in [R0 | C]
-        shapes.append((6, 3, 12, 1e-200, 2.0))
-        for n_a, n_b, n_e, alpha, beta in shapes:
-            data, noise = (1.0 / alpha, n_b), (1.0 / (alpha * beta), n_a - n_b)
-            (mu1, m1), (mu2, m2) = sorted((data, noise), reverse=True)
-            p = min(n_e, n_a)
-            with mp.workdps(40):
-                a = closed_form._augmented_rows(n_a, n_e, mu1, m1, mu2, m2)
-                det, xkk = _det_and_cramer_diagonal(a, n_a, p)
-                got = closed_form._digit_losses(a, n_a, det, xkk)
-                assert len(got) == p + 1
-                if n_a == 32:
-                    assert any(v and not 1e-308 < abs(v) < 1e308 for row in a for v in row)
-                matrices = [[row[:n_a] for row in a]] + [
-                    [row[:k] + [row[n_a + k]] + row[k + 1 : n_a] for row in a] for k in range(p)
-                ]
-                dets = [det] + [det * x for x in xkk]
-                for k, (matrix, d_k) in enumerate(zip(matrices, dets)):
-                    norms2 = [mp.fsum(v * v for v in row) for row in matrix]
-                    want = mp.log(mp.fprod(norms2), 10) / 2 - mp.log(abs(d_k), 10)
-                    assert abs(got[k] - float(want)) <= 1e-9, (n_a, n_b, n_e, alpha, beta, k)
+    def test_short_first_precision_retries(self, monkeypatch):
+        # 20 digits cannot hold the 12 the sum cancels and 20 guard digits:
+        # the attempt fails and the retry at the precision it sized gives
+        # the usual value
+        c = cfg(16, 8, 16, 2.0, 0.5, 1.0)
+        want = omega(c)
+        calls = counting(monkeypatch, "_weighted_tail_sum")
+        monkeypatch.setattr(closed_form, "_tail_sum_first_dps", lambda weights: 20)
+        assert omega(c) == want
+        assert len(calls) == 2
 
-    def test_zero_cramer_entry_retries(self, monkeypatch):
-        # a zero x_kk makes det R_k zero: no correct digit, so the attempt
-        # fails and the retry at higher precision gives the usual value
+    def test_zero_sum_retries(self, monkeypatch):
+        # a zero sum holds no correct digit: the attempt fails and the retry
+        # at twice the precision gives the usual value
         c = cfg(6, 3, 12, 2.0, 0.5, 1.0)
         want = omega(c)
         calls = []
-        real = closed_form._det_and_cramer_diagonal
+        real = closed_form._weighted_tail_sum
 
         def zeroing(*args):
-            det, xkk = real(*args)
-            if not calls:
-                xkk[1] = mp.mpf(0)
-            calls.append(args)
-            return det, xkk
+            total, size = real(*args)
+            calls.append(mp.mp.dps)
+            return (mp.mpf(0) if len(calls) == 1 else total), size
 
-        monkeypatch.setattr(closed_form, "_det_and_cramer_diagonal", zeroing)
+        monkeypatch.setattr(closed_form, "_weighted_tail_sum", zeroing)
         assert omega(c) == want
-        assert len(calls) == 2
+        assert calls[1] == 2 * calls[0]
+
+    def test_precision_that_never_settles_is_a_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(
+            closed_form, "_weighted_tail_sum", lambda *args: (mp.mpf(0), mp.mpf(1))
+        )
+        with pytest.raises(NumericError, match="did not settle"):
+            omega(cfg(6, 3, 12, 2.0, 0.5, 1.0))
 
     @pytest.mark.parametrize(
         "n_a, n_b, n_e, alpha, beta",
@@ -413,12 +506,12 @@ class TestOmega:
         ],
     )
     def test_doubled_first_precision_agrees(self, monkeypatch, n_a, n_b, n_e, alpha, beta):
-        # the audit's claim: what passes at D digits is what 2D digits give
+        # the precision rule's claim: what passes at D digits is what 2D digits give
         c = cfg(n_a, n_b, n_e, alpha, beta, 1.0)
         at_d = omega(c)
-        real = closed_form._first_dps
-        monkeypatch.setattr(closed_form, "_first_dps", lambda *args: 2 * real(*args))
-        assert omega(c) == pytest.approx(at_d, rel=1e-15, abs=0)
+        real = closed_form._tail_sum_first_dps
+        monkeypatch.setattr(closed_form, "_tail_sum_first_dps", lambda weights: 2 * real(weights))
+        assert omega(c) == at_d
 
     @pytest.mark.parametrize(
         "n_a, n_b, n_e, alpha, beta, expect",
