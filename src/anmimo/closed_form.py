@@ -10,40 +10,35 @@ builds the average secrecy rate of null-space artificial-noise beamforming,
 its two-sided bounds, the legitimate link's ergodic capacity, and an upper
 bound on the eavesdropper leakage.
 
-Numerical notes, since both closed forms are badly alternating:
+Numerical notes, since both closed forms are badly alternating sums:
 
-* theta's coefficients are folded as exact rationals; the only floating
-  step is one arbitrary-precision seed T0 = exp(b) E1(b), b = 1/x, at a
-  working precision sized to the folded coefficient magnitude. Plain
-  compensated double summation was measured losing all 16 digits already
-  at m = n = 16, x = 0.05, hence the exact fold. The fold is two
-  polynomials in b, cached per (m, n) with integer coefficients over a
-  common denominator and evaluated exactly at b. Supported envelope is
-  n <= 16 (hard error beyond). The last 64 values are memoized, so the
-  exact rate and its bounds, which share theta terms, compute each once.
+* Both are sums of exact weights on the E1 ladder
+  T_t(b) = exp(b) E_{t+1}(b). omega, the eavesdropper's two-level
+  log-det, is the Cramer sum tr(R0^-1 C) of a determinant expansion. R0
+  is a two-node confluent Vandermonde matrix, so R0^-1 is Hermite
+  interpolation, and taking the interpolant's coefficients by residues
+  gives exact weights on the E1 tail sums of each level. theta is the
+  same sum at a single level, where the weights (the published A_j)
+  depend on the shape alone and are cached per (m, n). The weights are
+  homogeneous of degree 0 in the levels, so they are Python ints over one
+  denominator per level, built from the levels scaled to integers.
+* The ladder T_t = (1 - b T_{t-1}) / t is folded exactly in integers at
+  the exact level b, which leaves one transcendental T_0 = exp(b) E1(b)
+  per level. Only that sum is rounded. It cancels heavily (plain
+  compensated double summation of theta loses all 16 digits at
+  m = n = 16, x = 0.05; omega's weights grow like
+  (mu1 / (mu1 - mu2))^(n_a - 1) as the two eigenvalue groups merge, and
+  low SNR, b >> 1, grows the folded terms like b^t / t!). So it runs at
+  30 digits beyond its largest folded term and is accepted only when the
+  precision covers the digits it cancels plus 20 guard digits, retrying
+  otherwise. Near-degenerate omega inputs (|beta - 1| < 1e-6) route to
+  the single-group theta instead. The last 64 theta values are
+  memoized, so the exact rate and its bounds, which share theta terms,
+  compute each once.
 * The exponential prefactor of the published theta sum appears with a
   negative exponent; the m = n = 1 reduction E[ln(1+x|g|^2)] =
   exp(1/x) E1(1/x) and Monte Carlo both fix the true sign as positive,
   and that is what is implemented.
-* omega, the eavesdropper's two-level log-det, is the Cramer sum
-  tr(R0^-1 C) of a determinant expansion. R0 is a two-node confluent
-  Vandermonde matrix, so R0^-1 is Hermite interpolation, and taking the
-  interpolant's coefficients by residues turns the sum into
-  sum_{l,phi} w_{l,phi} tail_l(phi): exact weights on the E1 tail sums
-  tail_l(phi) = sum_{t <= phi} T_t(mu_l) of each level. The weights are
-  homogeneous of degree 0 in the levels, so they are built from the two
-  levels scaled to integers as Python ints over one denominator per
-  level, in at most about 2 ms up to n = 16. Only their dot product with
-  the tails is rounded. It cancels as the two eigenvalue groups merge
-  (the weights grow like (mu1 / (mu1 - mu2))^(n_a - 1)), so it runs at a
-  precision sized from the largest weight and is accepted only when that
-  covers the digits it cancels plus 20 guard digits, retrying otherwise.
-  Near-degenerate inputs (|beta - 1| < 1e-6) route to the single-group
-  branch instead.
-* The E1 ladder T_t = exp(mu) E_{t+1}(mu) that gives omega's tails runs
-  forward, which multiplies T_0's rounding error by up to mu^t / t!. At
-  low SNR (mu = 1/alpha >> 1) that is up to hundreds of digits, which
-  the ladder adds to its working precision.
 
 mpmath is imported on first use, so the asymptotic layer and the CLI's
 design reports never load it.
@@ -63,7 +58,7 @@ from .errors import DomainError, NumericError, _finite, _integer
 _THETA_MAX_N = 16
 _BETA_DEGENERATE_TOL = 1e-6
 _LOG10_2 = math.log10(2.0)
-_OMEGA_GUARD_DIGITS = 20
+_GUARD_DIGITS = 20
 
 
 @dataclass(frozen=True)
@@ -136,151 +131,6 @@ class RateReport:
     bob_capacity: float
 
 
-def _ladder_coeffs(m: int, n: int):
-    """Exact rational coefficients A_j of the theta ladder sum.
-
-    theta(m, n, x) = sum_j A_j T_j(1/x) with T_j(b) = exp(b) E_{j+1}(b).
-    The A_j alternate in sign and reach ~1e20 by (16, 16); they are kept
-    as Fractions so the fold below is exact.
-    """
-    coeffs = {}
-    for k in range(m):
-        for ell in range(k + 1):
-            for i in range(2 * ell + 1):
-                num = (
-                    (-1) ** i
-                    * math.factorial(2 * ell)
-                    * math.factorial(n - m + i)
-                    * math.comb(2 * (k - ell), k - ell)
-                    * math.comb(2 * (ell + n - m), 2 * ell - i)
-                )
-                den = (
-                    2 ** (2 * k - i)
-                    * math.factorial(ell)
-                    * math.factorial(i)
-                    * math.factorial(n - m + ell)
-                )
-                c = Fraction(num, den)
-                for j in range(n - m + i + 1):
-                    coeffs[j] = coeffs.get(j, Fraction(0)) + c
-    return coeffs
-
-
-def _integer_polynomial(coeffs):
-    """Rational coefficients as (integer coefficients, common denominator)."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-@lru_cache(maxsize=None)
-def _theta_coeffs(m: int, n: int):
-    """S_P(b) and S_Q(b) of theta(m, n, 1/b) as integer polynomials in b.
-
-    The ladder's p_j(b) = sum_{i<j} (-b)^i (j-1-i)! / j! and
-    q_j(b) = (-b)^j / j! (see theta) fold against the A_j into
-    S_P = sum_j A_j p_j and S_Q = sum_j A_j q_j, each kept as integer
-    coefficients of b^0, b^1, .. over one common denominator. Only these
-    integers are cached, not the A_j.
-    """
-    coeffs = _ladder_coeffs(m, n)
-    s_p = [Fraction(0)] * (max(coeffs) + 1)
-    s_q = [Fraction(0)] * (max(coeffs) + 1)
-    for j, a_j in coeffs.items():
-        w = a_j / math.factorial(j)
-        s_q[j] += (-1) ** j * w
-        for i in range(j):
-            s_p[i] += (-1) ** i * math.factorial(j - 1 - i) * w
-    return _integer_polynomial(s_p), _integer_polynomial(s_q)
-
-
-def _horner(poly, num: int, den: int) -> Fraction:
-    """An integer polynomial (see _integer_polynomial) at b = num / den, exactly."""
-    coeffs, poly_den = poly
-    acc, scale = coeffs[-1], 1
-    for c in reversed(coeffs[:-1]):
-        scale *= den
-        acc = acc * num + c * scale
-    return Fraction(acc, poly_den * scale)
-
-
-def _fraction_digits(f: Fraction) -> int:
-    if f == 0:
-        return 0
-    return max(0, int((f.numerator.bit_length() - f.denominator.bit_length()) * _LOG10_2))
-
-
-def theta(m: int, n: int, x: float) -> float:
-    """Ergodic E[ln det(I_m + x W)] for an m-by-n complex Wishart W, in nats.
-
-    Requires 1 <= m <= n <= 16 (the coefficient magnitude makes larger n
-    meaningless in double output) and x >= 0; theta(m, n, 0) = 0.
-
-    The ladder T_j(b) = exp(b) E_{j+1}(b), b = 1/x, satisfies
-    T_j = (1 - b T_{j-1}) / j, so T_j = P_j + Q_j T_0 with exact-rational
-    P_j, Q_j. Folding the A_j against P and Q leaves
-    theta = S_P + S_Q T_0 with a single transcendental evaluated at a
-    precision covering the (huge, cancelling) magnitudes of S_P and S_Q.
-    S_P and S_Q are polynomials in b, cached per (m, n) with integer
-    coefficients and evaluated exactly at b.
-    """
-    m = _integer("m", m, 1)
-    n = _integer("n", n, 1)
-    if m > n:
-        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if n > _THETA_MAX_N:
-        raise DomainError(
-            f"supported envelope is n <= {_THETA_MAX_N}, got n={n}"
-        )
-    return _theta_value(m, n, _finite("x", x))
-
-
-@lru_cache(maxsize=64)
-def _theta_value(m: int, n: int, x: float) -> float:
-    """theta(m, n, x) for checked arguments; one rate point needs at most five."""
-    if x == 0.0:
-        return 0.0
-
-    b = 1 / Fraction(x)
-    poly_p, poly_q = _theta_coeffs(m, n)
-    s_p = _horner(poly_p, b.numerator, b.denominator)
-    s_q = _horner(poly_q, b.numerator, b.denominator)
-    if s_p == 0 and s_q == 0:
-        return 0.0
-
-    import mpmath as mp
-
-    dps = 30 + max(_fraction_digits(s_p), _fraction_digits(s_q))
-    with mp.workdps(dps):
-        bm = mp.mpf(b.numerator) / mp.mpf(b.denominator)
-        t0 = mp.exp(bm) * mp.e1(bm)
-        val = (
-            mp.mpf(s_p.numerator) / mp.mpf(s_p.denominator)
-            + (mp.mpf(s_q.numerator) / mp.mpf(s_q.denominator)) * t0
-        )
-        return float(val)
-
-
-def _exp_e1_ladder(mu, tmax):
-    """T_t(mu) = exp(mu) E_{t+1}(mu) for t = 0..tmax, to the current precision.
-
-    The forward recursion T_t = (1 - mu T_{t-1}) / t multiplies the rounding
-    error of T_0 by up to mu^t / t!, which at low SNR (mu >> 1) is hundreds
-    of digits, so the ladder runs with that many extra digits, plus
-    log10(mu + tmax + 1) for the cancellation inside each step and a guard.
-    """
-    import mpmath as mp
-
-    log10_mu = math.log10(mu)
-    lost = max(
-        t * log10_mu - math.lgamma(t + 1) / math.log(10) for t in range(tmax + 1)
-    )
-    with mp.workdps(mp.mp.dps + int(lost + math.log10(mu + tmax + 1)) + 10):
-        out = [mp.exp(mu) * mp.e1(mu)]
-        for t in range(1, tmax + 1):
-            out.append((1 - mu * out[-1]) / t)
-    return out
-
-
 def _log10_abs(v) -> float:
     """log10|v| of an mpf from its raw (sign, man, exp, bc); -inf at zero.
 
@@ -293,18 +143,25 @@ def _log10_abs(v) -> float:
     return math.log10(int(man)) + exp * _LOG10_2
 
 
-def _omega_weights(n_a: int, n_e: int, mu1: float, m1: int, mu2: float, m2: int):
-    """Exact weights w_{l,phi} of omega's E1 tail sums, as integers per level.
+def _ladder_weights(n_a: int, n_e: int, levels):
+    """Exact rung weights of omega at one or two levels, as integers per level.
 
-    For each level l (mu1 first) returns (numerators, denominator): the
-    integer numerators of w_{l,phi} for phi = n_e - p .. n_e + m_l - 2 and
-    their one denominator A_l^(n_e + m_l - 1) (A_l - A_other)^(n_a - 1).
-    The weights are homogeneous of degree 0 in (mu1, mu2), and both levels
-    are dyadic floats, so the A_l are the levels scaled to coprime integers.
+    levels holds (mu_l, m_l) with multiplicities summing to n_a, mu1 first.
+    For each level returns (coeffs, denominator): omega is
+    sum_{l,t} coeffs_l[t] / denominator_l T_t(mu_l), t = 0 .. n_e + m_l - 2.
+    The weights are homogeneous of degree 0 in the levels, and the levels
+    are dyadic floats, so the A_l are the levels scaled to coprime
+    integers (A = 1 for one level) and each denominator is
+    A_l^(n_e + m_l - 1) (A_l - A_other)^(n_a - 1). One level is the case
+    with an empty other level (m = 0) one unit below, so theta's weights
+    come from here too and depend on the shape alone.
 
-    x_kk is the coefficient of z^q, q = p - 1 - k, of the Hermite
+    omega is sum_{l,phi} w_{l,phi} tail_l(phi) over the E1 tail sums
+    tail_l(phi) = sum_{t <= phi} T_t(mu_l), phi = n_e - p .. n_e + m_l - 2,
+    so the weight of rung t is the suffix sum of the w_{l,phi} over
+    phi >= t. x_kk is the coefficient of z^q, q = p - 1 - k, of the Hermite
     interpolant of z^q tail_{b_k}(z), b_k = n_e - p + k, on the nodes of
-    Q(z) = (z - A1)^m1 (z - A2)^m2, which by residues is
+    Q(z) = prod_l (z - A_l)^m_l, which by residues is
     sum_l Res_{A_l} z^q tail_{b_k}(z) R_q(z) / Q(z) with
     R_q = sum_{j > q} Q_j z^(j - q - 1). With w_l the other level's factor
     of Q, K_q = z^n_e R_q / w_l obeys K_{n_a - 1} = z^n_e / w_l and
@@ -315,24 +172,28 @@ def _omega_weights(n_a: int, n_e: int, mu1: float, m1: int, mu2: float, m2: int)
     """
     p = min(n_e, n_a)
     base = n_e - p
-    (n1, d1), (n2, d2) = mu1.as_integer_ratio(), mu2.as_integer_ratio()
-    a1, a2 = n1 * (max(d1, d2) // d1), n2 * (max(d1, d2) // d2)
-    g = math.gcd(a1, a2)
-    a1, a2 = a1 // g, a2 // g
+    ratios = [mu.as_integer_ratio() for mu, _ in levels]
+    scale = max(d for _, d in ratios)
+    scaled = [n * (scale // d) for n, d in ratios]
+    g = math.gcd(*scaled)
+    levels = [(a // g, m) for a, (_, m) in zip(scaled, levels)]
     q_poly = [1]  # coefficients of Q, lowest first
-    for a in [a1] * m1 + [a2] * m2:
-        q_poly = [c - a * c_next for c, c_next in zip([0] + q_poly, q_poly + [0])]
-    levels = []
-    for a, m, other, m_other in ((a1, m1, a2, m2), (a2, m2, a1, m1)):
+    for a, m in levels:
+        for _ in range(m):
+            q_poly = [c - a * c_next for c, c_next in zip([0] + q_poly, q_poly + [0])]
+    out = []
+    for a, m in levels:
+        other, m_other = next(((o, mo) for o, mo in levels if o != a), (a - 1, 0))
         top = n_e + m - 2
         a_pow = list(accumulate([a] * (top + 1), operator.mul, initial=1))
         gap_pow = list(accumulate([a - other] * (n_a - 1), operator.mul, initial=1))
         # Taylor coefficients at A of z^n_e (z - A_other)^-m_other, times
-        # gap^(n_a - 1); C(n_e, i) vanishes for i > n_e
+        # gap^(n_a - 1); C(n_e, i) vanishes for i > n_e, and
+        # C(m_other - 1 + k, k) for k > 0 at an empty level
         e = [
             sum(
                 math.comb(n_e, i) * a_pow[n_e - i]
-                * (-1) ** (j - i) * math.comb(m_other - 1 + j - i, j - i)
+                * (-1) ** (j - i) * (math.comb(m_other - 1 + j - i, j - i) if j > i else 1)
                 * gap_pow[m - 1 - j + i]
                 for i in range(min(j, n_e) + 1)
             )
@@ -353,80 +214,126 @@ def _omega_weights(n_a: int, n_e: int, mu1: float, m1: int, mu2: float, m2: int)
                     nums[b + d - base] += (
                         (-1) ** d * math.comb(b + d, d) * a_pow[top - b - d] * kappa[m - 1 - d]
                     )
-        levels.append((nums, a_pow[top + 1] * gap_pow[n_a - 1]))
-    return levels
+        rungs = list(accumulate(reversed(nums)))[::-1]
+        out.append(([rungs[0]] * base + rungs, a_pow[top + 1] * gap_pow[n_a - 1]))
+    return out
 
 
-def _weighted_tail_sum(base: int, mus, weights):
-    """sum_{l,phi} w_{l,phi} tail_l(phi) and sum_{l,phi} |w_{l,phi} tail_l(phi)|.
+@lru_cache(maxsize=None)
+def _theta_coeffs(m: int, n: int):
+    """theta(m, n, 1/b) = sum_t coeffs[t] / den T_t(b): omega's weights at one level."""
+    return _ladder_weights(m, n, ((1.0, m),))[0]
 
-    One mp dot product per level at the current precision, over
-    phi = base .. base + len(numerators) - 1, with the E1 tail sums
-    tail_l(phi) = sum_{t <= phi} T_t(mu_l) from the ladder.
+
+def _fold(b: Fraction, coeffs, den: int):
+    """sum_t coeffs[t] / den T_t(b) as integers (S_P, S_Q, D), exactly (S_P + S_Q T_0(b)) / D.
+
+    With b = num / d, T_t = (1 - b T_{t-1}) / t gives
+    d^t t! T_t = V_t + (-num)^t T_0, where V_0 = 0 and
+    V_t = (t-1)! d^t - num V_{t-1}, so Horner's rule over the common
+    denominator D = den d^top top! takes O(top) integer steps.
+    """
+    num, b_den = b.numerator, b.denominator
+    s_p, s_q, v, power, lead = 0, coeffs[0], 0, 1, b_den
+    for t, c in enumerate(coeffs[1:], 1):
+        v = lead - num * v
+        power *= -num
+        lead *= t * b_den
+        den *= t * b_den
+        s_p = s_p * t * b_den + c * v
+        s_q = s_q * t * b_den + c * power
+    return s_p, s_q, den
+
+
+def _first_dps(folds) -> int:
+    """First working precision: 30 digits beyond the largest |S_P| / D or |S_Q| / D."""
+    bits = max(s.bit_length() - d.bit_length() for _, s_p, s_q, d in folds for s in (s_p, s_q))
+    return 30 + max(0, int(bits * _LOG10_2))
+
+
+def _fold_sum(folds):
+    """sum (S_P + S_Q T_0(b)) / D over the folds, and the sum of its terms' magnitudes.
+
+    One attempt at the current precision: T_0(b) = exp(b) E1(b) is the
+    only transcendental of each fold.
     """
     import mpmath as mp
 
-    total = size = mp.mpf(0)
-    for mu, (nums, den) in zip(mus, weights):
-        tails = list(accumulate(_exp_e1_ladder(mp.mpf(mu), base + len(nums) - 1)))
-        terms = [mp.mpf(n) * t for n, t in zip(nums, tails[base:])]
-        den = mp.mpf(den)
-        total += mp.fsum(terms) / den
-        size += mp.fsum(terms, absolute=True) / abs(den)
-    return total, size
+    terms = []
+    for b, s_p, s_q, d in folds:
+        bm = mp.mpf(b.numerator) / mp.mpf(b.denominator)
+        d = mp.mpf(d)
+        terms += [s_p / d, s_q * (mp.exp(bm) * mp.e1(bm)) / d]
+    return mp.fsum(terms), mp.fsum(terms, absolute=True)
 
 
-def _tail_sum_first_dps(weights) -> int:
-    """First working precision of omega's dot product, from its weights alone.
+def _ladder_sum(what: str, levels) -> float:
+    """sum over (b, coeffs, den) in levels of sum_t coeffs[t] / den T_t(b), as a double.
 
-    The sum cancels about as many digits as its largest weight has (on
-    random configs across shapes and decades, never half a digit more), so
-    the first attempt covers those and the guard digits, and at least 30.
-    """
-    bits = max(abs(n).bit_length() - abs(den).bit_length() for nums, den in weights for n in nums)
-    return max(30, int(bits * _LOG10_2) + _OMEGA_GUARD_DIGITS + 2)
-
-
-def _omega_tail_sum(n_a: int, n_e: int, mu1: float, m1: int, mu2: float, m2: int) -> float:
-    """omega at two levels mu1 > mu2 > 0 with multiplicities m1 + m2 = n_a.
-
-    omega is the Cramer sum tr(R0^-1 C) of the determinant expansion, and
-    by Hermite interpolation on R0's two confluent nodes that is
-    sum_{l,phi} w_{l,phi} tail_l(phi) with exact integer weights
-    (_omega_weights). Only the dot product with the tails is rounded. An
-    attempt is accepted when its working precision covers the digits the
-    sum cancels, log10(sum |w tail| / |sum w tail|), plus
-    _OMEGA_GUARD_DIGITS, more than the 17 that fix a double's last bit;
+    Each level folds exactly to (S_P + S_Q T_0(b)) / D (_fold); only that
+    is rounded. An attempt is accepted when its working precision covers
+    the digits the sum cancels, log10(sum |terms| / |sum|), plus
+    _GUARD_DIGITS, more than the 17 that fix a double's last bit;
     otherwise it retries at the precision so sized. A zero sum holds no
-    correct digit and doubles the precision.
+    correct digit and doubles the precision. what names the quantity in
+    the error raised when no attempt settles.
     """
     import mpmath as mp
 
-    weights = _omega_weights(n_a, n_e, mu1, m1, mu2, m2)
-    dps = _tail_sum_first_dps(weights)
+    folds = [(b, *_fold(b, coeffs, den)) for b, coeffs, den in levels]
+    dps = _first_dps(folds)
     for _ in range(8):
         with mp.workdps(dps):
-            total, size = _weighted_tail_sum(n_e - min(n_e, n_a), (mu1, mu2), weights)
+            total, size = _fold_sum(folds)
         if not total:
             dps *= 2
             continue
-        needed = _log10_abs(size) - _log10_abs(total) + _OMEGA_GUARD_DIGITS
+        needed = _log10_abs(size) - _log10_abs(total) + _GUARD_DIGITS
         if dps >= needed:
             return float(total)
         dps = int(needed) + 1
-    raise NumericError(
-        "adaptive precision for omega's tail sum did not settle "
-        f"(n_a={n_a}, n_e={n_e}, mu1={mu1!r}, mu2={mu2!r})"
-    )
+    raise NumericError(f"adaptive precision for {what} did not settle")
+
+
+def theta(m: int, n: int, x: float) -> float:
+    """Ergodic E[ln det(I_m + x W)] for an m-by-n complex Wishart W, in nats.
+
+    Requires 1 <= m <= n <= 16 and x >= 0; theta(m, n, 0) = 0. n <= 16
+    is the envelope the tests validate, bitwise against the published sum
+    at 600 digits; it is kept until larger n carries the same evidence
+    (an open ROADMAP item), not for lack of digits.
+
+    theta is omega at a single level: sum_j A_j T_j(b), b = 1/x, with
+    T_j(b) = exp(b) E_{j+1}(b) and exact rational A_j (_theta_coeffs,
+    cached per (m, n)), folded and rounded by _ladder_sum.
+    """
+    m = _integer("m", m, 1)
+    n = _integer("n", n, 1)
+    if m > n:
+        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
+    if n > _THETA_MAX_N:
+        raise DomainError(
+            f"supported envelope is n <= {_THETA_MAX_N}, got n={n}"
+        )
+    return _theta_value(m, n, _finite("x", x))
+
+
+@lru_cache(maxsize=64)
+def _theta_value(m: int, n: int, x: float) -> float:
+    """theta(m, n, x) for checked arguments; one rate point needs at most five."""
+    if x == 0.0:
+        return 0.0
+    return _ladder_sum(f"theta({m}, {n}, {x!r})", [(1 / Fraction(x), *_theta_coeffs(m, n))])
 
 
 def omega(cfg: SystemConfig) -> float:
     """Eavesdropper-side ergodic log-det E[ln det(I + alpha W1 + alpha beta W2)].
 
     Single-group branch theta(n_hat_min, n_hat_max, alpha) whenever
-    |beta - 1| < 1e-6 (the general expansion divides by the eigenvalue
-    gap and explodes there; continuity across the switch is a tested
-    property), the exact tail weights at a sized precision otherwise.
+    |beta - 1| < 1e-6 (the two-level weights divide by the eigenvalue
+    gap and explode there; continuity across the switch is a tested
+    property), the exact two-level weights (_ladder_weights) on the E1
+    ladder of each level otherwise.
     """
     if cfg.alpha == 0.0:
         return 0.0
@@ -438,10 +345,15 @@ def omega(cfg: SystemConfig) -> float:
     ab = cfg.alpha * cfg.beta
     data = (1.0 / cfg.alpha, cfg.n_b)
     noise = (1.0 / ab if ab else math.inf, cfg.n_a - cfg.n_b)
-    (mu1, m1), (mu2, m2) = (data, noise) if data[0] > noise[0] else (noise, data)
+    levels = (data, noise) if data[0] > noise[0] else (noise, data)
+    (mu1, _), (mu2, _) = levels
     if not (mu1 > mu2 > 0.0 and math.isfinite(mu1)):
         raise DomainError(f"need mu1 > mu2 > 0, got mu1={mu1!r}, mu2={mu2!r}")
-    return _omega_tail_sum(cfg.n_a, cfg.n_e, mu1, m1, mu2, m2)
+    weights = _ladder_weights(cfg.n_a, cfg.n_e, levels)
+    return _ladder_sum(
+        f"omega(n_a={cfg.n_a}, n_e={cfg.n_e}, mu1={mu1!r}, mu2={mu2!r})",
+        [(Fraction(mu), *w) for (mu, _), w in zip(levels, weights)],
+    )
 
 
 def _common_theta(cfg: SystemConfig) -> float:

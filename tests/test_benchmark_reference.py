@@ -3,11 +3,11 @@
 perfbench/run.py accepts a closed-form output within 1e-10 relative of
 perfbench/reference.json, so a last-bit drift would pass it unseen. Here
 every run_point output on the 45 closed-form points must equal the
-recorded double bit for bit, and omega must build its weights once and
-settle in one attempt on each of the 36 points beyond its single-group
-branch. Every design-cli
-candidate must write the recorded bytes through the CLI. The benchmark's
-files are only read.
+recorded double bit for bit. omega must build its two-level weights once
+and settle in one attempt on each of the 36 points beyond its
+single-group branch, and each distinct theta value must settle in one
+attempt. Every design-cli candidate must write the recorded bytes through
+the CLI. The benchmark's files are only read.
 """
 
 import json
@@ -44,8 +44,10 @@ def workloads():
 
 def test_closed_form_points_match_reference_bitwise(workloads, reference, monkeypatch):
     reference = reference["closed-form"]
+    # perfbench's per-layer closed_form.theta.coeff_cache_misses reads this
+    assert callable(closed_form._theta_coeffs.cache_info)
     weights, attempts = [], []
-    for name, calls in (("_omega_weights", weights), ("_weighted_tail_sum", attempts)):
+    for name, calls in (("_ladder_weights", weights), ("_fold_sum", attempts)):
         real = getattr(closed_form, name)
 
         def counting(*args, real=real, calls=calls):
@@ -53,19 +55,23 @@ def test_closed_form_points_match_reference_bitwise(workloads, reference, monkey
             return real(*args)
 
         monkeypatch.setattr(closed_form, name, counting)
+    memo = closed_form._theta_value
     points = [op for slot in workloads.candidates("closed-form") for op in slot]
     assert len(points) == 45
     beyond_single_group = 0
     for op in points:
-        before = len(weights), len(attempts)
+        before = len(weights), len(attempts), memo.cache_info().misses
         row = run_point(SystemConfig(**op.params), list(workloads.CLOSED_FORM_OUTPUTS))
         got = {name: value.hex() for name, value in row.items()}
         want = {name: float(value).hex() for name, value in reference[op.key].items()}
         assert got == want, op.params
-        if op.params["beta"] != 1.0:
-            beyond_single_group += 1
-            assert (len(weights) - before[0], len(attempts) - before[1]) == (1, 1), op.params
-    assert beyond_single_group == 36 and len(weights) == len(attempts) == 36
+        # theta's one-level weights are cached; count omega's two-level builds
+        two_level = sum(len(args[2]) == 2 for args in weights[before[0]:])
+        thetas = memo.cache_info().misses - before[2]
+        omegas = int(op.params["beta"] != 1.0)
+        beyond_single_group += omegas
+        assert (two_level, len(attempts) - before[1]) == (omegas, omegas + thetas), op.params
+    assert beyond_single_group == 36
 
 
 def test_design_cli_candidates_match_reference_bytes(workloads, reference, tmp_path):

@@ -5,11 +5,12 @@ suite; here the same cross-checks run at reduced trial counts plus the
 exact identities, degeneracy routing, and validation behavior.
 """
 
+import functools
 import math
 import random
 import time
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 import mpmath as mp
 import pytest
@@ -43,36 +44,65 @@ def cfg(n_a, n_b, n_e, alpha, beta, gamma):
     return SystemConfig(n_a=n_a, n_b=n_b, n_e=n_e, alpha=alpha, beta=beta, gamma=gamma)
 
 
-def theta_by_recursion(m, n, x):
-    """theta folded by the P_j, Q_j ladder recursion in Fractions, call by call.
+@functools.lru_cache(maxsize=None)
+def published_coeffs(m, n):
+    """The A_j of theta(m, n, x) = sum_j A_j exp(b) E_{j+1}(b), b = 1/x, as Fractions.
 
-    The reference for the cached polynomial fold: S_P and S_Q as sums of
-    A_j p_j(b) and A_j q_j(b), with p_j, q_j rebuilt from their recursion.
+    The paper's triple sum, term by term; the A_j alternate in sign and
+    reach ~1e20 by (16, 16).
+    """
+    coeffs = {}
+    for k in range(m):
+        for ell in range(k + 1):
+            for i in range(2 * ell + 1):
+                num = (
+                    (-1) ** i
+                    * math.factorial(2 * ell)
+                    * math.factorial(n - m + i)
+                    * math.comb(2 * (k - ell), k - ell)
+                    * math.comb(2 * (ell + n - m), 2 * ell - i)
+                )
+                den = (
+                    2 ** (2 * k - i)
+                    * math.factorial(ell)
+                    * math.factorial(i)
+                    * math.factorial(n - m + ell)
+                )
+                c = Fraction(num, den)
+                for j in range(n - m + i + 1):
+                    coeffs[j] = coeffs.get(j, Fraction(0)) + c
+    return [coeffs[j] for j in range(len(coeffs))]
+
+
+@functools.lru_cache(maxsize=None)
+def exp_e1_ladder(x, dps=600):
+    """exp(b) E_{j+1}(b), b = 1/x, for j = 0..30 at fixed precision, by forward recursion from mp.e1.
+
+    The recursion multiplies T_0's rounding error by up to b^j / j!, under
+    150 of the 600 digits for x >= 1e-6.
+    """
+    with mp.workdps(dps):
+        b = 1 / mp.mpf(x)
+        ts = [mp.exp(b) * mp.e1(b)]
+        for j in range(1, 31):
+            ts.append((1 - b * ts[-1]) / j)
+        return ts
+
+
+def theta_by_published_sum(m, n, x, dps=600):
+    """theta as the published A_j dotted with exp(b) E_{j+1}(b) at fixed precision.
+
+    The reference for theta's exact fold: it shares neither the weights
+    nor the fold nor the precision rule.
     """
     if x == 0.0:
         return 0.0
-    coeffs = closed_form._ladder_coeffs(m, n)
-    b = 1 / Fraction(x)
-    jmax = max(coeffs)
-    p = [Fraction(0)] * (jmax + 1)
-    q = [Fraction(0)] * (jmax + 1)
-    q[0] = Fraction(1)
-    for j in range(1, jmax + 1):
-        p[j] = (1 - b * p[j - 1]) / j
-        q[j] = -b * q[j - 1] / j
-    s_p = sum(coeffs[j] * p[j] for j in coeffs)
-    s_q = sum(coeffs[j] * q[j] for j in coeffs)
-    if s_p == 0 and s_q == 0:
-        return 0.0
-    dps = 30 + max(closed_form._fraction_digits(s_p), closed_form._fraction_digits(s_q))
     with mp.workdps(dps):
-        bm = mp.mpf(b.numerator) / mp.mpf(b.denominator)
-        t0 = mp.exp(bm) * mp.e1(bm)
-        val = (
-            mp.mpf(s_p.numerator) / mp.mpf(s_p.denominator)
-            + (mp.mpf(s_q.numerator) / mp.mpf(s_q.denominator)) * t0
-        )
-        return float(val)
+        ts = exp_e1_ladder(x, dps)
+        return float(mp.fsum(
+            mp.mpf(a.numerator) / a.denominator * t
+            for a, t in zip(published_coeffs(m, n), ts)
+        ))
 
 
 def counting(monkeypatch, name):
@@ -150,6 +180,20 @@ def reference_configs(seed, count):
     return out
 
 
+def fresh_value(quantity, args):
+    """theta(*args) computed past its memo, or omega of the config args at gamma 1."""
+    if quantity == "theta":
+        closed_form._theta_value.cache_clear()
+        return theta(*args)
+    return omega(cfg(*args, 1.0))
+
+
+PRECISION_CASES = [
+    pytest.param("theta", (16, 16, 0.05), id="theta"),
+    pytest.param("omega", (16, 8, 16, 2.0, 0.5), id="omega"),
+]
+
+
 class TestTheta:
     def test_zero_snr(self):
         assert theta(3, 6, 0.0) == 0.0
@@ -184,15 +228,14 @@ class TestTheta:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_polynomial_fold_matches_recursion(self, n):
-        # the cached integer polynomials give the recursion's S_P and S_Q,
-        # hence its working precision and its double, bit for bit
+        # the exact fold of the cached integer weights gives the published
+        # sum's double at 600 digits, bit for bit
         for m in range(1, n + 1):
-            for x in (1e-3, 0.05, 1.0, 37.5, 1e3):
-                assert theta(m, n, x).hex() == theta_by_recursion(m, n, x).hex()
+            for x in (1e-6, 1e-3, 0.05, 0.3, 1.0, 2.0, 37.5, 1e3, 1e6):
+                assert theta(m, n, x).hex() == theta_by_published_sum(m, n, x).hex()
         # only integers stay cached
-        assert not hasattr(closed_form._ladder_coeffs, "cache_info")
-        for coeffs, den in closed_form._theta_coeffs(n, n):
-            assert all(type(c) is int for c in coeffs + [den])
+        coeffs, den = closed_form._theta_coeffs(n, n)
+        assert all(type(c) is int for c in coeffs + [den])
 
     @given(
         st.integers(min_value=1, max_value=16),
@@ -203,7 +246,16 @@ class TestTheta:
     def test_polynomial_fold_matches_recursion_at_drawn_x(self, m, extra, log_x):
         n = min(16, m + extra)
         x = 10.0**log_x
-        assert theta(m, n, x).hex() == theta_by_recursion(m, n, x).hex()
+        assert theta(m, n, x).hex() == theta_by_published_sum(m, n, x).hex()
+
+    def test_weights_are_the_published_coefficients(self):
+        # theta is omega at one level: the rung weights of that level,
+        # over their denominator, are the published A_j exactly, on every
+        # shape of the envelope
+        for n in range(1, 17):
+            for m in range(1, n + 1):
+                coeffs, den = closed_form._theta_coeffs(m, n)
+                assert [Fraction(c, den) for c in coeffs] == published_coeffs(m, n), (m, n)
 
     def test_envelope_boundary_finite(self):
         # largest supported size, stressed both at tiny and large scale
@@ -356,8 +408,7 @@ class TestOmega:
     def test_weights_are_the_cramer_diagonal(self, n_a, n_b, n_e, alpha, beta):
         # w_{l,phi} = sum of (R0^-1)_kj (R0)_jk over the k < p and the rows j
         # of level l and shift d with n_e - p + k + d = phi
-        (mu1, m1), (mu2, m2) = eve_levels(n_a, n_b, alpha, beta)
-        weights = closed_form._omega_weights(n_a, n_e, mu1, m1, mu2, m2)
+        weights = closed_form._ladder_weights(n_a, n_e, eve_levels(n_a, n_b, alpha, beta))
         base = n_e - min(n_e, n_a)
         with mp.workdps(600):
             r0, c, labels = cramer_matrices(n_a, n_b, n_e, alpha, beta)
@@ -367,10 +418,12 @@ class TestOmega:
                 for j, (level, d) in enumerate(labels):
                     key = (level, base + k + d)
                     got[key] = got.get(key, 0) + inv[k, j] * r0[j, k]
+            # the tail weights are the differences of the rung weights
             want = {
-                (level, base + i): mp.mpf(num) / den
-                for level, (nums, den) in enumerate(weights)
-                for i, num in enumerate(nums)
+                (level, phi): mp.mpf(c - c_next) / den
+                for level, (coeffs, den) in enumerate(weights)
+                for phi, (c, c_next) in enumerate(pairwise(coeffs + [0]))
+                if phi >= base
             }
             assert got.keys() == want.keys()
             scale = max(abs(v) for v in want.values())
@@ -379,18 +432,17 @@ class TestOmega:
 
     def test_weights_sum_to_p(self):
         # one per diagonal entry of R0^-1 R0, exactly, on every shape up to
-        # n_a = 16 and n_e = 16 at levels drawn over twelve decades
+        # n_a = 16 and n_e = 16 at levels drawn over twelve decades; rung
+        # 0's weight is the sum of the tail weights
         rng = random.Random(2)
         for n_a in range(2, 17):
             for n_b in range(1, n_a):
                 for n_e in range(1, 17):
-                    (mu1, m1), (mu2, m2) = eve_levels(
+                    levels = eve_levels(
                         n_a, n_b, 10 ** rng.uniform(-6, 6), 10 ** rng.uniform(-6, 6)
                     )
-                    (nums1, den1), (nums2, den2) = closed_form._omega_weights(
-                        n_a, n_e, mu1, m1, mu2, m2
-                    )
-                    total = sum(nums1) * den2 + sum(nums2) * den1
+                    (c1, den1), (c2, den2) = closed_form._ladder_weights(n_a, n_e, levels)
+                    total = c1[0] * den2 + c2[0] * den1
                     assert total == min(n_e, n_a) * den1 * den2, (n_a, n_b, n_e)
 
     def test_matches_cramer_reference_bitwise(self):
@@ -441,7 +493,7 @@ class TestOmega:
         ],
     )
     def test_first_precision_settles(self, monkeypatch, n_a, n_b, n_e, alpha, beta, attempts):
-        calls = counting(monkeypatch, "_weighted_tail_sum")
+        calls = counting(monkeypatch, "_fold_sum")
         omega(cfg(n_a, n_b, n_e, alpha, beta, 1.0))
         assert len(calls) == attempts
 
@@ -458,60 +510,79 @@ class TestOmega:
             )
         assert closed_form._log10_abs(mp.mpf(0)) == -math.inf
 
-    def test_short_first_precision_retries(self, monkeypatch):
-        # 20 digits cannot hold the 12 the sum cancels and 20 guard digits:
-        # the attempt fails and the retry at the precision it sized gives
-        # the usual value
-        c = cfg(16, 8, 16, 2.0, 0.5, 1.0)
-        want = omega(c)
-        calls = counting(monkeypatch, "_weighted_tail_sum")
-        monkeypatch.setattr(closed_form, "_tail_sum_first_dps", lambda weights: 20)
-        assert omega(c) == want
+    # theta is omega at one level and shares its precision loop
+    # (_ladder_sum), so the loop's tests run on both; the first case of each
+    # cancels 19 digits (theta) and 6 (omega)
+    @pytest.mark.parametrize("quantity, args", PRECISION_CASES)
+    def test_short_first_precision_retries(self, monkeypatch, quantity, args):
+        # 20 digits cannot hold the digits the sum cancels and 20 guard
+        # digits: the attempt fails and the retry at the precision it sized
+        # gives the usual value
+        want = fresh_value(quantity, args)
+        calls = counting(monkeypatch, "_fold_sum")
+        monkeypatch.setattr(closed_form, "_first_dps", lambda folds: 20)
+        assert fresh_value(quantity, args) == want
         assert len(calls) == 2
 
-    def test_zero_sum_retries(self, monkeypatch):
+    @pytest.mark.parametrize("quantity, args", PRECISION_CASES)
+    def test_zero_sum_retries(self, monkeypatch, quantity, args):
         # a zero sum holds no correct digit: the attempt fails and the retry
         # at twice the precision gives the usual value
-        c = cfg(6, 3, 12, 2.0, 0.5, 1.0)
-        want = omega(c)
+        want = fresh_value(quantity, args)
         calls = []
-        real = closed_form._weighted_tail_sum
+        real = closed_form._fold_sum
 
-        def zeroing(*args):
-            total, size = real(*args)
+        def zeroing(folds):
+            total, size = real(folds)
             calls.append(mp.mp.dps)
             return (mp.mpf(0) if len(calls) == 1 else total), size
 
-        monkeypatch.setattr(closed_form, "_weighted_tail_sum", zeroing)
-        assert omega(c) == want
+        monkeypatch.setattr(closed_form, "_fold_sum", zeroing)
+        assert fresh_value(quantity, args) == want
         assert calls[1] == 2 * calls[0]
 
-    def test_precision_that_never_settles_is_a_numeric_error(self, monkeypatch):
-        monkeypatch.setattr(
-            closed_form, "_weighted_tail_sum", lambda *args: (mp.mpf(0), mp.mpf(1))
-        )
-        with pytest.raises(NumericError, match="did not settle"):
-            omega(cfg(6, 3, 12, 2.0, 0.5, 1.0))
+    @pytest.mark.parametrize(
+        "quantity, args, what",
+        [
+            ("theta", (16, 16, 0.05), "theta(16, 16, 0.05)"),
+            ("omega", (16, 8, 16, 2.0, 0.5), "omega(n_a=16, n_e=16, mu1=1.0, mu2=0.5)"),
+        ],
+        ids=["theta", "omega"],
+    )
+    def test_precision_that_never_settles_is_a_numeric_error(
+        self, monkeypatch, quantity, args, what
+    ):
+        # the error names the quantity and its arguments
+        monkeypatch.setattr(closed_form, "_fold_sum", lambda folds: (mp.mpf(0), mp.mpf(1)))
+        with pytest.raises(NumericError) as exc:
+            fresh_value(quantity, args)
+        assert str(exc.value) == f"adaptive precision for {what} did not settle"
 
     @pytest.mark.parametrize(
-        "n_a, n_b, n_e, alpha, beta",
+        "quantity, args",
         [
-            (6, 3, 12, 2.0, 0.5),
-            (16, 8, 16, 1e6, 1e6),
-            (16, 15, 16, 1e-3, 1e3),
-            (16, 1, 16, 1e6, 1e-6),
-            (8, 7, 8, 0.01901708027304142, 679156.6916577134),
-            (4, 1, 12, 4.58036e-5, 0.2536),
-            (15, 7, 14, 2.5, 3.3),
+            pytest.param(quantity, args, id="-".join(map(str, args)))
+            for quantity, args in [
+                ("omega", (6, 3, 12, 2.0, 0.5)),
+                ("omega", (16, 8, 16, 1e6, 1e6)),
+                ("omega", (16, 15, 16, 1e-3, 1e3)),
+                ("omega", (16, 1, 16, 1e6, 1e-6)),
+                ("omega", (8, 7, 8, 0.01901708027304142, 679156.6916577134)),
+                ("omega", (4, 1, 12, 4.58036e-5, 0.2536)),
+                ("omega", (15, 7, 14, 2.5, 3.3)),
+                ("theta", (16, 16, 0.05)),
+                ("theta", (8, 16, 1e-6)),
+                ("theta", (16, 16, 1e6)),
+                ("theta", (1, 1, 1.0)),
+            ]
         ],
     )
-    def test_doubled_first_precision_agrees(self, monkeypatch, n_a, n_b, n_e, alpha, beta):
+    def test_doubled_first_precision_agrees(self, monkeypatch, quantity, args):
         # the precision rule's claim: what passes at D digits is what 2D digits give
-        c = cfg(n_a, n_b, n_e, alpha, beta, 1.0)
-        at_d = omega(c)
-        real = closed_form._tail_sum_first_dps
-        monkeypatch.setattr(closed_form, "_tail_sum_first_dps", lambda weights: 2 * real(weights))
-        assert omega(c) == at_d
+        at_d = fresh_value(quantity, args)
+        real = closed_form._first_dps
+        monkeypatch.setattr(closed_form, "_first_dps", lambda folds: 2 * real(folds))
+        assert fresh_value(quantity, args) == at_d
 
     @pytest.mark.parametrize(
         "n_a, n_b, n_e, alpha, beta, expect",

@@ -1,14 +1,16 @@
 """The exponential-integral values behind theta and omega.
 
-theta seeds its fold with exp(b) E1(b), and omega fills its columns from
-the ladder T_t(mu) = exp(mu) E_{t+1}(mu) = exp(mu) mu^t Gamma(-t, mu) of
-``closed_form._exp_e1_ladder``. These tests read E1 and the
-nonpositive-order upper incomplete gamma off that ladder and pin them
-against quadrature of the defining integrals, series values and known
-bounds, never against the ladder itself.
+Both closed forms are weighted sums over the ladder
+T_t(b) = exp(b) E_{t+1}(b) = exp(b) b^t Gamma(-t, b), folded exactly to
+one transcendental T_0 and rounded by ``closed_form._ladder_sum``. These
+tests read E1 and the nonpositive-order upper incomplete gamma off that
+evaluator, with a unit weight on one rung, and pin them against
+quadrature of the defining integrals, series values and known bounds,
+never against the ladder itself.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -16,24 +18,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anmimo import DomainError, theta
-from anmimo.closed_form import _exp_e1_ladder
+from anmimo.closed_form import _ladder_sum
+
+
+def rung(t: int, b: float) -> float:
+    """T_t(b) from the evaluator, with weight 1 on rung t and 0 below it.
+
+    Called at double-like precision: the digits the forward ladder
+    cancels must come from the evaluator's own guard, not from the
+    caller's context.
+    """
+    with mp.workdps(15):
+        return _ladder_sum(f"T_{t}({b!r})", [(Fraction(b), [0] * t + [1], 1)])
 
 
 def e1(b: float) -> float:
     """E1(b) as the ladder's first rung gives it."""
     with mp.workdps(15):
-        return float(_exp_e1_ladder(mp.mpf(b), 0)[0] * mp.exp(-b))
+        return float(rung(0, b) * mp.exp(-b))
 
 
 def upper_gamma(a: int, b: float) -> float:
-    """Gamma(a, b) for an order a <= 0, from rung -a of the ladder.
-
-    Runs at double-like precision: the digits the forward ladder loses
-    must come from its own guard, not from the caller's context.
-    """
+    """Gamma(a, b) for an order a <= 0, from rung -a of the ladder."""
     with mp.workdps(15):
         mu = mp.mpf(b)
-        return float(_exp_e1_ladder(mu, -a)[-a] * mp.exp(-mu) / mu ** (-a))
+        return float(rung(-a, b) * mp.exp(-mu) / mu ** (-a))
 
 
 def quad_upper_gamma(a: int, b: float) -> float:
