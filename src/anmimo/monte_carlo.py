@@ -7,14 +7,17 @@ inside any batch, or on any worker. Reduction is likewise schedule-proof:
 trials are grouped into chunks whose boundaries depend only on the trial
 shape, each chunk is summed exactly (math.fsum) and its squares about
 its own mean by a fixed tree of adds, and chunk partials merge in chunk
-order. Chunks are evaluated on a thread pool with one worker per
-available core; the ANMIMO_WORKERS environment variable narrows or widens
-that pool. It can never change a result or an output byte, only the
-schedule. Results are bitwise the same for one numpy and BLAS build on
-one CPU kernel; another BLAS kernel (say, another OPENBLAS_CORETYPE) can
-round the per-trial log-dets differently, by a few units in the last
-place. Each worker walks its chunk in slices of at most 2**19 words,
-which bounds memory without touching the per-trial values.
+order. One driver (_chunked) runs this schedule for every estimator,
+which supplies only the per-trial values of a slice of trials and what
+to keep of a chunk. Chunks are evaluated on a thread pool with one
+worker per available core; the ANMIMO_WORKERS environment variable
+narrows or widens that pool. It can never change a result or an output
+byte, only the schedule. Results are bitwise the same for one numpy and
+BLAS build on one CPU kernel; another BLAS kernel (say, another
+OPENBLAS_CORETYPE) can round the per-trial log-dets differently, by a
+few units in the last place. Each worker walks its chunk in slices of at
+most 2**19 words, which bounds memory without touching the per-trial
+values.
 
 Each public function runs OpenBLAS single-threaded for as long as it
 runs, on the serial path as on the pool, and restores the previous
@@ -36,7 +39,9 @@ The secrecy rate of a trial needs only h and g. The eavesdropper sees
 g (alpha P + alpha beta (I - P)) g^H, where P projects onto the row space
 of h, and both of its pieces come from one Householder QR of [h^H g^H]
 (see _secrecy_rates); the precoding basis (v1, z) belongs to the model
-that sample_channel returns, not to the estimator.
+that sample_channel returns, not to the estimator. The rank check of h
+reads the triangular factor of whichever QR of h^H its caller ran, and
+factors nothing again.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ _RANK_RTOL = 1e-8
 # margin over 1 / _RANK_RTOL, whatever the rounding in the bound
 _COND_CLEAR = 1e6
 _MAX_SEED = 2**64
+_PHILOX_BLOCKS = 2**256  # Philox's 256-bit block counter
 _SLICE_WORDS = 1 << 19
 
 
@@ -118,11 +124,6 @@ def _blocks_per_trial(n_words: int) -> int:
     return (n_words + 3) // 4
 
 
-def _raw_words(seed: int, start_block: int, n_words: int) -> np.ndarray:
-    bg = np.random.Philox(key=seed, counter=int(start_block))
-    return bg.random_raw(n_words)
-
-
 def _gaussians_from_words(words: np.ndarray) -> np.ndarray:
     """Map pairs of raw words to unit-variance circular complex Gaussians.
 
@@ -156,8 +157,8 @@ def _trial_gaussians(seed: int, t0: int, nt: int, words_per_trial: int) -> np.nd
     Trial t reads its own counter span, so a row never depends on t0 or nt.
     """
     bpt = _blocks_per_trial(words_per_trial)
-    raw = _raw_words(seed, t0 * bpt, nt * bpt * 4).reshape(nt, bpt * 4)
-    return _gaussians_from_words(raw[:, :words_per_trial])
+    raw = np.random.Philox(key=seed, counter=t0 * bpt).random_raw(nt * bpt * 4)
+    return _gaussians_from_words(raw.reshape(nt, bpt * 4)[:, :words_per_trial])
 
 
 def _chunk_size(words_per_trial: int) -> int:
@@ -166,30 +167,28 @@ def _chunk_size(words_per_trial: int) -> int:
     return max(1, min(65536, (1 << 21) // max(1, words_per_trial)))
 
 
-def _spans(t0: int, nt: int, size: int):
-    return [(s, min(size, t0 + nt - s)) for s in range(t0, t0 + nt, size)]
+def _chunked(trials: int, words_per_trial: int, values, finish) -> list:
+    """finish(t0, chunk values) for each chunk of trials [0, trials), in chunk order.
 
-
-def _chunk_spans(trials: int, words_per_trial: int):
-    return _spans(0, trials, _chunk_size(words_per_trial))
-
-
-def _sliced(values, t0: int, nt: int, words_per_trial: int) -> np.ndarray:
-    """values(s, n) over trials [t0, t0+nt) in slices of <= _SLICE_WORDS words.
-
-    Per-trial values do not depend on the slicing: each trial has its own
-    counter span, and every LAPACK/BLAS call works on one trial's matrices.
+    A chunk's values are values(s, n) over its slices of trials [s, s+n),
+    each of at most _SLICE_WORDS words, joined in trial order. Per-trial
+    values do not depend on the slicing: each trial has its own counter
+    span, and every LAPACK/BLAS call works on one trial's matrices.
     """
+    size = _chunk_size(words_per_trial)
     step = max(1, _SLICE_WORDS // (4 * _blocks_per_trial(words_per_trial)))
-    return np.concatenate([values(s, n) for s, n in _spans(t0, nt, step)])
 
+    def chunk(t0):
+        end = min(t0 + size, trials)
+        vals = np.concatenate([values(s, min(step, end - s)) for s in range(t0, end, step)])
+        return finish(t0, vals)
 
-def _map_chunks(spans, worker) -> list:
+    starts = range(0, trials, size)
     n_workers = _worker_count()
-    if n_workers > 1 and len(spans) > 1:
+    if n_workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(lambda span: worker(*span), spans))
-    return [worker(*span) for span in spans]
+            return list(pool.map(chunk, starts))
+    return [chunk(t0) for t0 in starts]
 
 
 def _herm(x: np.ndarray) -> np.ndarray:
@@ -224,34 +223,26 @@ def _stacked_batch(cfg: SystemConfig, seed: int, t0: int, nt: int) -> np.ndarray
     return entries.reshape(nt, cfg.n_b + cfg.n_e, cfg.n_a)
 
 
-def _sample_batch(cfg: SystemConfig, seed: int, t0: int, nt: int):
-    """Channels for trials [t0, t0+nt) straight from their counter spans."""
-    hg = _stacked_batch(cfg, seed, t0, nt)
-    return hg[:, : cfg.n_b], hg[:, cfg.n_b :]
-
-
-def _check_rank(h: np.ndarray, r_diag: np.ndarray, t0: int) -> None:
+def _check_rank(r: np.ndarray, t0: int) -> None:
     """NumericError at the first trial whose h has sigma_min <= 1e-8 sigma_max.
 
-    r_diag holds the diagonals of n x n triangular factors R of the h^H,
-    which share the singular values of h. cond(R) < (2 / |det R|)
-    (||R||_F / sqrt(n))^n (Guggenheimer, Edelman & Johnson, 1995), with
-    |det R| the product of the |r_ii| and ||R||_F = ||h||_F, so a trial
+    r holds the n x n triangular factors R (or their transposes) of the
+    h^H from the caller's QR; R shares the singular values of h. cond(R)
+    < (2 / |det R|) (||R||_F / sqrt(n))^n (Guggenheimer, Edelman &
+    Johnson, 1995), with |det R| the product of the |r_ii|, so a trial
     whose bound is at most _COND_CLEAR passes without an SVD. The others
-    get the singular values of the R that np.linalg.qr of h^H gives in
-    any mode.
+    get the singular values of their R.
     """
-    n = r_diag.shape[-1]
+    n = r.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 gives a nan bound
-        log_det = np.sum(np.log(np.abs(r_diag)), axis=-1)
-        log_fro = np.log(np.linalg.norm(h, axis=(-2, -1)))
+        log_det = np.sum(np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)
+        log_fro = np.log(np.linalg.norm(r, axis=(-2, -1)))
         log_bound = math.log(2.0) - log_det + n * (log_fro - 0.5 * math.log(n))
     unsure = np.flatnonzero(~(log_bound <= math.log(_COND_CLEAR)))
     if unsure.size == 0:
         return
     try:
-        r = np.linalg.qr(_herm(h[unsure]), mode="r")
-        singvals = np.linalg.svd(r, compute_uv=False)
+        singvals = np.linalg.svd(r[unsure], compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"rank check failed near trial {t0}: {exc}") from exc
     bad = singvals[..., -1] <= _RANK_RTOL * singvals[..., 0]
@@ -270,7 +261,7 @@ def _precoding_basis(h: np.ndarray, n_b: int, t0: int):
         q, r = np.linalg.qr(_herm(h), mode="complete")
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"QR basis failed near trial {t0}: {exc}") from exc
-    _check_rank(h, np.diagonal(r, axis1=-2, axis2=-1), t0)
+    _check_rank(r[..., :n_b, :], t0)
     return q[..., :n_b], q[..., n_b:]
 
 
@@ -280,13 +271,21 @@ def sample_channel(cfg: SystemConfig, trial_index: int, seed: int) -> ChannelRea
 
     The same (seed, trial_index) always yields the same realization, and
     it is bit-identical to the one any batched estimator uses internally
-    for that trial index.
+    for that trial index. The trial's Philox blocks must end within the
+    2**256 counter; a trial_index past that raises DomainError.
     """
     trial_index = _integer("trial_index", trial_index, 0)
     seed = _check_seed(seed)
-    h, g = _sample_batch(cfg, seed, trial_index, 1)
-    v1, z = _precoding_basis(h, cfg.n_b, trial_index)
-    return ChannelRealization(h=h[0], g=g[0], v1=v1[0], z=z[0])
+    bpt = _blocks_per_trial(_rate_words(cfg))
+    if (trial_index + 1) * bpt > _PHILOX_BLOCKS:
+        raise DomainError(
+            f"trial_index must be below 2**256 // {bpt} (its {bpt} Philox blocks "
+            f"must end within the 2**256 counter), got {trial_index}"
+        )
+    hg = _stacked_batch(cfg, seed, trial_index, 1)[0]
+    h, g = hg[: cfg.n_b], hg[cfg.n_b :]
+    v1, z = _precoding_basis(h[None], cfg.n_b, trial_index)
+    return ChannelRealization(h=h, g=g, v1=v1[0], z=z[0])
 
 
 def _secrecy_rates(cfg: SystemConfig, hg: np.ndarray, t0: int) -> np.ndarray:
@@ -308,7 +307,8 @@ def _secrecy_rates(cfg: SystemConfig, hg: np.ndarray, t0: int) -> np.ndarray:
     # holds column n_b + j of that R on and left of the diagonal
     raw = np.linalg.qr(np.swapaxes(hg, -2, -1), mode="raw")[0]
     k = min(cfg.n_a, n_b + n_e)
-    _check_rank(hg[..., :n_b, :], np.diagonal(raw, axis1=-2, axis2=-1)[..., :n_b], t0)
+    # the rest of raw's leading block holds Householder vectors, not R
+    _check_rank(np.tril(raw[..., :n_b, :n_b]), t0)
     col_scale = np.full(k, math.sqrt(cfg.alpha * cfg.beta))
     col_scale[:n_b] = math.sqrt(cfg.alpha)
     on_r = np.arange(k) <= np.arange(n_b, n_b + n_e)[:, None]
@@ -339,20 +339,19 @@ def instantaneous_secrecy_rate(ch: ChannelRealization, cfg: SystemConfig) -> flo
     return float(rate)
 
 
-def _rate_slice_values(cfg: SystemConfig, seed: int, t0: int, nt: int) -> np.ndarray:
-    return _secrecy_rates(cfg, _stacked_batch(cfg, seed, t0, nt), t0)
+def _rate_chunks(cfg: SystemConfig, seed: int, trials: int, clamp: bool, finish) -> list:
+    """finish(rates) per chunk: secrecy rates checked finite, then floored at 0 if clamp."""
 
+    def values(t0, nt):
+        return _secrecy_rates(cfg, _stacked_batch(cfg, seed, t0, nt), t0)
 
-def _rate_chunk_values(cfg: SystemConfig, seed: int, t0: int, nt: int, clamp: bool):
-    vals = _sliced(
-        lambda s, n: _rate_slice_values(cfg, seed, s, n), t0, nt, _rate_words(cfg)
-    )
-    if not np.all(np.isfinite(vals)):
-        idx = t0 + int(np.argmax(~np.isfinite(vals)))
-        raise NumericError(f"non-finite rate at trial {idx}")
-    if clamp:
-        vals = np.maximum(vals, 0.0)
-    return vals
+    def checked(t0, vals):
+        if not np.all(np.isfinite(vals)):
+            idx = t0 + int(np.argmax(~np.isfinite(vals)))
+            raise NumericError(f"non-finite rate at trial {idx}")
+        return finish(np.maximum(vals, 0.0) if clamp else vals)
+
+    return _chunked(trials, _rate_words(cfg), values, checked)
 
 
 def _sum_of_squares(x: np.ndarray) -> float:
@@ -404,11 +403,7 @@ def mc_average_secrecy_rate(
     """
     trials = _integer("trials", trials, 2)
     seed = _check_seed(seed)
-
-    def worker(t0, nt):
-        return _chunk_partials(_rate_chunk_values(cfg, seed, t0, nt, clamp))
-
-    partials = _map_chunks(_chunk_spans(trials, _rate_words(cfg)), worker)
+    partials = _rate_chunks(cfg, seed, trials, clamp, _chunk_partials)
     mean, stderr = _merge_mean_stderr(partials, trials)
     return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, clamped=bool(clamp))
 
@@ -449,10 +444,7 @@ def mc_logdet_oracle(
         g = _trial_gaussians(seed, t0, nt, words).reshape(nt, rows, cols)
         return _logdet_eye_plus_gram(g * sqrt_profile)
 
-    def worker(t0, nt):
-        return _chunk_partials(_sliced(values, t0, nt, words))
-
-    partials = _map_chunks(_chunk_spans(trials, words), worker)
+    partials = _chunked(trials, words, values, lambda t0, vals: _chunk_partials(vals))
     mean, stderr = _merge_mean_stderr(partials, trials)
     return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, clamped=False)
 
@@ -467,10 +459,6 @@ def mc_normalized_rate_sample(
     """
     realizations = _integer("realizations", realizations, 1)
     seed = _check_seed(seed)
-
-    def worker(t0, nt):
-        return _rate_chunk_values(cfg, seed, t0, nt, clamp=False)
-
-    chunks = _map_chunks(_chunk_spans(realizations, _rate_words(cfg)), worker)
+    chunks = _rate_chunks(cfg, seed, realizations, False, lambda vals: vals)
     stacked = np.concatenate(chunks) / cfg.n_b
     return [float(v) for v in stacked]

@@ -409,7 +409,13 @@ class TestSubprocess:
             "n_a = 6\nn_b = 3\nalpha = 2\nbeta = 0.5\ngamma = 2\n",
         )
         design = write(tmp_path, "d.cfg", DESIGN)
-        argvs = [["sweep", "--config", sweep], ["design", "--config", design]]
+        point = write(tmp_path, "p.cfg", POINT)
+        argvs = [
+            ["sweep", "--config", sweep],
+            ["design", "--config", design],
+            ["mc", "--config", point, "--trials", "400", "--seed", "7"],
+            ["oracle", "--rows", "2", "--cols", "3", "--scale", "2", "--trials", "500"],
+        ]
         script = (
             "import sys\n"
             "import anmimo\n"

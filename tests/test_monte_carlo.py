@@ -47,6 +47,17 @@ def channels(c, n, seed):
     return [sample_channel(c, k, seed) for k in range(n)]
 
 
+def batch(c, seed, t0, nt):
+    # h and g of trials [t0, t0+nt) as the batched estimators draw them
+    hg = mc._stacked_batch(c, seed, t0, nt)
+    return hg[:, : c.n_b], hg[:, c.n_b :]
+
+
+def rate_chunks(c, seed, trials):
+    # the unclamped rates of each chunk, as the estimators see them
+    return mc._rate_chunks(c, seed, trials, False, lambda vals: vals)
+
+
 class TestChannelStatistics:
     def test_entries_have_unit_second_moment(self):
         # |entry|^2 is Exp(1): mean 1, variance 1
@@ -156,6 +167,19 @@ class TestInstantaneousRate:
         with pytest.raises(DomainError):
             sample_channel(BASE, 0, 2**64)
 
+    def test_trial_index_stays_inside_the_philox_counter(self):
+        # 21 blocks per trial at (6, 3, 4); 2**256 = 16 mod 21, so trial
+        # 2**256 // 21 starts 16 blocks short of the end and would wrap
+        # into trial 0's words
+        last = 2**256 // 21 - 1
+        assert (last + 1) * 21 <= 2**256 < (last + 2) * 21
+        for index in (last + 1, 2**256, 10**80):
+            with pytest.raises(DomainError, match="trial_index"):
+                sample_channel(BASE, index, 3)
+        ch = sample_channel(BASE, last, 3)
+        assert np.all(np.isfinite(ch.h)) and np.all(np.isfinite(ch.g))
+        assert not np.array_equal(ch.h, sample_channel(BASE, 0, 3).h)
+
 
 class TestAverageEstimator:
     def test_matches_closed_form(self):
@@ -190,6 +214,23 @@ class TestAverageEstimator:
         assert est.mean == pytest.approx(5.076872147424457, rel=1e-14)
         assert est.stderr == pytest.approx(0.032026509227696245, rel=1e-12)
 
+    def test_pinned_regression_of_the_oracle(self):
+        # 3 chunks of 2048 trials, each walked in 512-trial slices
+        profile = [2.0] * 16 + [0.5] * 16
+        est = mc_logdet_oracle(16, 32, profile, 4500, seed=42)
+        assert est.mean == pytest.approx(53.35848505924409, rel=1e-14)
+        assert est.stderr == pytest.approx(0.012464957442476797, rel=1e-12)
+
+    def test_pinned_regression_of_the_sample(self):
+        # 2 chunks (4096 + 404 trials), each walked in 1024-trial slices
+        sample = mc_normalized_rate_sample(cfg(16, 8, 8, 2.0, 0.5, 2.0), 4500, seed=42)
+        mean = math.fsum(sample) / len(sample)
+        squares = math.fsum((v - mean) ** 2 for v in sample)
+        assert mean == pytest.approx(2.6895838481758525, rel=1e-14)
+        assert math.sqrt(squares / 4499 / 4500) == pytest.approx(
+            0.0020909958931242707, rel=1e-12
+        )
+
     def test_stderr_merge_survives_large_mean(self):
         # chunk-centred squares against a two-pass fsum over all values,
         # at mean 1e6 and spread 1e-3, split into unequal chunks. Squares
@@ -212,10 +253,11 @@ class TestAverageEstimator:
         # three chunks at (16, 8, 8); mean 130 against a spread near 0.9
         c = cfg(16, 8, 8, 1e3, 1e3, 1e3)
         est = mc_average_secrecy_rate(c, 9000, seed=5, clamp=False)
-        vals = mc._rate_chunk_values(c, 5, 0, 9000, clamp=False)
+        chunks = rate_chunks(c, 5, 9000)
+        vals = np.concatenate(chunks)
         mean = math.fsum(vals.tolist()) / 9000
         squares = math.fsum(((vals - mean) ** 2).tolist())
-        assert len(mc._chunk_spans(9000, mc._rate_words(c))) == 3
+        assert len(chunks) == 3
         assert est.mean == mean
         assert est.stderr == pytest.approx(math.sqrt(squares / 8999 / 9000), rel=1e-14)
 
@@ -323,7 +365,7 @@ def _conditioned_h(n_b, n_a, k, rng):
 
 class TestPrecodingBasis:
     def test_rank_deficient_trial_is_named(self):
-        h, _ = mc._sample_batch(BASE, 3, 100, 5)
+        h, _ = batch(BASE, 3, 100, 5)
         h = h.copy()
         h[2, 1] = h[2, 0]  # trial 102: two equal rows
         with pytest.raises(NumericError, match="trial 102"):
@@ -336,14 +378,12 @@ class TestPrecodingBasis:
         # beta = 3 puts the noise level alpha beta above the data level alpha
         for beta in (0.5, 3.0):
             c = cfg(*shape, 2.0, beta, 2.0)
-            words = mc._rate_words(c)
-            spans = mc._chunk_spans(2 * mc._chunk_size(words) + 10, words)
-            assert len(spans) == 3
-            for t0, nt in spans:
-                vals = mc._rate_chunk_values(c, 8, t0, nt, clamp=False)
-                h, g = mc._sample_batch(c, 8, t0, nt)
-                want = _svd_rates(c, h, g)
-                assert np.all(np.abs(vals - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+            trials = 2 * mc._chunk_size(mc._rate_words(c)) + 10
+            chunks = rate_chunks(c, 8, trials)
+            assert len(chunks) == 3
+            vals = np.concatenate(chunks)
+            want = _svd_rates(c, *batch(c, 8, 0, trials))
+            assert np.all(np.abs(vals - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("shape", [(6, 3, 4), (6, 3, 20), (16, 15, 8), (4, 1, 12)])
     def test_qr_rates_hold_at_high_snr(self, shape):
@@ -351,8 +391,8 @@ class TestPrecodingBasis:
         # eigenvalues here, which a difference g g^H - g P g^H would leave
         # at +-1e10 eps |g|^2 (1e-6 to 1e-4 relative in the rate)
         c = cfg(*shape, 1e5, 1e5, 2.0)
-        vals = mc._rate_slice_values(c, 8, 0, 2000)
-        h, g = mc._sample_batch(c, 8, 0, 2000)
+        h, g = batch(c, 8, 0, 2000)
+        vals = _rates(c, h, g, 0)
         want = _svd_rates(c, h, g)
         assert np.all(np.abs(vals - want) <= 1e-10 * np.abs(want))
 
@@ -360,7 +400,7 @@ class TestPrecodingBasis:
     def test_conditioning_ladder(self, shape):
         c = cfg(*shape, 2.0, 0.5, 2.0)
         rng = np.random.default_rng(sum(shape))
-        _, g = mc._sample_batch(c, 3, 100, 5)
+        _, g = batch(c, 3, 100, 5)
         for k in (0.0, 2.0, 4.0, 6.0, 7.0, 7.5):
             h = np.stack([_conditioned_h(c.n_b, c.n_a, k, rng) for _ in range(5)])
             vals = _rates(c, h, g, 100)
@@ -372,26 +412,32 @@ class TestPrecodingBasis:
             _rates(c, h, g, 100)
 
     def test_svd_runs_only_where_the_bound_does_not_clear(self, monkeypatch):
-        seen = []
-        svd = np.linalg.svd
+        # and the rank check reuses the rate's QR: one QR per batch
+        h, g = batch(BASE, 3, 100, 5)
+        # cond(h) = 10^6.5: full rank, but above what the bound may clear
+        unclear = h.copy()
+        unclear[3] = _conditioned_h(BASE.n_b, BASE.n_a, 6.5, np.random.default_rng(1))
+        seen, qrs = [], []
+        svd, qr = np.linalg.svd, np.linalg.qr
 
         def counting_svd(a, **kwargs):
             seen.append(a.shape[0])
             return svd(a, **kwargs)
 
+        def counting_qr(a, **kwargs):
+            qrs.append(a.shape[0])
+            return qr(a, **kwargs)
+
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        h, g = mc._sample_batch(BASE, 3, 100, 5)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
         _rates(BASE, h, g, 100)
-        assert seen == []
-        h = h.copy()
-        # cond(h) = 10^6.5: full rank, but above what the bound may clear
-        h[3] = _conditioned_h(BASE.n_b, BASE.n_a, 6.5, np.random.default_rng(1))
-        _rates(BASE, h, g, 100)
-        assert seen == [1]
+        assert seen == [] and qrs == [5]
+        _rates(BASE, unclear, g, 100)
+        assert seen == [1] and qrs == [5, 5]
 
     @pytest.mark.parametrize("make_deficient", ["equal rows", "zero channel"])
     def test_rank_deficient_trial_is_named_on_rate_path(self, make_deficient):
-        h, g = mc._sample_batch(BASE, 3, 100, 5)
+        h, g = batch(BASE, 3, 100, 5)
         h = h.copy()
         if make_deficient == "equal rows":
             h[2, 1] = h[2, 0]  # trial 102
@@ -403,19 +449,21 @@ class TestPrecodingBasis:
     @pytest.mark.parametrize("shape", [(6, 3, 4), (16, 8, 8), (6, 3, 20), (128, 64, 64)])
     def test_sliced_chunk_equals_whole_chunk(self, shape):
         c = cfg(*shape, 2.0, 0.5, 2.0)
-        words = mc._rate_words(c)
-        t0, nt = mc._chunk_spans(2 * mc._chunk_size(words), words)[1]
-        assert nt * words > mc._SLICE_WORDS  # more than one slice
-        sliced = mc._rate_chunk_values(c, 4, t0, nt, clamp=False)
-        whole = mc._rate_slice_values(c, 4, t0, nt)
+        size = mc._chunk_size(mc._rate_words(c))
+        assert size * mc._rate_words(c) > mc._SLICE_WORDS  # more than one slice
+        sliced = rate_chunks(c, 4, 2 * size)[1]
+        whole = _rates(c, *batch(c, 4, size, size), size)
         assert np.array_equal(sliced.view(np.uint64), whole.view(np.uint64))
 
     def test_sliced_oracle_chunk_equals_whole_chunk(self):
         rows, cols = 3, 5
         words = 2 * rows * cols
-        t0, nt = mc._chunk_spans(2 * mc._chunk_size(words), words)[1]
-        sliced = mc._sliced(lambda s, n: mc._trial_gaussians(7, s, n, words), t0, nt, words)
-        whole = mc._trial_gaussians(7, t0, nt, words)
+        size = mc._chunk_size(words)
+        sliced = mc._chunked(
+            2 * size, words,
+            lambda s, n: mc._trial_gaussians(7, s, n, words), lambda t0, vals: vals,
+        )[1]
+        whole = mc._trial_gaussians(7, size, size, words)
         assert sliced.shape == whole.shape
         assert np.array_equal(sliced.view(np.uint64), whole.view(np.uint64))
 
@@ -473,7 +521,7 @@ print(alone.hex())
 
 def _batched_channel(c, trial):
     # trial's h and g as the batched estimators draw them, without a basis
-    h, g = mc._sample_batch(c, 1, trial, 1)
+    h, g = batch(c, 1, trial, 1)
     return ChannelRealization(h=h[0], g=g[0], v1=None, z=None)
 
 
@@ -596,7 +644,7 @@ class TestOneBlasThread:
     def test_large_shape_bitwise_across_workers_and_blas_threads(self):
         # 128 realizations are two chunks of 64 at this shape
         c = cfg(128, 64, 64, 2.0, 0.5, 2.0)
-        assert len(mc._chunk_spans(128, mc._rate_words(c))) == 2
+        assert mc._chunk_size(mc._rate_words(c)) == 64
         src = Path(__file__).resolve().parents[1] / "src"
         paths = [str(src), os.environ.get("PYTHONPATH", "")]
         outputs = set()
