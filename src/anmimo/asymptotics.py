@@ -15,6 +15,7 @@ turns those margins into critical eavesdropper antenna counts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, NoRootError, NumericError, UnboundedRangeError, _finite, _integer
@@ -366,6 +367,69 @@ def positivity_conditions(cfg) -> tuple[bool, bool]:
     return (delta_highsnr(hi, r) > 0.0, delta_highsnr(lo, r) > 0.0)
 
 
+def _roomy(*values) -> bool:
+    # each value a normal float at least a factor 2 away from underflow and
+    # from overflow; False for inf and nan
+    return all(2.0 * sys.float_info.min <= v <= 0.5 * sys.float_info.max for v in values)
+
+
+def _bound_stop(n_a, n_b, alpha, beta, gamma, p_u, p_v, beta2, phi, cap) -> int:
+    """A step of critical_eve_antennas' scan from which on, up to cap, no
+    margin is positive and no step raises; cap when that is not proven."""
+    # For n_e >= n_a both beta1 <= 1 and rho <= 1, the scales are
+    # alpha n_e and alpha beta n_e, and p_v/(gamma rho) = alpha beta n_e, so
+    # the margin at scale alpha c n_e is
+    #   K_c - ln n_e + beta2 E(n_a/n_e) - (beta2 - 1) E((n_a - n_b)/n_e),
+    #   K_c = phi - beta2 ln(alpha c) + (beta2 - 1) ln(alpha beta) + 1,
+    # with E = _entropy_gap: c = max(1, beta) for the sufficient margin and
+    # min(1, beta) for the necessary one, whose K_c is the larger. E
+    # increases on (0, 1] with range (-1, 0] (its derivative in s = 1 - y
+    # is (ln s + 1 - s)/(1 - s)^2 <= 0), so for every n_e >= N both
+    # margins are at most
+    #   B(N) = K_min(1, beta) - ln N + beta2 E(n_a/N) + beta2 - 1,
+    # which decreases in N.
+    if cap <= n_a or n_a >= (n_a - n_b) << 40:
+        return cap
+    # The skipped steps evaluate the same margins in floats. They raise
+    # nothing and stay within a few ulps of the closed form when every
+    # product and quotient they round is a normal float with room to
+    # spare. gamma beta3 and the data scale move monotonically in n_e. rho =
+    # beta1 - beta3 is off by at most 2**-52 n_a/(n_a - n_b) relative,
+    # below 2**-12 by the check above, so it stays > 0 and its products
+    # move by less than the room. Checking each at the cap covers every
+    # step in between.
+    beta1, beta3 = n_a / cap, n_b / cap
+    rho = beta1 - beta3
+    if not (
+        _roomy(alpha * gamma, alpha * beta * gamma, alpha * min(1.0, beta), alpha * beta)
+        and _roomy(gamma * beta3, gamma * rho)
+        and _roomy(p_u / (gamma * beta3), p_v / (gamma * rho), p_v / gamma / rho)
+    ):
+        return cap
+    log_c = math.log(alpha * min(1.0, beta))
+    log_b = math.log(alpha * beta)
+    k = phi - beta2 * log_c + (beta2 - 1.0) * log_b + 1.0
+    # The slack is 1e-9 times the magnitudes of the terms: those of K, and
+    # 4 beta2 cap for those of size 1, ln N and beta2 and for the 1/y in E
+    # at y = beta1 and y = rho and the cancellation in rho, which each
+    # cost a float margin at most beta2 cap ulps.
+    slack = 1e-9 * (abs(phi) + beta2 * abs(log_c) + (beta2 - 1.0) * abs(log_b) + 4.0 * beta2 * cap)
+
+    def proven(n) -> bool:
+        return k - math.log(n) + beta2 * _entropy_gap(n_a / n) + beta2 - 1.0 < -slack
+
+    if not proven(cap):
+        return cap
+    lo, hi = n_a, cap  # proven(hi) holds throughout
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if proven(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def critical_eve_antennas(
     n_a: int,
     n_b: int,
@@ -381,12 +445,16 @@ def critical_eve_antennas(
     by the necessary one. Either value may be 0 when no antenna count
     satisfies its condition.
 
-    The scan visits every n_e up to max_eve_antennas: outside
-    applicability_guard the margins are not monotone in n_e (a sign can
-    come back after it turned), so no step may be skipped. If a margin is
-    still positive at the cap the threshold is unresolved and the scan
-    raises UnboundedRangeError. Thresholds and errors are those of
-    delta_highsnr on AsymptoticRatios at each n_e, but the ratios are
+    The scan visits every n_e below n_a: there, outside
+    applicability_guard, the margins are not monotone in n_e (a sign can
+    come back after it turned). From n_a on both margins lie below a
+    closed-form bound that decreases in n_e. The scan ends at the first
+    step where that bound is negative by far more than float rounding,
+    but only when nothing in the steps up to max_eve_antennas can raise;
+    otherwise it runs to the cap. If a margin is still positive at the
+    cap the threshold is unresolved and the scan raises
+    UnboundedRangeError. Thresholds and errors are those of delta_highsnr
+    on AsymptoticRatios at each n_e up to the cap, but the ratios are
     validated once and phi_func(p_u, beta2) is evaluated once.
     """
     n_a = _integer("n_a", n_a, 1)
@@ -404,10 +472,18 @@ def critical_eve_antennas(
     # rho > 0, which moves with n_e (it fails only beyond 2**52 antennas)
     beta2 = n_a / n_b
     AsymptoticRatios(beta1=n_a / 1, beta2=beta2, beta3=n_b / 1, p_u=p_u, p_v=p_v, gamma=gamma)
-    phi = None  # evaluated after the first step's checks, as delta_highsnr does
+    try:
+        phi = _phi(p_u, beta2)
+    except ArithmeticError:
+        phi = None  # raised again after the first step's checks, as delta_highsnr orders them
+    stop = max_eve_antennas
+    if phi is not None:
+        stop = _bound_stop(n_a, n_b, alpha, beta, gamma, p_u, p_v, beta2, phi, stop)
     n_suff = n_nec = 0
     last_suff = last_nec = False
-    for n_e in range(1, max_eve_antennas + 1):
+    # the margins at stop are proven <= 0, so an early stop leaves both
+    # last_* False
+    for n_e in range(1, stop + 1):
         beta1 = n_a / n_e
         beta3 = n_b / n_e
         rho = beta1 - beta3

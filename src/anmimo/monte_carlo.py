@@ -339,6 +339,14 @@ def instantaneous_secrecy_rate(ch: ChannelRealization, cfg: SystemConfig) -> flo
     return float(rate)
 
 
+def _finite_trials(what: str, t0: int, vals: np.ndarray) -> np.ndarray:
+    """vals of trials t0, t0 + 1, ...; NumericError naming the first non-finite one."""
+    if not np.all(np.isfinite(vals)):
+        idx = t0 + int(np.argmax(~np.isfinite(vals)))
+        raise NumericError(f"non-finite {what} at trial {idx}")
+    return vals
+
+
 def _rate_chunks(cfg: SystemConfig, seed: int, trials: int, clamp: bool, finish) -> list:
     """finish(rates) per chunk: secrecy rates checked finite, then floored at 0 if clamp."""
 
@@ -346,9 +354,7 @@ def _rate_chunks(cfg: SystemConfig, seed: int, trials: int, clamp: bool, finish)
         return _secrecy_rates(cfg, _stacked_batch(cfg, seed, t0, nt), t0)
 
     def checked(t0, vals):
-        if not np.all(np.isfinite(vals)):
-            idx = t0 + int(np.argmax(~np.isfinite(vals)))
-            raise NumericError(f"non-finite rate at trial {idx}")
+        vals = _finite_trials("rate", t0, vals)
         return finish(np.maximum(vals, 0.0) if clamp else vals)
 
     return _chunked(trials, _rate_words(cfg), values, checked)
@@ -444,7 +450,11 @@ def mc_logdet_oracle(
         g = _trial_gaussians(seed, t0, nt, words).reshape(nt, rows, cols)
         return _logdet_eye_plus_gram(g * sqrt_profile)
 
-    partials = _chunked(trials, words, values, lambda t0, vals: _chunk_partials(vals))
+    def finish(t0, vals):
+        # an overflowing Gram gives nan log-dets, not a LinAlgError
+        return _chunk_partials(_finite_trials("log-det", t0, vals))
+
+    partials = _chunked(trials, words, values, finish)
     mean, stderr = _merge_mean_stderr(partials, trials)
     return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, clamped=False)
 

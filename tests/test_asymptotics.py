@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anmimo import asymptotics
 from anmimo import (
     AsymptoticRatios,
     DeltaSolution,
@@ -81,6 +82,20 @@ def reference_scan(n_a, n_b, alpha, beta, gamma, max_eve_antennas=4096):
             f"positivity margin still positive at the scan cap {max_eve_antennas}"
         )
     return n_suff, n_nec
+
+
+def spy_stops(monkeypatch):
+    """The steps at which critical_eve_antennas' scans end, as a list
+    that fills as the scans run."""
+    stops = []
+
+    def recorded(*args):
+        stops.append(real(*args))
+        return stops[-1]
+
+    real = asymptotics._bound_stop
+    monkeypatch.setattr(asymptotics, "_bound_stop", recorded)
+    return stops
 
 
 def reference_solve_delta(r):
@@ -403,7 +418,7 @@ class TestDesignScan:
         assert base == (12, 16)
         assert more == (11, 16)
 
-    def test_scan_matches_public_margins(self):
+    def test_scan_matches_public_margins(self, monkeypatch):
         kinds = set()
         for n_a, n_b, alpha, beta, gamma, rng in random_configs(11, 150):
             cap = rng.choice((16, 64, 512))
@@ -412,9 +427,41 @@ class TestDesignScan:
             assert got == want, (n_a, n_b, alpha, beta, gamma, cap)
             kinds.add(want[0] if isinstance(want[0], type) else "thresholds")
         assert kinds == {"thresholds", UnboundedRangeError}
+        # at the default cap every draw whose thresholds resolve ends at
+        # the bound's stop, long before the cap
+        stops = spy_stops(monkeypatch)
+        resolved = 0
+        for n_a, n_b, alpha, beta, gamma, _ in random_configs(12, 25):
+            want = outcome(reference_scan, n_a, n_b, alpha, beta, gamma)
+            got = outcome(critical_eve_antennas, n_a, n_b, alpha, beta, gamma)
+            assert got == want, (n_a, n_b, alpha, beta, gamma)
+            resolved += not isinstance(want[0], type)
+        assert resolved >= 10
+        assert sum(stop < 4096 for stop in stops) == resolved
 
     @pytest.mark.parametrize(
-        "args, cap, message",
+        "n_a, n_b, point, thresholds",
+        [
+            (6, 3, EXAMPLE3, (12, 16)),
+            # test_non_monotone_margin_scans_to_cap's point
+            (7, 3, dict(alpha=3.6587, beta=0.1149, gamma=4.0394), (7, 199)),
+            (16, 8, dict(alpha=10 ** 0.9, beta=10 ** -0.6, gamma=10 ** 0.6), None),
+            (4, 3, dict(alpha=1.0, beta=10 ** 0.3, gamma=1.0), None),
+            (12, 2, dict(alpha=10 ** 0.45, beta=0.25, gamma=10 ** 0.2), None),
+        ],
+    )
+    def test_no_margin_is_positive_past_the_stop(self, monkeypatch, n_a, n_b, point, thresholds):
+        stops = spy_stops(monkeypatch)
+        got = critical_eve_antennas(n_a, n_b, **point)
+        assert thresholds is None or got == thresholds
+        (stop,) = stops
+        assert max(got) < stop < 4096
+        for n_e in range(stop, 4097):
+            cfg = SystemConfig(n_a=n_a, n_b=n_b, n_e=n_e, **point)
+            assert positivity_conditions(cfg) == (False, False), n_e
+
+    @pytest.mark.parametrize(
+        "args, cap, expected",
         [
             ((6, 3, 5e-324, 1.0, 0.1), 4096, "x must be finite and > 0, got 0.0"),
             ((6, 3, 1e-300, 1e-300, 1.0), 4096, "requires p_v > 0"),
@@ -446,11 +493,16 @@ class TestDesignScan:
                 4096,
                 "phi_func(1.5299999999999998e+308, 2.0) is out of float range",
             ),
+            # the margins' bound is negative from n_e = 6 on, but the
+            # scales overflow near n_e = 1800: the scan must not stop early
+            ((6, 3, 1e305, 1.0, 1e-300), 4096, "x must be finite and > 0, got inf"),
+            ((6, 3, 1e305, 1.0, 1e-300), 1024, (3, 3)),
         ],
     )
-    def test_edge_errors_match_public_margins(self, args, cap, message):
+    def test_edge_errors_match_public_margins(self, args, cap, expected):
+        # expected is the message raised, or the thresholds returned
         want = outcome(reference_scan, *args, max_eve_antennas=cap)
-        assert want[1] == message
+        assert (want if isinstance(expected, tuple) else want[1]) == expected
         assert outcome(critical_eve_antennas, *args, max_eve_antennas=cap) == want
 
     def test_non_monotone_margin_scans_to_cap(self):

@@ -303,6 +303,16 @@ class TestLogdetOracle:
         est = mc_logdet_oracle(3, 4, [0.0, 0.0, 0.0, 0.0], 200, seed=0)
         assert est.mean == 0.0 and est.stderr == 0.0
 
+    @pytest.mark.parametrize(
+        "scale, trial", [(1e308, 0), ([1e308, 1e308, 0.0], 0), (3e307, 3)]
+    )
+    def test_overflowing_gram_names_the_first_trial(self, scale, trial):
+        # the Gram overflows to inf and nan, which Cholesky does not refuse;
+        # at 3e307 the first three trials still fit
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=f"^non-finite log-det at trial {trial}$"):
+                mc_logdet_oracle(2, 3, scale, 50, seed=1)
+
     def test_profile_validation(self):
         with pytest.raises(DomainError):
             mc_logdet_oracle(2, 3, [1.0, 1.0], 100)
