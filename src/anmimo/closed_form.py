@@ -24,24 +24,26 @@ Numerical notes, since both closed forms are badly alternating sums:
   denominator per level, built from the levels scaled to integers.
 * The ladder T_t = (1 - b T_{t-1}) / t is folded exactly in integers at
   the exact level b, which leaves one transcendental T_0 = exp(b) E1(b)
-  per level. Only that sum is rounded. It cancels heavily (plain
+  per level. Only T_0 is rounded; the sum is exact and one correctly
+  rounded division gives the double. The sum cancels heavily (plain
   compensated double summation of theta loses all 16 digits at
   m = n = 16, x = 0.05; omega's weights grow like
   (mu1 / (mu1 - mu2))^(n_a - 1) as the two eigenvalue groups merge, and
-  low SNR, b >> 1, grows the folded terms like b^t / t!). So it runs at
-  30 digits beyond its largest folded term and is accepted only when the
-  precision covers the digits it cancels plus 20 guard digits, retrying
-  otherwise. Near-degenerate omega inputs (|beta - 1| < 1e-6) route to
-  the single-group theta instead. The last 64 theta values are
-  memoized, so the exact rate and its bounds, which share theta terms,
-  compute each once.
+  low SNR, b >> 1, grows the folded terms like b^t / t!). So T_0 is
+  rounded 30 digits beyond the largest folded term, and the sum is
+  accepted only when that covers the digits it cancels plus 20 guard
+  digits, retrying otherwise. Near-degenerate omega inputs
+  (|beta - 1| < 1e-6) route to the single-group theta instead. The last
+  64 theta values are memoized, so the exact rate and its bounds, which
+  share theta terms, compute each once.
 * The exponential prefactor of the published theta sum appears with a
   negative exponent; the m = n = 1 reduction E[ln(1+x|g|^2)] =
   exp(1/x) E1(1/x) and Monte Carlo both fix the true sign as positive,
   and that is what is implemented.
 
 mpmath is imported on first use, so the asymptotic layer and the CLI's
-design reports never load it.
+design reports never load it. Its precision is passed per call, never
+set process-wide, so the closed forms are safe in several threads.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ _THETA_MAX_N = 16
 _BETA_DEGENERATE_TOL = 1e-6
 _LOG10_2 = math.log10(2.0)
 _GUARD_DIGITS = 20
+_GUARD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -129,18 +132,6 @@ class RateReport:
     lower: float
     upper: float
     bob_capacity: float
-
-
-def _log10_abs(v) -> float:
-    """log10|v| of an mpf from its raw (sign, man, exp, bc); -inf at zero.
-
-    v is man * 2^exp exactly, so this holds far outside double range, where
-    float(v) overflows or flushes to zero.
-    """
-    _, man, exp, _ = v._mpf_
-    if not man:
-        return -math.inf
-    return math.log10(int(man)) + exp * _LOG10_2
 
 
 def _ladder_weights(n_a: int, n_e: int, levels):
@@ -251,46 +242,55 @@ def _first_dps(folds) -> int:
     return 30 + max(0, int(bits * _LOG10_2))
 
 
-def _fold_sum(folds):
-    """sum (S_P + S_Q T_0(b)) / D over the folds, and the sum of its terms' magnitudes.
+def _fold_sum(folds, dps: int):
+    """One attempt at dps digits: integers (N, S, Q) over one denominator Q.
 
-    One attempt at the current precision: T_0(b) = exp(b) E1(b) is the
-    only transcendental of each fold.
+    N / Q is the folds' sum of (S_P + S_Q T_0(b)) / D, S / Q the sum of its
+    terms' magnitudes. Only T_0(b) = exp(b) E1(b) is rounded, _GUARD_BITS
+    past dps digits, and kept relative as its exact man * 2^exp, so a tiny
+    T_0 (~1 / b at low SNR) keeps its digits.
     """
-    import mpmath as mp
+    from mpmath.libmp import dps_to_prec, from_rational, mpf_e1, mpf_exp, mpf_mul
 
-    terms = []
+    prec = dps_to_prec(dps) + _GUARD_BITS
+    num, size, den = 0, 0, 1
     for b, s_p, s_q, d in folds:
-        bm = mp.mpf(b.numerator) / mp.mpf(b.denominator)
-        d = mp.mpf(d)
-        terms += [s_p / d, s_q * (mp.exp(bm) * mp.e1(bm)) / d]
-    return mp.fsum(terms), mp.fsum(terms, absolute=True)
+        x = from_rational(b.numerator, b.denominator, prec)
+        _, man, exp, _ = mpf_mul(mpf_exp(x, prec), mpf_e1(x, prec), prec)
+        # s_p / d and s_q T_0 / d as p / q and r / q; int() as gmpy has its own
+        lift = max(0, -exp)
+        p, r, q = s_p << lift, s_q * int(man) << exp + lift, d << lift
+        num, size, den = num * q + (p + r) * den, size * q + (abs(p) + abs(r)) * den, den * q
+    return num, size, den
+
+
+def _log10_ratio(n: int, d: int) -> float:
+    """log10(|n| / |d|) of nonzero integers, also far outside double range."""
+    k = n.bit_length() - d.bit_length()  # so that |n| / (|d| 2^k) is in (1/2, 2)
+    return math.log10(abs((n << max(0, -k)) / (d << max(0, k)))) + k * _LOG10_2
 
 
 def _ladder_sum(what: str, levels) -> float:
     """sum over (b, coeffs, den) in levels of sum_t coeffs[t] / den T_t(b), as a double.
 
-    Each level folds exactly to (S_P + S_Q T_0(b)) / D (_fold); only that
-    is rounded. An attempt is accepted when its working precision covers
-    the digits the sum cancels, log10(sum |terms| / |sum|), plus
-    _GUARD_DIGITS, more than the 17 that fix a double's last bit;
-    otherwise it retries at the precision so sized. A zero sum holds no
-    correct digit and doubles the precision. what names the quantity in
-    the error raised when no attempt settles.
+    Each level folds exactly to (S_P + S_Q T_0(b)) / D (_fold); an attempt
+    (_fold_sum) sums them exactly to N / Q, accepted when its precision
+    covers the digits the sum cancels, log10(S / |N|), plus _GUARD_DIGITS,
+    more than the 17 that fix a double's last bit, as the correctly
+    rounded N / Q. Otherwise it retries at the precision so sized. A zero
+    sum holds no correct digit and doubles the precision. what names the
+    quantity in the error raised when no attempt settles.
     """
-    import mpmath as mp
-
     folds = [(b, *_fold(b, coeffs, den)) for b, coeffs, den in levels]
     dps = _first_dps(folds)
     for _ in range(8):
-        with mp.workdps(dps):
-            total, size = _fold_sum(folds)
-        if not total:
+        num, size, den = _fold_sum(folds, dps)
+        if not num:
             dps *= 2
             continue
-        needed = _log10_abs(size) - _log10_abs(total) + _GUARD_DIGITS
+        needed = _log10_ratio(size, num) + _GUARD_DIGITS
         if dps >= needed:
-            return float(total)
+            return num / den
         dps = int(needed) + 1
     raise NumericError(f"adaptive precision for {what} did not settle")
 

@@ -8,6 +8,8 @@ exact identities, degeneracy routing, and validation behavior.
 import functools
 import math
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 from itertools import accumulate, pairwise
@@ -502,13 +504,14 @@ class TestOmega:
         ["1e5000", "-1e5000", "1e-5000", "-1e-5000", "1", "-3.5", "0.1", "7e300", "2e-310"],
     )
     def test_log10_abs_matches_mpmath(self, value):
-        # from the mantissa and exponent alone, also past double range
+        # log10(|n| / |d|) from the integers alone, also past double range,
+        # and with both sides of the ratio past it
+        ratio = Fraction(value)
         with mp.workdps(50):
-            v = mp.mpf(value)
-            assert closed_form._log10_abs(v) == pytest.approx(
-                float(mp.log10(abs(v))), rel=1e-15, abs=1e-15
-            )
-        assert closed_form._log10_abs(mp.mpf(0)) == -math.inf
+            want = float(mp.log10(abs(mp.mpf(value))))
+        n, d, big = ratio.numerator, ratio.denominator, 3**5000
+        for n, d in [(n, d), (n * big, -d * big)]:
+            assert closed_form._log10_ratio(n, d) == pytest.approx(want, rel=1e-15, abs=1e-15)
 
     # theta is omega at one level and shares its precision loop
     # (_ladder_sum), so the loop's tests run on both; the first case of each
@@ -532,10 +535,10 @@ class TestOmega:
         calls = []
         real = closed_form._fold_sum
 
-        def zeroing(folds):
-            total, size = real(folds)
-            calls.append(mp.mp.dps)
-            return (mp.mpf(0) if len(calls) == 1 else total), size
+        def zeroing(folds, dps):
+            num, size, den = real(folds, dps)
+            calls.append(dps)
+            return (0 if len(calls) == 1 else num), size, den
 
         monkeypatch.setattr(closed_form, "_fold_sum", zeroing)
         assert fresh_value(quantity, args) == want
@@ -553,33 +556,75 @@ class TestOmega:
         self, monkeypatch, quantity, args, what
     ):
         # the error names the quantity and its arguments
-        monkeypatch.setattr(closed_form, "_fold_sum", lambda folds: (mp.mpf(0), mp.mpf(1)))
+        monkeypatch.setattr(closed_form, "_fold_sum", lambda folds, dps: (0, 1, 1))
         with pytest.raises(NumericError) as exc:
             fresh_value(quantity, args)
         assert str(exc.value) == f"adaptive precision for {what} did not settle"
 
+    def test_threads_get_the_serial_values(self):
+        # each attempt carries its own precision: with two threads switching
+        # every microsecond, no attempt runs at the other thread's
+        # precision, and a caller's mpmath precision is left alone
+        rng = random.Random(7)
+        configs = []
+        for _ in range(300):
+            n_a = rng.randint(2, 16)
+            configs.append(
+                cfg(n_a, rng.randint(1, n_a - 1), rng.randint(1, 16),
+                    10 ** rng.uniform(-6, 6), 10 ** rng.uniform(-6, 6), 1.0)
+            )
+        want = [omega(c).hex() for c in configs]
+        got = [None, None]
+
+        def run(slot):
+            got[slot] = [omega(c).hex() for c in configs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want, want]
+        with mp.workdps(15):
+            closed_form._theta_value.cache_clear()
+            theta(16, 16, 0.05)
+            omega(cfg(16, 8, 16, 2.0, 0.5, 1.0))
+            assert mp.mp.prec == 53
+
     @pytest.mark.parametrize(
-        "quantity, args",
+        "quantity, args, pinned",
         [
-            pytest.param(quantity, args, id="-".join(map(str, args)))
-            for quantity, args in [
-                ("omega", (6, 3, 12, 2.0, 0.5)),
-                ("omega", (16, 8, 16, 1e6, 1e6)),
-                ("omega", (16, 15, 16, 1e-3, 1e3)),
-                ("omega", (16, 1, 16, 1e6, 1e-6)),
-                ("omega", (8, 7, 8, 0.01901708027304142, 679156.6916577134)),
-                ("omega", (4, 1, 12, 4.58036e-5, 0.2536)),
-                ("omega", (15, 7, 14, 2.5, 3.3)),
-                ("theta", (16, 16, 0.05)),
-                ("theta", (8, 16, 1e-6)),
-                ("theta", (16, 16, 1e6)),
-                ("theta", (1, 1, 1.0)),
+            pytest.param(quantity, args, pinned, id="-".join(map(str, args)))
+            for quantity, args, pinned in [
+                ("omega", (6, 3, 12, 2.0, 0.5), None),
+                ("omega", (16, 8, 16, 1e6, 1e6), None),
+                ("omega", (16, 15, 16, 1e-3, 1e3), None),
+                ("omega", (16, 1, 16, 1e6, 1e-6), None),
+                ("omega", (8, 7, 8, 0.01901708027304142, 679156.6916577134), None),
+                ("omega", (4, 1, 12, 4.58036e-5, 0.2536), None),
+                ("omega", (15, 7, 14, 2.5, 3.3), None),
+                ("theta", (16, 16, 0.05), None),
+                ("theta", (8, 16, 1e-6), None),
+                ("theta", (16, 16, 1e6), None),
+                ("theta", (1, 1, 1.0), None),
+                # extreme low SNR, where T_0 ~ 1 / b is tiny: T_0 must keep
+                # its own exponent, a fixed-point T_0 loses every digit
+                ("theta", (16, 16, 1e-300), "0x1.56e1fc2f8f359p-989"),
+                ("omega", (6, 3, 12, 1e-200, 2.0), "0x1.4aacb41faa0f9p-658"),
+                ("omega", (4, 1, 3, 1e-300, 3.0), "0x1.4173dc6c96424p-992"),
             ]
         ],
     )
-    def test_doubled_first_precision_agrees(self, monkeypatch, quantity, args):
+    def test_doubled_first_precision_agrees(self, monkeypatch, quantity, args, pinned):
         # the precision rule's claim: what passes at D digits is what 2D digits give
         at_d = fresh_value(quantity, args)
+        assert pinned is None or at_d.hex() == pinned
         real = closed_form._first_dps
         monkeypatch.setattr(closed_form, "_first_dps", lambda folds: 2 * real(folds))
         assert fresh_value(quantity, args) == at_d
