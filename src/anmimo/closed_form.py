@@ -30,10 +30,12 @@ Numerical notes, since both closed forms are badly alternating sums:
   m = n = 16, x = 0.05; omega's weights grow like
   (mu1 / (mu1 - mu2))^(n_a - 1) as the two eigenvalue groups merge, and
   low SNR, b >> 1, grows the folded terms like b^t / t!). So T_0 is
-  rounded 30 digits beyond the largest folded term, and the sum is
-  accepted only when that covers the digits it cancels plus 20 guard
-  digits, retrying otherwise. Near-degenerate omega inputs
-  (|beta - 1| < 1e-6) route to the single-group theta instead. The last
+  first rounded 30 digits beyond the largest folded term, and Ziv's
+  rounding test accepts the sum only when both ends of its error bound
+  round to the same double, doubling the precision otherwise: the
+  result is the correctly rounded sum, given mpmath's accuracy for
+  exp and E1. So omega needs no switch near beta = 1; only two levels
+  that are equal as doubles route to the single-group theta. The last
   64 theta values are memoized, so the exact rate and its bounds, which
   share theta terms, compute each once.
 * The exponential prefactor of the published theta sum appears with a
@@ -58,9 +60,7 @@ from itertools import accumulate
 from .errors import DomainError, NumericError, _finite, _integer
 
 _THETA_MAX_N = 16
-_BETA_DEGENERATE_TOL = 1e-6
 _LOG10_2 = math.log10(2.0)
-_GUARD_DIGITS = 20
 _GUARD_BITS = 8
 
 
@@ -243,55 +243,49 @@ def _first_dps(folds) -> int:
 
 
 def _fold_sum(folds, dps: int):
-    """One attempt at dps digits: integers (N, S, Q) over one denominator Q.
+    """One attempt at dps digits: integers (N, E, Q) over one denominator Q.
 
-    N / Q is the folds' sum of (S_P + S_Q T_0(b)) / D, S / Q the sum of its
-    terms' magnitudes. Only T_0(b) = exp(b) E1(b) is rounded, _GUARD_BITS
-    past dps digits, and kept relative as its exact man * 2^exp, so a tiny
-    T_0 (~1 / b at low SNR) keeps its digits.
+    N / Q is the folds' sum of (S_P + S_Q T_0(b)) / D with only T_0(b) =
+    exp(b) E1(b) rounded, at bits = dps_to_prec(dps) plus _GUARD_BITS, so
+    256 of its ulps stay within 2^-bits relative and the exact sum is
+    within E / Q = 2^-bits sum |S_Q T_0| / D. T_0 is kept relative as its
+    exact man * 2^exp, so a tiny T_0 (~1 / b at low SNR) keeps its digits.
     """
     from mpmath.libmp import dps_to_prec, from_rational, mpf_e1, mpf_exp, mpf_mul
 
-    prec = dps_to_prec(dps) + _GUARD_BITS
-    num, size, den = 0, 0, 1
+    bits = dps_to_prec(dps)
+    prec = bits + _GUARD_BITS
+    num, err, den = 0, 0, 1
     for b, s_p, s_q, d in folds:
         x = from_rational(b.numerator, b.denominator, prec)
         _, man, exp, _ = mpf_mul(mpf_exp(x, prec), mpf_e1(x, prec), prec)
         # s_p / d and s_q T_0 / d as p / q and r / q; int() as gmpy has its own
         lift = max(0, -exp)
         p, r, q = s_p << lift, s_q * int(man) << exp + lift, d << lift
-        num, size, den = num * q + (p + r) * den, size * q + (abs(p) + abs(r)) * den, den * q
-    return num, size, den
-
-
-def _log10_ratio(n: int, d: int) -> float:
-    """log10(|n| / |d|) of nonzero integers, also far outside double range."""
-    k = n.bit_length() - d.bit_length()  # so that |n| / (|d| 2^k) is in (1/2, 2)
-    return math.log10(abs((n << max(0, -k)) / (d << max(0, k)))) + k * _LOG10_2
+        num, err, den = num * q + (p + r) * den, err * q + abs(r) * den, den * q
+    return num << bits, err, den << bits
 
 
 def _ladder_sum(what: str, levels) -> float:
     """sum over (b, coeffs, den) in levels of sum_t coeffs[t] / den T_t(b), as a double.
 
     Each level folds exactly to (S_P + S_Q T_0(b)) / D (_fold); an attempt
-    (_fold_sum) sums them exactly to N / Q, accepted when its precision
-    covers the digits the sum cancels, log10(S / |N|), plus _GUARD_DIGITS,
-    more than the 17 that fix a double's last bit, as the correctly
-    rounded N / Q. Otherwise it retries at the precision so sized. A zero
-    sum holds no correct digit and doubles the precision. what names the
-    quantity in the error raised when no attempt settles.
+    (_fold_sum) sums them exactly to N / Q within E / Q of the true sum.
+    Ziv's rounding test accepts it when both ends, (N - E) / Q and
+    (N + E) / Q, are nonzero of one sign and round to the same double:
+    then so does the sum, and that double is its correctly rounded value.
+    Otherwise it retries at twice the precision, so a sum near a rounding
+    tie or zero costs another attempt, not a wrong last bit. what names
+    the quantity in the error raised when no attempt settles.
     """
     folds = [(b, *_fold(b, coeffs, den)) for b, coeffs, den in levels]
     dps = _first_dps(folds)
     for _ in range(8):
-        num, size, den = _fold_sum(folds, dps)
-        if not num:
-            dps *= 2
-            continue
-        needed = _log10_ratio(size, num) + _GUARD_DIGITS
-        if dps >= needed:
-            return num / den
-        dps = int(needed) + 1
+        num, err, den = _fold_sum(folds, dps)
+        value = (num - err) / den
+        if err < abs(num) and value == (num + err) / den:
+            return value
+        dps *= 2
     raise NumericError(f"adaptive precision for {what} did not settle")
 
 
@@ -329,16 +323,15 @@ def _theta_value(m: int, n: int, x: float) -> float:
 def omega(cfg: SystemConfig) -> float:
     """Eavesdropper-side ergodic log-det E[ln det(I + alpha W1 + alpha beta W2)].
 
-    Single-group branch theta(n_hat_min, n_hat_max, alpha) whenever
-    |beta - 1| < 1e-6 (the two-level weights divide by the eigenvalue
-    gap and explode there; continuity across the switch is a tested
-    property), the exact two-level weights (_ladder_weights) on the E1
-    ladder of each level otherwise.
+    The exact two-level weights (_ladder_weights) on the E1 ladder of
+    each level, correctly rounded by _ladder_sum however close beta is to
+    1. Only equal levels take the single-group theta(n_hat_min,
+    n_hat_max, alpha): beta == 1, and a beta within an ulp of 1 whose
+    level 1/(alpha beta) rounds onto 1/alpha, where the weights would
+    divide by a zero gap.
     """
     if cfg.alpha == 0.0:
         return 0.0
-    if abs(cfg.beta - 1.0) < _BETA_DEGENERATE_TOL:
-        return theta(cfg.n_hat_min, cfg.n_hat_max, cfg.alpha)
     # the eavesdropper's two levels: 1/alpha on the n_b data dimensions,
     # 1/(alpha beta) on the n_a - n_b noise dimensions, larger one first;
     # a product that underflows to 0 is an infinite level, refused below
@@ -347,6 +340,8 @@ def omega(cfg: SystemConfig) -> float:
     noise = (1.0 / ab if ab else math.inf, cfg.n_a - cfg.n_b)
     levels = (data, noise) if data[0] > noise[0] else (noise, data)
     (mu1, _), (mu2, _) = levels
+    if cfg.beta == 1.0 or mu1 == mu2 != math.inf:
+        return theta(cfg.n_hat_min, cfg.n_hat_max, cfg.alpha)
     if not (mu1 > mu2 > 0.0 and math.isfinite(mu1)):
         raise DomainError(f"need mu1 > mu2 > 0, got mu1={mu1!r}, mu2={mu2!r}")
     weights = _ladder_weights(cfg.n_a, cfg.n_e, levels)

@@ -185,8 +185,8 @@ def parse_design_text(text: str) -> Dict[str, float]:
 
 
 def format_config(cfg: SystemConfig) -> str:
-    """Render a config as parseable text; round-trips through parse_config."""
-    return "".join(f"{name} = {_format_cell(getattr(cfg, name))}\n" for name in POINT_COLUMNS)
+    """Render a config as parseable text; round-trips exactly through parse_config."""
+    return "".join(f"{name} = {getattr(cfg, name)!r}\n" for name in POINT_COLUMNS)
 
 
 def _check_outputs(outputs: Sequence[str], units: str) -> List[str]:
