@@ -11,6 +11,7 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -54,7 +55,14 @@ def _add_common(p: _Parser, *, config=True, mc=True):
         )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on the first call.
+
+    parse_args makes a fresh Namespace per call, error only raises, and
+    help takes the terminal width when it is formatted, so the parser
+    carries nothing from one main() call to the next.
+    """
     parser = _Parser(prog="anmimo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -258,6 +258,11 @@ def run_point(
     return row
 
 
+def _check_axis(axis: str) -> None:
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A one-axis parameter sweep around a base operating point.
@@ -279,8 +284,7 @@ class SweepSpec:
     configs: Tuple[SystemConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
-            raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
+        _check_axis(self.axis)
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ConfigError("sweep values must be nonempty")
@@ -373,10 +377,12 @@ def parse_sweep_text(
     flags = {"mc_trials": mc_trials, "seed": seed, "units": units, "clamp": clamp}
     settings.update((k, v) for k, v in flags.items() if v is not None)
 
+    # checked before the base point, whose own errors would hide a bad axis
+    _check_axis(axis)
     base_raw = _floats(raw)
     # the swept coordinate may be left out of the base point; any value
     # from the axis list is substituted per row anyway
-    if axis in SWEEP_AXES and axis not in base_raw and axis.removesuffix("_db") not in base_raw:
+    if axis not in base_raw and axis.removesuffix("_db") not in base_raw:
         base_raw[axis] = _sweep_n_e(values[0]) if axis == "n_e" else values[0]
     base = config_from_mapping(base_raw)
     return SweepSpec(

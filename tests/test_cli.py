@@ -18,6 +18,7 @@ from anmimo import (
     mc_average_secrecy_rate,
     theta,
 )
+from anmimo import cli
 from anmimo.cli import main
 
 POINT = "n_a = 6\nn_b = 3\nn_e = 4\nalpha = 2\nbeta = 0.5\ngamma = 2\n"
@@ -358,6 +359,39 @@ class TestUsage:
         assert code == 1
 
 
+class TestParserReuse:
+    """main() builds its parser once per process; no call leaves state behind."""
+
+    def test_calls_share_one_parser_and_no_state(self, capsys, tmp_path, monkeypatch):
+        design = write(tmp_path, "d.cfg", DESIGN)
+        sweep = write(
+            tmp_path, "s.cfg", "axis = n_e\nvalues = 2, 4\noutputs = exact, asymptotic\n" + POINT
+        )
+        ok = [["design", "--config", design], ["sweep", "--config", sweep]]
+        first = [run_main(capsys, argv) for argv in ok]
+        assert [code for code, _, _ in first] == [0, 0]
+        code, _, err = run_main(capsys, ["design", "--config", design, "--bogus"])
+        assert code == 1 and err == "error: unrecognized arguments: --bogus\n"
+        assert run_main(capsys, ["transmogrify"])[0] == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        assert [run_main(capsys, argv) for argv in ok] == first
+
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        for argv in [*ok, ["transmogrify"], *ok]:
+            run_main(capsys, argv)
+        assert built == []
+
+
 class TestSubprocess:
     """End-to-end runs through the real interpreter entry points."""
 
@@ -448,6 +482,26 @@ class TestSubprocess:
         proc = self.run(["--help"])
         assert proc.returncode == 0
         assert "rate" in proc.stdout and "design" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_follows_the_terminal_at_call_time(self, tmp_path, argv):
+        # the parser is built under 200 columns; help at 40 must still
+        # wrap as a fresh process at 40 columns wraps it
+        design = write(tmp_path, "d.cfg", DESIGN)
+        build = ["design", "--config", design, "--out", str(tmp_path / "d.csv")]
+        script = (
+            "import os\n"
+            "from anmimo.cli import main\n"
+            "os.environ['COLUMNS'] = '200'\n"
+            f"assert main({build!r}) == 0\n"
+            "os.environ['COLUMNS'] = '40'\n"
+            f"main({argv!r})\n"
+        )
+        proc = self.run(["-c", script], entry=[])
+        narrow = self.run(argv, env_extra={"COLUMNS": "40"})
+        wide = self.run(argv, env_extra={"COLUMNS": "200"})
+        assert proc.returncode == narrow.returncode == 0, proc.stderr
+        assert proc.stdout == narrow.stdout != wide.stdout
 
     def test_console_script_installed(self, tmp_path):
         # The `anmimo` script declared in pyproject.toml must start the CLI and

@@ -27,6 +27,7 @@ from anmimo import (
     run_point,
     run_sweep,
 )
+from anmimo.harness import SWEEP_AXES
 
 LN2 = math.log(2.0)
 
@@ -337,6 +338,16 @@ clamp = false
             parse_sweep_text("axis = n_e\noutputs = exact\n")
         with pytest.raises(ConfigError, match="outputs"):
             parse_sweep_text("axis = n_e\nvalues = 1,2\n")
+
+    def test_unsupported_axis_named_before_the_base(self):
+        # no n_e line: the base point cannot be built, so the axis is checked first
+        text = (
+            "axis = alpha_db\nvalues = 1, 2\noutputs = exact\n"
+            "n_a = 6\nn_b = 3\nalpha = 2\nbeta = 0.5\ngamma = 2\n"
+        )
+        with pytest.raises(ConfigError) as exc:
+            parse_sweep_text(text)
+        assert str(exc.value) == f"axis must be one of {SWEEP_AXES}, got 'alpha_db'"
 
     def test_bad_values_list(self):
         bad = self.TEXT.replace("-4, 0, 4", "-4, mid, 4")
