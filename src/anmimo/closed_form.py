@@ -34,10 +34,15 @@ Numerical notes, since both closed forms are badly alternating sums:
   rounding test accepts the sum only when both ends of its error bound
   round to the same double, doubling the precision otherwise: the
   result is the correctly rounded sum, given mpmath's accuracy for
-  exp and E1. So omega needs no switch near beta = 1; only two levels
-  that are equal as doubles route to the single-group theta. The last
-  64 theta values are memoized, so the exact rate and its bounds, which
-  share theta terms, compute each once.
+  exp and E1. So omega needs no switch near beta = 1.
+* Every level is the exact reciprocal of a double scale: 1/x for theta,
+  1/alpha and 1/(alpha beta) for omega. Only alpha * beta == alpha
+  routes omega to the single-group theta, and theta(m, n, 0) = 0 is the
+  one zero-SNR rule. Exact omega lies between theta at the two scales,
+  and correct rounding and the shared subtraction are monotone, so
+  lower <= exact <= upper holds exactly. The last 64 theta values are
+  memoized, so the exact rate and its bounds, which share theta terms,
+  compute each once.
 * The exponential prefactor of the published theta sum appears with a
   negative exponent; the m = n = 1 reduction E[ln(1+x|g|^2)] =
   exp(1/x) E1(1/x) and Monte Carlo both fix the true sign as positive,
@@ -124,8 +129,8 @@ class SystemConfig:
 class RateReport:
     """Exact rate with its sandwich bounds and the legitimate capacity.
 
-    All values in nats; lower <= exact <= upper, with equality of all
-    three at beta = 1.
+    All values in nats; lower <= exact <= upper exactly, with equality of
+    all three when alpha * beta == alpha (beta = 1).
     """
 
     exact: float
@@ -137,12 +142,13 @@ class RateReport:
 def _ladder_weights(n_a: int, n_e: int, levels):
     """Exact rung weights of omega at one or two levels, as integers per level.
 
-    levels holds (mu_l, m_l) with multiplicities summing to n_a, mu1 first.
-    For each level returns (coeffs, denominator): omega is
+    levels holds one or two distinct rational (mu_l, m_l), in any order,
+    with multiplicities summing to n_a. For each level returns (coeffs,
+    denominator): omega is
     sum_{l,t} coeffs_l[t] / denominator_l T_t(mu_l), t = 0 .. n_e + m_l - 2.
-    The weights are homogeneous of degree 0 in the levels, and the levels
-    are dyadic floats, so the A_l are the levels scaled to coprime
-    integers (A = 1 for one level) and each denominator is
+    The weights are homogeneous of degree 0 in the levels, so the A_l are
+    the levels scaled to coprime integers by the lcm of their denominators
+    (A = 1 for one level) and each denominator is
     A_l^(n_e + m_l - 1) (A_l - A_other)^(n_a - 1). One level is the case
     with an empty other level (m = 0) one unit below, so theta's weights
     come from here too and depend on the shape alone.
@@ -164,7 +170,7 @@ def _ladder_weights(n_a: int, n_e: int, levels):
     p = min(n_e, n_a)
     base = n_e - p
     ratios = [mu.as_integer_ratio() for mu, _ in levels]
-    scale = max(d for _, d in ratios)
+    scale = math.lcm(*(d for _, d in ratios))
     scaled = [n * (scale // d) for n, d in ratios]
     g = math.gcd(*scaled)
     levels = [(a // g, m) for a, (_, m) in zip(scaled, levels)]
@@ -325,29 +331,26 @@ def omega(cfg: SystemConfig) -> float:
 
     The exact two-level weights (_ladder_weights) on the E1 ladder of
     each level, correctly rounded by _ladder_sum however close beta is to
-    1. Only equal levels take the single-group theta(n_hat_min,
-    n_hat_max, alpha): beta == 1, and a beta within an ulp of 1 whose
-    level 1/(alpha beta) rounds onto 1/alpha, where the weights would
-    divide by a zero gap.
+    1. The levels are read as theta reads its scale: 1/alpha on the n_b
+    data dimensions and 1/(alpha beta) on the n_a - n_b noise dimensions,
+    the exact reciprocals of the doubles alpha and alpha * beta. When
+    those doubles are equal (beta == 1, a beta so close to 1 that the
+    product rounds onto alpha, or alpha == 0) the two groups see one
+    level, and omega is theta(n_hat_min, n_hat_max, alpha). So omega lies
+    between the single-group values at the two scales, and the bounds
+    hold with no slack.
     """
-    if cfg.alpha == 0.0:
-        return 0.0
-    # the eavesdropper's two levels: 1/alpha on the n_b data dimensions,
-    # 1/(alpha beta) on the n_a - n_b noise dimensions, larger one first;
-    # a product that underflows to 0 is an infinite level, refused below
     ab = cfg.alpha * cfg.beta
-    data = (1.0 / cfg.alpha, cfg.n_b)
-    noise = (1.0 / ab if ab else math.inf, cfg.n_a - cfg.n_b)
-    levels = (data, noise) if data[0] > noise[0] else (noise, data)
-    (mu1, _), (mu2, _) = levels
-    if cfg.beta == 1.0 or mu1 == mu2 != math.inf:
+    if ab == cfg.alpha:
         return theta(cfg.n_hat_min, cfg.n_hat_max, cfg.alpha)
-    if not (mu1 > mu2 > 0.0 and math.isfinite(mu1)):
-        raise DomainError(f"need mu1 > mu2 > 0, got mu1={mu1!r}, mu2={mu2!r}")
+    if ab == 0.0 or ab == math.inf:
+        raise DomainError(f"alpha * beta must be finite and > 0, got {ab!r}")
+    levels = ((1 / Fraction(cfg.alpha), cfg.n_b), (1 / Fraction(ab), cfg.n_a - cfg.n_b))
     weights = _ladder_weights(cfg.n_a, cfg.n_e, levels)
     return _ladder_sum(
-        f"omega(n_a={cfg.n_a}, n_e={cfg.n_e}, mu1={mu1!r}, mu2={mu2!r})",
-        [(Fraction(mu), *w) for (mu, _), w in zip(levels, weights)],
+        f"omega(n_a={cfg.n_a}, n_b={cfg.n_b}, n_e={cfg.n_e}, "
+        f"alpha={cfg.alpha!r}, beta={cfg.beta!r})",
+        [(mu, *w) for (mu, _), w in zip(levels, weights)],
     )
 
 
@@ -367,8 +370,6 @@ def average_secrecy_rate(cfg: SystemConfig) -> float:
     artificial-noise-only term theta(n_min, n_max, alpha beta), minus the
     full eavesdropper term omega(cfg).
     """
-    if cfg.alpha == 0.0:
-        return 0.0
     return _common_theta(cfg) - omega(cfg)
 
 
@@ -379,8 +380,6 @@ def average_rate_bounds(cfg: SystemConfig) -> tuple[float, float]:
     bound) or smaller (upper bound) of the two power scales alpha and
     alpha beta. The two coincide exactly at beta = 1.
     """
-    if cfg.alpha == 0.0:
-        return (0.0, 0.0)
     common = _common_theta(cfg)
     scales = (cfg.alpha, cfg.alpha * cfg.beta)
     lower = common - theta(cfg.n_hat_min, cfg.n_hat_max, max(scales))
@@ -400,8 +399,6 @@ def eve_leakage_upper_bound(cfg: SystemConfig) -> float:
     its scale is divided by (1 + alpha n_b). Nonnegative; tends to zero
     as alpha and beta grow with n_e <= n_a - n_b.
     """
-    if cfg.alpha == 0.0:
-        return 0.0
     damp = 1.0 + cfg.alpha * cfg.n_b
     return (
         cfg.n_e * math.log(damp)

@@ -377,6 +377,12 @@ class TestHighSnrMargin:
         with pytest.raises(DomainError):
             delta_highsnr(0.0, r)
 
+    def test_rejects_zero_legitimate_power(self):
+        r = AsymptoticRatios(beta1=2.0, beta2=2.0, beta3=1.0, p_u=0.0, p_v=1.0, gamma=1.0)
+        with pytest.raises(DomainError) as exc:
+            delta_highsnr(1.0, r)
+        assert str(exc.value) == "requires p_u > 0"
+
     def test_desk_scale_sandwich(self):
         c = SystemConfig(n_a=64, n_b=32, n_e=32, alpha=100.0, beta=2.0, gamma=100.0)
         r = AsymptoticRatios.from_config(c)

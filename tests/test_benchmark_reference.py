@@ -3,7 +3,8 @@
 perfbench/run.py accepts a closed-form output within 1e-10 relative of
 perfbench/reference.json, so a last-bit drift would pass it unseen. Here
 every run_point output on the 45 closed-form points must equal the
-recorded double bit for bit. omega must build its two-level weights once
+recorded double bit for bit, or the new double of a declared move within
+2 ulps of the recorded one. omega must build its two-level weights once
 and settle in one attempt on each of the 36 points beyond its
 single-group branch, and each distinct theta value must settle in one
 attempt. Every design-cli candidate must write the recorded bytes through
@@ -11,6 +12,7 @@ the CLI. The benchmark's files are only read.
 """
 
 import json
+import math
 import sys
 import types
 from pathlib import Path
@@ -21,6 +23,16 @@ from anmimo import SystemConfig, closed_form, run_point
 from anmimo.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# closed-form outputs that moved on purpose since perfbench/reference.json
+# was recorded, by op key and output name, as the new double's hex; the
+# file is re-recorded only with a change of the benchmark
+DECLARED_MOVES = {
+    # omega reads its levels as the exact reciprocals of alpha and
+    # alpha * beta, as theta does: here omega moved one ulp and the exact
+    # rate two
+    ("17:0", "exact"): "-0x1.1384c6bdf5b5cp+3",
+}
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +70,19 @@ def test_closed_form_points_match_reference_bitwise(workloads, reference, monkey
     memo = closed_form._theta_value
     points = [op for slot in workloads.candidates("closed-form") for op in slot]
     assert len(points) == 45
+    for (key, name), moved in DECLARED_MOVES.items():
+        # a declared move cannot hide a larger drift
+        recorded = reference[key][name]
+        assert abs(float.fromhex(moved) - recorded) <= 2 * math.ulp(recorded)
     beyond_single_group = 0
     for op in points:
         before = len(weights), len(attempts), memo.cache_info().misses
         row = run_point(SystemConfig(**op.params), list(workloads.CLOSED_FORM_OUTPUTS))
         got = {name: value.hex() for name, value in row.items()}
-        want = {name: float(value).hex() for name, value in reference[op.key].items()}
+        want = {
+            name: DECLARED_MOVES.get((op.key, name), float(value).hex())
+            for name, value in reference[op.key].items()
+        }
         assert got == want, op.params
         # theta's one-level weights are cached; count omega's two-level builds
         two_level = sum(len(args[2]) == 2 for args in weights[before[0]:])

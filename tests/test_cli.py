@@ -101,12 +101,29 @@ class TestRate:
         assert err.count("\n") == 1
 
     def test_underflowing_noise_level_is_domain_error(self, capsys, tmp_path):
-        # alpha beta underflows to 0: an infinite level, not a ZeroDivisionError
+        # alpha beta underflows to 0: a DomainError, not a ZeroDivisionError
         text = POINT.replace("alpha = 2\nbeta = 0.5", "alpha = 1e-200\nbeta = 1e-200")
         cfg = write(tmp_path, "p.cfg", text)
         code, out, err = run_main(capsys, ["rate", "--config", cfg])
         assert code == 1 and out == ""
-        assert err == "error: need mu1 > mu2 > 0, got mu1=inf, mu2=1e+200\n"
+        assert err == "error: alpha * beta must be finite and > 0, got 0.0\n"
+
+    def test_missing_antenna_count(self, capsys, tmp_path):
+        cfg = write(tmp_path, "p.cfg", POINT.replace("n_e = 4\n", ""))
+        code, out, err = run_main(capsys, ["rate", "--config", cfg])
+        assert (code, out, err) == (1, "", "error: missing n_e\n")
+
+    def test_asymptotic_past_the_bisection_bracket(self, capsys, tmp_path):
+        # past about 147 dB at (6,3,4) delta falls below solve_delta's
+        # bracket [1e-15, 1], a typed numeric failure; 146 dB evaluates
+        text = "n_a = 6\nn_b = 3\nn_e = 4\nalpha_db = {}\nbeta = 1\ngamma = 1\n"
+        argv = ["rate", "--outputs", "asymptotic", "--config"]
+        code, out, err = run_main(capsys, argv + [write(tmp_path, "p.cfg", text.format(147))])
+        assert code == 2 and out == ""
+        assert err.startswith("numeric failure: no sign change on [1e-15, 1]: ")
+        code, out, err = run_main(capsys, argv + [write(tmp_path, "p.cfg", text.format(146))])
+        assert code == 0 and err == ""
+        assert math.isfinite(float(parse_csv(out)[1][0]["asymptotic"]))
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_main(capsys, ["rate", "--config", "/nonexistent/x.cfg"])
@@ -201,6 +218,11 @@ class TestSweep:
         assert code == 1
         assert "sweep aborted after 1 completed row(s)" in err
 
+    def test_bad_clamp_is_config_error(self, capsys, tmp_path):
+        cfg = write(tmp_path, "s.cfg", SWEEP + "clamp = maybe\n")
+        code, out, err = run_main(capsys, ["sweep", "--config", cfg])
+        assert (code, out, err) == (1, "", "error: expected true or false, got 'maybe'\n")
+
     def test_numeric_cause_gets_numeric_exit(self, capsys, tmp_path, monkeypatch):
         import anmimo.harness as harness_mod
 
@@ -228,6 +250,11 @@ class TestDesign:
         cfg = write(tmp_path, "d.cfg", DESIGN)
         code, _, err = run_main(capsys, ["design", "--config", cfg, "--max-ne", "8"])
         assert code == 2 and err.startswith("numeric failure:")
+
+    def test_rejects_equal_antenna_counts(self, capsys, tmp_path):
+        cfg = write(tmp_path, "d.cfg", DESIGN.replace("n_a = 6", "n_a = 3"))
+        code, out, err = run_main(capsys, ["design", "--config", cfg])
+        assert (code, out, err) == (1, "", "error: need n_b < n_a, got n_b=3, n_a=3\n")
 
     def test_rejects_fixed_eavesdropper(self, capsys, tmp_path):
         cfg = write(tmp_path, "d.cfg", DESIGN + "n_e = 4\n")
@@ -331,6 +358,13 @@ class TestOracle:
              "--trials", "200"],
         )
         assert code == 1 and "error:" in err
+
+    def test_profile_not_a_number(self, capsys):
+        code, out, err = run_main(
+            capsys, ["oracle", "--rows", "2", "--cols", "2", "--profile", "1,x"]
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: bad --profile: could not convert string to float: 'x'\n"
 
     def test_scale_and_profile_conflict(self, capsys):
         code, _, _ = run_main(

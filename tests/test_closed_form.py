@@ -144,8 +144,12 @@ def counting(monkeypatch, name):
 
 
 def eve_levels(n_a, n_b, alpha, beta):
-    """omega's two levels (mu, multiplicity), the larger first."""
-    data, noise = (1.0 / alpha, n_b), (1.0 / (alpha * beta), n_a - n_b)
+    """omega's two levels (mu, multiplicity), the larger first.
+
+    The levels are the exact reciprocals of the doubles alpha and
+    alpha * beta, as Fractions.
+    """
+    data, noise = (1 / Fraction(alpha), n_b), (1 / Fraction(alpha * beta), n_a - n_b)
     return sorted((data, noise), reverse=True)
 
 
@@ -156,12 +160,13 @@ def cramer_matrices(n_a, n_b, n_e, alpha, beta):
     column functions phi! mu^-(phi+1), phi = n_e - p + k for k < p, then
     mu^j for j = n_a - p - 1 .. 0. Column k of C is column k of R0 scaled
     entrywise by the E1 tail sums sum_{t <= phi} exp(mu) E_{t+1}(mu), the
-    E_{t+1} by their forward recursion from mp.e1.
+    E_{t+1} by their forward recursion from mp.e1. The exact levels are
+    rounded to the working precision.
     """
     p = min(n_e, n_a)
     r0, c, labels = [], [], []
     for level, (mu, m) in enumerate(eve_levels(n_a, n_b, alpha, beta)):
-        mu = mp.mpf(mu)
+        mu = mp.mpf(mu.numerator) / mu.denominator
         ts = [mp.exp(mu) * mp.e1(mu)]
         for t in range(1, n_e + m - 1):
             ts.append((1 - mu * ts[-1]) / t)
@@ -351,36 +356,39 @@ class TestOmega:
         # however close beta is to 1, the two-level sum is the correctly
         # rounded omega; its weights grow like (mu1 / (mu1 - mu2))^(n_a - 1),
         # so the reference needs 1500 digits at a gap of an ulp
+        # every beta keeps alpha * beta off alpha, so the two-level sum runs,
+        # also at (16, 15, 16), alpha 1e3, beta 1 - 2^-53, where 1.0 / alpha
+        # and 1.0 / (alpha * beta) round to one double
         for beta in (1 - 0.999e-6, 1 + 0.999e-6, 1 + 1e-9, 1 + 1e-12,
                      1 + 2**-52, 1 - 2**-52, 1 - 2**-53):
             c = cfg(n_a, n_b, n_e, alpha, beta, 1.0)
-            if (n_a, n_b, n_e, alpha, beta) == (16, 15, 16, 1e3, 1 - 2**-53):
-                # the noise level 1/(alpha beta) rounds onto the data level
-                # 1/alpha: both groups see one level, and the weights would
-                # divide by a zero gap
-                (mu1, _), (mu2, _) = eve_levels(n_a, n_b, alpha, beta)
-                assert mu1 == mu2
-                assert omega(c) == theta(16, 16, 1e3)
-            else:
-                assert omega(c) == omega_by_cramer(n_a, n_b, n_e, alpha, beta, dps=1500), c
+            assert c.alpha * c.beta != c.alpha
+            assert omega(c) == omega_by_cramer(n_a, n_b, n_e, alpha, beta, dps=1500), c
 
     @pytest.mark.parametrize(
         "alpha, beta, message",
         [
-            # 1/(alpha beta) underflows to 0, 1/alpha overflows to inf, or
-            # only 1/(alpha beta) overflows (an infinite level, once a nan)
-            (1e200, 1e200, "need mu1 > mu2 > 0, got mu1=1e-200, mu2=0.0"),
-            (1e-310, 2.0, "need mu1 > mu2 > 0, got mu1=inf, mu2=inf"),
-            (1e-300, 1e-10, "need mu1 > mu2 > 0, got mu1=inf, mu2=9.999999999999999e+299"),
-            # alpha beta itself underflows to 0 (once a ZeroDivisionError)
-            (1e-200, 1e-200, "need mu1 > mu2 > 0, got mu1=inf, mu2=1e+200"),
-            (5e-324, 0.5, "need mu1 > mu2 > 0, got mu1=inf, mu2=inf"),
+            # alpha beta overflows to inf, or underflows to 0 (once a
+            # ZeroDivisionError)
+            (1e200, 1e200, "alpha * beta must be finite and > 0, got inf"),
+            (1e-200, 1e-200, "alpha * beta must be finite and > 0, got 0.0"),
+            (5e-324, 0.5, "alpha * beta must be finite and > 0, got 0.0"),
         ],
+        ids=["1e+200-1e+200", "1e-200-1e-200", "5e-324-0.5"],
     )
     def test_levels_outside_float_range(self, alpha, beta, message):
         with pytest.raises(DomainError) as exc:
             omega(cfg(6, 3, 4, alpha, beta, 1.0))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("alpha, beta", [(1e-310, 2.0), (1e-300, 1e-10)])
+    def test_levels_beyond_the_largest_double(self, alpha, beta):
+        # 1/alpha, and at (1e-310, 2) 1/(alpha beta), exceed the largest
+        # double but are exact levels: omega is its leading term
+        # alpha n_e (n_b + beta (n_a - n_b)), rounded once (neither is a
+        # rounding tie)
+        lead = Fraction(alpha) * 4 * (3 + Fraction(beta) * 3)
+        assert omega(cfg(6, 3, 4, alpha, beta, 1.0)) == float(lead)
 
     def test_regression_values(self):
         assert omega(cfg(6, 3, 12, alpha=2.0, beta=0.5, gamma=1.0)) == pytest.approx(
@@ -433,7 +441,7 @@ class TestOmega:
         # factorials, level powers and the gap (mu1 - mu2)^(m1 m2), with the
         # shape's sign (-1)^(n_e (n_a - p)); -1 at (16, 8, 5) and (12, 7, 3)
         (mu1, m1), (mu2, m2) = eve_levels(n_a, n_b, alpha, beta)
-        assert (mu1 == 1.0 / alpha) == (beta > 1.0)
+        assert (mu1 == 1 / Fraction(alpha)) == (beta > 1.0)
         p = min(n_e, n_a)
         want = (
             sum(math.lgamma(n_e - p + c + 1) for c in range(p))
@@ -577,7 +585,7 @@ class TestOmega:
         "quantity, args, what",
         [
             ("theta", (16, 16, 0.05), "theta(16, 16, 0.05)"),
-            ("omega", (16, 8, 16, 2.0, 0.5), "omega(n_a=16, n_e=16, mu1=1.0, mu2=0.5)"),
+            ("omega", (16, 8, 16, 2.0, 0.5), "omega(n_a=16, n_b=8, n_e=16, alpha=2.0, beta=0.5)"),
         ],
         ids=["theta", "omega"],
     )
@@ -782,6 +790,27 @@ class TestBounds:
         exact = average_secrecy_rate(c)
         assert lower <= exact + 1e-12
         assert exact <= upper + 1e-12
+
+    def test_order_holds_without_slack_near_beta_one(self):
+        # omega reads its levels as theta reads its scale, so it lies between
+        # the single-group values at the two scales; correct rounding and the
+        # shared subtraction from one common double are monotone, so the
+        # order is exact. 400 shapes, beta = 1 +- k 2^-52
+        rng = random.Random(3)
+        for _ in range(400):
+            n_a = rng.randint(2, 16)
+            n_b, n_e = rng.randint(1, n_a - 1), rng.randint(1, 16)
+            alpha = 10 ** rng.uniform(-1, 2)
+            for k in (1, 2, 3, 8, 64, 1024):
+                for beta in (1 + k * 2**-52, 1 - k * 2**-52):
+                    c = cfg(n_a, n_b, n_e, alpha, beta, 1.0)
+                    lower, upper = average_rate_bounds(c)
+                    assert lower <= average_secrecy_rate(c) <= upper, c
+        # when omega read 1/alpha and 1/(alpha beta) as rounded doubles,
+        # this config's exact rate fell 32 ulps below both bounds
+        c = cfg(16, 1, 15, 54.03541800078337, 1 + 3 * 2**-52, 1.0)
+        assert average_secrecy_rate(c) == 3.849062371688035
+        assert average_rate_bounds(c) == (3.849062371688035, 3.849062371688035)
 
 
 class TestBobCapacityAndLeakage:

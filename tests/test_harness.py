@@ -66,6 +66,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(POINT_TEXT + "snr = 3\n")
 
+    def test_unknown_key_in_mapping_rejected(self):
+        raw = {"n_a": 6, "n_b": 3, "n_e": 4, "alpha": 2.0, "beta": 0.5, "gamma": 2.0, "delta": 1.0}
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(raw)
+        assert str(exc.value) == "unknown key 'delta'"
+
     def test_both_spellings_rejected(self):
         with pytest.raises(ConfigError, match="not both"):
             parse_config(POINT_TEXT + "alpha = 2\n")
