@@ -33,24 +33,29 @@ Numerical notes, since both closed forms are badly alternating sums:
   first rounded 30 digits beyond the largest folded term, and Ziv's
   rounding test accepts the sum only when both ends of its error bound
   round to the same double, doubling the precision otherwise: the
-  result is the correctly rounded sum, given mpmath's accuracy for
-  exp and E1. So omega needs no switch near beta = 1.
+  result is correctly rounded, with a proven bound on T_0. So omega
+  needs no switch near beta = 1.
+* T_0 is evaluated in integers at the exact level (_exp_e1): the E1
+  power series with Euler's gamma by Brent and McMillan for small b,
+  the asymptotic series kept relative to 1/b for large b, each with a
+  proven relative error bound.
 * Every level is the exact reciprocal of a double scale: 1/x for theta,
-  1/alpha and 1/(alpha beta) for omega. Only alpha * beta == alpha
-  routes omega to the single-group theta, and theta(m, n, 0) = 0 is the
-  one zero-SNR rule. Exact omega lies between theta at the two scales,
-  and correct rounding and the shared subtraction are monotone, so
-  lower <= exact <= upper holds exactly. The last 64 theta values are
-  memoized, so the exact rate and its bounds, which share theta terms,
-  compute each once.
+  1/alpha and 1/(alpha beta) for omega, held as an integer pair
+  (numerator, denominator), float.as_integer_ratio() reversed. Only
+  alpha * beta == alpha routes omega to the single-group theta, and
+  theta(m, n, 0) = 0 is the one zero-SNR rule. Exact omega lies
+  between theta at the two scales, and correct rounding and the shared
+  subtraction are monotone, so lower <= exact <= upper holds exactly.
+  The last 64 theta values are memoized, so the exact rate and its
+  bounds, which share theta terms, compute each once.
 * The exponential prefactor of the published theta sum appears with a
   negative exponent; the m = n = 1 reduction E[ln(1+x|g|^2)] =
   exp(1/x) E1(1/x) and Monte Carlo both fix the true sign as positive,
   and that is what is implemented.
 
-mpmath is imported on first use, so the asymptotic layer and the CLI's
-design reports never load it. Its precision is passed per call, never
-set process-wide, so the closed forms are safe in several threads.
+Every precision is passed per call and nothing is set process-wide, so
+the closed forms are safe in several threads. They need neither mpmath
+nor fractions; the tests use mpmath as their reference.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
@@ -66,7 +70,9 @@ from .errors import DomainError, NumericError, _finite, _integer
 
 _THETA_MAX_N = 16
 _LOG10_2 = math.log10(2.0)
+_BITS_PER_DIGIT = 3.3219280948873626
 _GUARD_BITS = 8
+_CONSTANTS = {}
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,8 @@ def _ladder_weights(n_a: int, n_e: int, levels):
     """Exact rung weights of omega at one or two levels, as integers per level.
 
     levels holds one or two distinct rational (mu_l, m_l), in any order,
-    with multiplicities summing to n_a. For each level returns (coeffs,
+    each mu_l an integer pair (numerator, denominator), with
+    multiplicities summing to n_a. For each level returns (coeffs,
     denominator): omega is
     sum_{l,t} coeffs_l[t] / denominator_l T_t(mu_l), t = 0 .. n_e + m_l - 2.
     The weights are homogeneous of degree 0 in the levels, so the A_l are
@@ -169,7 +176,7 @@ def _ladder_weights(n_a: int, n_e: int, levels):
     """
     p = min(n_e, n_a)
     base = n_e - p
-    ratios = [mu.as_integer_ratio() for mu, _ in levels]
+    ratios = [mu for mu, _ in levels]
     scale = math.lcm(*(d for _, d in ratios))
     scaled = [n * (scale // d) for n, d in ratios]
     g = math.gcd(*scaled)
@@ -219,18 +226,18 @@ def _ladder_weights(n_a: int, n_e: int, levels):
 @lru_cache(maxsize=None)
 def _theta_coeffs(m: int, n: int):
     """theta(m, n, 1/b) = sum_t coeffs[t] / den T_t(b): omega's weights at one level."""
-    return _ladder_weights(m, n, ((1.0, m),))[0]
+    return _ladder_weights(m, n, (((1, 1), m),))[0]
 
 
-def _fold(b: Fraction, coeffs, den: int):
+def _fold(b, coeffs, den: int):
     """sum_t coeffs[t] / den T_t(b) as integers (S_P, S_Q, D), exactly (S_P + S_Q T_0(b)) / D.
 
-    With b = num / d, T_t = (1 - b T_{t-1}) / t gives
+    With b = num / d, an integer pair, T_t = (1 - b T_{t-1}) / t gives
     d^t t! T_t = V_t + (-num)^t T_0, where V_0 = 0 and
     V_t = (t-1)! d^t - num V_{t-1}, so Horner's rule over the common
     denominator D = den d^top top! takes O(top) integer steps.
     """
-    num, b_den = b.numerator, b.denominator
+    num, b_den = b
     s_p, s_q, v, power, lead = 0, coeffs[0], 0, 1, b_den
     for t, c in enumerate(coeffs[1:], 1):
         v = lead - num * v
@@ -248,26 +255,152 @@ def _first_dps(folds) -> int:
     return 30 + max(0, int(bits * _LOG10_2))
 
 
+def _constant(fn, w: int) -> int:
+    """fn(w), a constant to w fractional bits, cut from one cached value.
+
+    The cache holds the highest precision asked for (at least double the
+    last), and flooring it to w bits adds under one ulp.
+    """
+    have, value = _CONSTANTS.get(fn, (-1, 0))  # one tuple: threads see a matching pair
+    if have < w:
+        have = max(w, 2 * have)
+        value = fn(have)
+        _CONSTANTS[fn] = have, value
+    return value >> have - w
+
+
+def _atanh(n: int, d: int, w: int) -> int:
+    """atanh(z), z = n / d in [0, 1/3], to w fractional bits, within w ulps.
+
+    Each term z^(2j+1) is the exact floor of the last times z^2, so it
+    stays below its value by under 9/8 ulp; with its division by 2j+1 and
+    the tail past the first zero term, the J <= w/3 + 1 terms stay within
+    1.5 J + 3 ulps.
+    """
+    n2, d2 = n * n, d * d
+    total = term = (n << w) // d
+    j = 1
+    while term:
+        term = term * n2 // d2
+        j += 2
+        total += term // j
+    return total
+
+
+def _ln2(w: int) -> int:
+    """ln 2 = 2 atanh(1/3) to w fractional bits, within 4 ulps."""
+    guard = w.bit_length()
+    return _atanh(1, 3, w + guard) >> guard - 1
+
+
+def _euler(w: int) -> int:
+    """Euler's gamma to w fractional bits, within 2 ulps, by Brent and McMillan.
+
+    gamma = U / V - ln n within pi exp(-4n) (Math. Comp. 34, 1980, B1),
+    V = sum_k B_k with B_k = (n^k / k!)^2 and U = sum_k B_k H_k, for n a
+    power of two with 4n > (v + 3) ln 2. Both run on nonnegative fixed
+    point at v bits: each floored B_k and A_k = B_k H_k stays within
+    (H_k + 2) exp(2n) ulps, the K <= 5n terms sum within K (H_K + 2)
+    exp(2n), and V >= 2^v exp(2n) / (e^2 n), so U / V is within
+    K (H_K + 12) e^2 n ulps, which the 2 log2(w) + 12 guard bits absorb.
+    """
+    v = w + 2 * w.bit_length() + 12
+    log2_n = ((v + 3) * 710 >> 12).bit_length()
+    a = u = 0
+    b = total = 1 << v
+    k = 1
+    while a or b:
+        b = (b << 2 * log2_n) // (k * k)
+        a = ((a << 2 * log2_n) // k + b) // k
+        u += a
+        total += b
+        k += 1
+    return ((u << v) // total - log2_n * _constant(_ln2, v)) >> v - w
+
+
+def _ln(p: int, q: int, w: int) -> int:
+    """ln(p / q) to w fractional bits, within 5 |e| + 2 w ulps.
+
+    p / q = 2^e r with r in [1/sqrt 2, sqrt 2), and ln r = 2 atanh(z),
+    z = (r - 1) / (r + 1), |z| < 0.172.
+    """
+    e = p.bit_length() - q.bit_length()
+    p, q = p << max(-e, 0), q << max(e, 0)
+    if 2 * p * p < q * q:
+        p, e = p << 1, e - 1
+    elif p * p >= 2 * q * q:
+        q, e = q << 1, e + 1
+    z = 2 * _atanh(abs(p - q), p + q, w)
+    return e * _constant(_ln2, w) + (z if p >= q else -z)
+
+
+def _exp_e1(p: int, q: int, prec: int):
+    """T_0(b) = exp(b) E1(b) at b = p / q > 0, as (man, exp < 0) within 2^-prec T_0 of man 2^exp.
+
+    For prec >= 20, two branches split at b > 0.6934 w + 10, about where
+    mpmath's E1 splits; both stay within 2^-(prec+2) T_0.
+    * Large b: the asymptotic series b T_0 = sum_{k<K} (-1)^k k! / b^k + R_K,
+      |R_K| below the first omitted term (DLMF 6.12.1). Its terms fall
+      while k < b, and past the split the smallest, sqrt(2 pi b) exp(-b),
+      is below 2^-w (for w < 10^7), so K < 2w. Each floored term stays
+      within k ulps, so the sum, at least 1/2, is within K^2 + 3K + 4
+      ulps, and the g guard bits absorb 2 (K^2 + 3K + 5) < 9 w^2. The
+      sum is kept relative to 1 / b, never in absolute fixed point, so a
+      huge b keeps every digit, and no exp(b) runs.
+    * Small b: T_0 = exp(b) (S(b) - gamma - ln b), with
+      S(b) = sum_{k>=1} (-1)^(k+1) u_k / k (DLMF 6.6.2) and exp(b) the
+      sum of the same u_k = b^k / k!. Each floored u_k stays within
+      exp(b) ulps, so it floors to zero only past k = 2b (below,
+      u_k >= 2^(w-2b) > exp(b) + 1), where the tail is under twice the
+      last term: K <= 3.5 b + w + 3 terms. With exp(-b) / (b + 1) < E1(b)
+      (DLMF 6.8.1), gamma within 3 ulps and ln b within 5 |e| + 2w (e
+      the binary exponent of b), the product is within
+      (10.5 b + 5 w + 5 |e| + 15) (b + 1) exp(2b) 2^-w relative: 3 b + 3
+      bits of w pay for exp(2b), and 2 log2(prec + 3 b + |e|) + 16 bring
+      the rest below 2^-(prec+9).
+    """
+    g = 2 * prec.bit_length() + 8
+    w = prec + g
+    if p > q * ((w * 710 >> 10) + 10):
+        term = total = 1 << w
+        k = 0
+        while term:
+            k += 1
+            term = term * k * q // p
+            total = term - total
+        shift = p.bit_length() - q.bit_length() + 1
+        return ((-total if k & 1 else total) * q << shift) // p, -w - shift
+    big = p // q
+    size = prec + 3 * big + abs(p.bit_length() - q.bit_length()) + 1
+    w = prec + 3 * big + 2 * size.bit_length() + 16
+    u = x = 1 << w
+    s = k = 0
+    while u:
+        k += 1
+        u = u * p // (q * k)
+        x += u
+        s = u // k - s
+    man = x * ((s if k & 1 else -s) - _constant(_euler, w) - _ln(p, q, w))
+    shift = max(0, man.bit_length() - prec - g)
+    return man >> shift, shift - 2 * w
+
+
 def _fold_sum(folds, dps: int):
     """One attempt at dps digits: integers (N, E, Q) over one denominator Q.
 
     N / Q is the folds' sum of (S_P + S_Q T_0(b)) / D with only T_0(b) =
-    exp(b) E1(b) rounded, at bits = dps_to_prec(dps) plus _GUARD_BITS, so
-    256 of its ulps stay within 2^-bits relative and the exact sum is
-    within E / Q = 2^-bits sum |S_Q T_0| / D. T_0 is kept relative as its
-    exact man * 2^exp, so a tiny T_0 (~1 / b at low SNR) keeps its digits.
+    exp(b) E1(b) rounded (_exp_e1), within 2^-prec relative at
+    prec = bits + _GUARD_BITS for bits = round((dps + 1) log2(10)), as
+    mpmath's dps_to_prec gives, so the exact sum is within
+    E / Q = 2^-bits sum |S_Q T_0| / D. T_0 is kept relative as its exact
+    man * 2^exp, so a tiny T_0 (~1 / b at low SNR) keeps its digits.
     """
-    from mpmath.libmp import dps_to_prec, from_rational, mpf_e1, mpf_exp, mpf_mul
-
-    bits = dps_to_prec(dps)
-    prec = bits + _GUARD_BITS
+    bits = round((dps + 1) * _BITS_PER_DIGIT)
     num, err, den = 0, 0, 1
     for b, s_p, s_q, d in folds:
-        x = from_rational(b.numerator, b.denominator, prec)
-        _, man, exp, _ = mpf_mul(mpf_exp(x, prec), mpf_e1(x, prec), prec)
-        # s_p / d and s_q T_0 / d as p / q and r / q; int() as gmpy has its own
-        lift = max(0, -exp)
-        p, r, q = s_p << lift, s_q * int(man) << exp + lift, d << lift
+        man, exp = _exp_e1(*b, bits + _GUARD_BITS)
+        # s_p / d and s_q T_0 / d as p / q and r / q, T_0 = man / 2^-exp
+        p, r, q = s_p << -exp, s_q * man, d << -exp
         num, err, den = num * q + (p + r) * den, err * q + abs(r) * den, den * q
     return num << bits, err, den << bits
 
@@ -323,7 +456,8 @@ def _theta_value(m: int, n: int, x: float) -> float:
     """theta(m, n, x) for checked arguments; one rate point needs at most five."""
     if x == 0.0:
         return 0.0
-    return _ladder_sum(f"theta({m}, {n}, {x!r})", [(1 / Fraction(x), *_theta_coeffs(m, n))])
+    level = x.as_integer_ratio()[::-1]
+    return _ladder_sum(f"theta({m}, {n}, {x!r})", [(level, *_theta_coeffs(m, n))])
 
 
 def omega(cfg: SystemConfig) -> float:
@@ -345,7 +479,10 @@ def omega(cfg: SystemConfig) -> float:
         return theta(cfg.n_hat_min, cfg.n_hat_max, cfg.alpha)
     if ab == 0.0 or ab == math.inf:
         raise DomainError(f"alpha * beta must be finite and > 0, got {ab!r}")
-    levels = ((1 / Fraction(cfg.alpha), cfg.n_b), (1 / Fraction(ab), cfg.n_a - cfg.n_b))
+    levels = (
+        (cfg.alpha.as_integer_ratio()[::-1], cfg.n_b),
+        (ab.as_integer_ratio()[::-1], cfg.n_a - cfg.n_b),
+    )
     weights = _ladder_weights(cfg.n_a, cfg.n_e, levels)
     return _ladder_sum(
         f"omega(n_a={cfg.n_a}, n_b={cfg.n_b}, n_e={cfg.n_e}, "

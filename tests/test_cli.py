@@ -468,7 +468,9 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "".join(run_main(capsys, argv)[1] for argv in argvs)
 
-    def test_design_and_asymptotic_sweep_run_without_mpmath(self, capsys, tmp_path):
+    def test_every_command_runs_without_mpmath(self, capsys, tmp_path):
+        # the closed forms evaluate T_0 in integers, so the exact rate and
+        # its bounds need mpmath no more than the asymptotics do
         sweep = write(
             tmp_path,
             "s.cfg",
@@ -476,9 +478,18 @@ class TestSubprocess:
             "outputs = asymptotic, delta_amax, delta_amin\n"
             "n_a = 6\nn_b = 3\nalpha = 2\nbeta = 0.5\ngamma = 2\n",
         )
+        exact_sweep = write(
+            tmp_path,
+            "e.cfg",
+            "axis = n_e\nvalues = 2, 4, 6\n"
+            "outputs = exact, lower, upper\n"
+            "n_a = 6\nn_b = 3\nalpha = 2\nbeta = 0.5\ngamma = 2\n",
+        )
         design = write(tmp_path, "d.cfg", DESIGN)
         point = write(tmp_path, "p.cfg", POINT)
         argvs = [
+            ["rate", "--config", point],
+            ["sweep", "--config", exact_sweep],
             ["sweep", "--config", sweep],
             ["design", "--config", design],
             ["mc", "--config", point, "--trials", "400", "--seed", "7"],
@@ -495,6 +506,17 @@ class TestSubprocess:
         proc = self.run(["-c", script], entry=[])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "".join(run_main(capsys, argv)[1] for argv in argvs)
+
+    def test_cold_rate_report_imports_neither_mpmath_nor_fractions(self):
+        script = (
+            "import sys\n"
+            "from anmimo import SystemConfig, rate_report\n"
+            "rate_report(SystemConfig(16, 8, 16, 2.0, 0.5, 1.0))\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath'\n"
+            "assert 'fractions' not in sys.modules, 'fractions'\n"
+        )
+        proc = self.run(["-c", script], entry=[])
+        assert proc.returncode == 0, proc.stderr
 
     def test_monte_carlo_names_resolve_on_first_use(self):
         script = (

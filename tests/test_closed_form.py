@@ -153,6 +153,11 @@ def eve_levels(n_a, n_b, alpha, beta):
     return sorted((data, noise), reverse=True)
 
 
+def integer_levels(n_a, n_b, alpha, beta):
+    """eve_levels as _ladder_weights takes them, each level an integer pair (numerator, denominator)."""
+    return [(mu.as_integer_ratio(), m) for mu, m in eve_levels(n_a, n_b, alpha, beta)]
+
+
 def cramer_matrices(n_a, n_b, n_e, alpha, beta):
     """R0, C and each row's (level, shift) of omega's expansion, at the current precision.
 
@@ -461,7 +466,7 @@ class TestOmega:
     def test_weights_are_the_cramer_diagonal(self, n_a, n_b, n_e, alpha, beta):
         # w_{l,phi} = sum of (R0^-1)_kj (R0)_jk over the k < p and the rows j
         # of level l and shift d with n_e - p + k + d = phi
-        weights = closed_form._ladder_weights(n_a, n_e, eve_levels(n_a, n_b, alpha, beta))
+        weights = closed_form._ladder_weights(n_a, n_e, integer_levels(n_a, n_b, alpha, beta))
         base = n_e - min(n_e, n_a)
         with mp.workdps(600):
             r0, c, labels = cramer_matrices(n_a, n_b, n_e, alpha, beta)
@@ -491,7 +496,7 @@ class TestOmega:
         for n_a in range(2, 17):
             for n_b in range(1, n_a):
                 for n_e in range(1, 17):
-                    levels = eve_levels(
+                    levels = integer_levels(
                         n_a, n_b, 10 ** rng.uniform(-6, 6), 10 ** rng.uniform(-6, 6)
                     )
                     (c1, den1), (c2, den2) = closed_form._ladder_weights(n_a, n_e, levels)

@@ -10,7 +10,6 @@ never against the ladder itself.
 """
 
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -18,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anmimo import DomainError, theta
-from anmimo.closed_form import _ladder_sum
+from anmimo.closed_form import _euler, _exp_e1, _ladder_sum, _ln, _ln2
 
 
 def rung(t: int, b: float) -> float:
@@ -29,7 +28,7 @@ def rung(t: int, b: float) -> float:
     caller's context.
     """
     with mp.workdps(15):
-        return _ladder_sum(f"T_{t}({b!r})", [(Fraction(b), [0] * t + [1], 1)])
+        return _ladder_sum(f"T_{t}({b!r})", [(b.as_integer_ratio(), [0] * t + [1], 1)])
 
 
 def e1(b: float) -> float:
@@ -43,6 +42,19 @@ def upper_gamma(a: int, b: float) -> float:
     with mp.workdps(15):
         mu = mp.mpf(b)
         return float(rung(-a, b) * mp.exp(-mu) / mu ** (-a))
+
+
+def t0_error(b: tuple[int, int], prec: int):
+    """|T~ - T| / T in units of 2^-prec, T = exp(b) E1(b) at b = num / den.
+
+    T~ is _exp_e1's value; T is mpmath's exp times E1 at twice the bits
+    plus 64, which shares no code with the integer evaluator.
+    """
+    man, exp = _exp_e1(*b, prec)
+    with mp.workprec(2 * prec + 64):
+        level = mp.mpf(b[0]) / b[1]
+        want = mp.exp(level) * mp.e1(level)
+        return abs(mp.ldexp(man, exp) - want) / want * mp.mpf(2) ** prec
 
 
 def quad_upper_gamma(a: int, b: float) -> float:
@@ -108,3 +120,55 @@ class TestUpperIncompleteGamma:
         # the forward ladder cancels: too little working precision would
         # show up here as a zero or negative value
         assert upper_gamma(a, b) > 0.0
+
+
+class TestIntegerExpE1:
+    """_exp_e1, the only transcendental of the closed forms, against its bound."""
+
+    LEVELS = {
+        # integer pairs, named by b itself or by the double scale x whose
+        # level b = 1/x is: from b = 2^-1074 up to b = 2^1074
+        "b=2^-1074": (5e-324).as_integer_ratio(),
+        "x=max": (1.7976931348623157e308).as_integer_ratio()[::-1],
+        "b=1e-300": (1e-300).as_integer_ratio(),
+        "b=1e-6": (1e-6).as_integer_ratio(),
+        "b=0.018": (0.018).as_integer_ratio(),
+        "b=1": (1, 1),
+        "b=3": (3, 1),
+        "b=10": (10, 1),
+        "b=1e3": (1000, 1),
+        "b=1e200": (1e200).as_integer_ratio(),
+        "b=max": (1.7976931348623157e308).as_integer_ratio(),
+        "x=2^-1074": (5e-324).as_integer_ratio()[::-1],
+    }
+
+    @pytest.mark.parametrize("prec", [60, 111, 151, 400, 2000])
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_within_the_claimed_bound(self, level, prec):
+        assert t0_error(self.LEVELS[level], prec) <= 1
+
+    @pytest.mark.parametrize("level", ["b=2^-1074", "b=0.018", "b=10", "b=1e3", "x=2^-1074"])
+    def test_within_the_claimed_bound_at_9000_bits(self, level):
+        assert t0_error(self.LEVELS[level], 9000) <= 1
+
+    @pytest.mark.parametrize("prec", [60, 151, 2000])
+    def test_both_sides_of_the_series_switch(self, prec):
+        # the power series up to b = split, the asymptotic series past it;
+        # split mirrors _exp_e1's test on its working bits w
+        w = prec + 2 * prec.bit_length() + 8
+        split = (w * 710 >> 10) + 10
+        for b in [(split - 1, 1), (split, 1), (split * 2**40 + 1, 2**40), (split + 1, 1)]:
+            assert t0_error(b, prec) <= 1, b
+
+    @pytest.mark.parametrize("w", [60, 200, 1000, 5000])
+    def test_constants_and_log_within_their_bounds(self, w):
+        # Euler's gamma within 2 ulps, ln 2 within 4, ln(p / q) within
+        # 5 |e| + 2 w, e its binary exponent, all at w fractional bits
+        with mp.workprec(w + 64):
+            one = mp.mpf(2) ** w
+            assert abs(_euler(w) - mp.euler * one) <= 2
+            assert abs(_ln2(w) - mp.ln2 * one) <= 4
+            for b in ((1, 3), (3, 2), (7, 5), (5e-324).as_integer_ratio(), (10**300, 7)):
+                e = b[0].bit_length() - b[1].bit_length()
+                want = mp.log(mp.mpf(b[0]) / b[1]) * one
+                assert abs(_ln(*b, w) - want) <= 5 * (abs(e) + 1) + 2 * w, b
