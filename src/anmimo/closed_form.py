@@ -30,7 +30,7 @@ Numerical notes, since both closed forms are badly alternating sums:
   m = n = 16, x = 0.05; omega's weights grow like
   (mu1 / (mu1 - mu2))^(n_a - 1) as the two eigenvalue groups merge, and
   low SNR, b >> 1, grows the folded terms like b^t / t!). So T_0 is
-  first rounded 30 digits beyond the largest folded term, and Ziv's
+  first rounded 100 bits beyond the largest folded term, and Ziv's
   rounding test accepts the sum only when both ends of its error bound
   round to the same double, doubling the precision otherwise: the
   result is correctly rounded, with a proven bound on T_0. So omega
@@ -69,9 +69,6 @@ from itertools import accumulate
 from .errors import DomainError, NumericError, _finite, _integer
 
 _THETA_MAX_N = 16
-_LOG10_2 = math.log10(2.0)
-_BITS_PER_DIGIT = 3.3219280948873626
-_GUARD_BITS = 8
 _CONSTANTS = {}
 
 
@@ -249,10 +246,10 @@ def _fold(b, coeffs, den: int):
     return s_p, s_q, den
 
 
-def _first_dps(folds) -> int:
-    """First working precision: 30 digits beyond the largest |S_P| / D or |S_Q| / D."""
+def _first_prec(folds) -> int:
+    """First working precision: 100 bits beyond the largest |S_P| / D or |S_Q| / D."""
     bits = max(s.bit_length() - d.bit_length() for _, s_p, s_q, d in folds for s in (s_p, s_q))
-    return 30 + max(0, int(bits * _LOG10_2))
+    return 100 + max(0, bits)
 
 
 def _constant(fn, w: int) -> int:
@@ -335,10 +332,9 @@ def _ln(p: int, q: int, w: int) -> int:
 
 
 def _exp_e1(p: int, q: int, prec: int):
-    """T_0(b) = exp(b) E1(b) at b = p / q > 0, as (man, exp < 0) within 2^-prec T_0 of man 2^exp.
+    """T_0(b) = exp(b) E1(b), b = p / q > 0, as (man, exp < 0) within 2^-(prec+2) T_0 of man 2^exp.
 
-    For prec >= 20, two branches split at b > 0.6934 w + 10, about where
-    mpmath's E1 splits; both stay within 2^-(prec+2) T_0.
+    Two branches, split at b > 0.6934 w + 10 (about where mpmath's E1 splits), for prec >= 20:
     * Large b: the asymptotic series b T_0 = sum_{k<K} (-1)^k k! / b^k + R_K,
       |R_K| below the first omitted term (DLMF 6.12.1). Its terms fall
       while k < b, and past the split the smallest, sqrt(2 pi b) exp(-b),
@@ -385,24 +381,22 @@ def _exp_e1(p: int, q: int, prec: int):
     return man >> shift, shift - 2 * w
 
 
-def _fold_sum(folds, dps: int):
-    """One attempt at dps digits: integers (N, E, Q) over one denominator Q.
+def _fold_sum(folds, prec: int):
+    """One attempt at prec bits: integers (N, E, Q) over one denominator Q.
 
-    N / Q is the folds' sum of (S_P + S_Q T_0(b)) / D with only T_0(b) =
-    exp(b) E1(b) rounded (_exp_e1), within 2^-prec relative at
-    prec = bits + _GUARD_BITS for bits = round((dps + 1) log2(10)), as
-    mpmath's dps_to_prec gives, so the exact sum is within
-    E / Q = 2^-bits sum |S_Q T_0| / D. T_0 is kept relative as its exact
-    man * 2^exp, so a tiny T_0 (~1 / b at low SNR) keeps its digits.
+    N / Q sums the folds' (S_P + S_Q T~) / D, T~ the value _exp_e1(b, prec)
+    rounds T_0(b) = exp(b) E1(b) to, and E / Q = 2^-prec sum |S_Q T~| / D:
+    |T~ - T_0| <= 2^-(prec+2) T_0 gives T_0 < T~ / (1 - 2^-(prec+2)), so
+    the error is below E / Q. T~ is kept as its exact man * 2^exp, so a
+    tiny T_0 (~1 / b at low SNR) keeps its digits.
     """
-    bits = round((dps + 1) * _BITS_PER_DIGIT)
     num, err, den = 0, 0, 1
     for b, s_p, s_q, d in folds:
-        man, exp = _exp_e1(*b, bits + _GUARD_BITS)
-        # s_p / d and s_q T_0 / d as p / q and r / q, T_0 = man / 2^-exp
+        man, exp = _exp_e1(*b, prec)
+        # s_p / d and s_q T~ / d as p / q and r / q, T~ = man / 2^-exp
         p, r, q = s_p << -exp, s_q * man, d << -exp
         num, err, den = num * q + (p + r) * den, err * q + abs(r) * den, den * q
-    return num << bits, err, den << bits
+    return num << prec, err, den << prec
 
 
 def _ladder_sum(what: str, levels) -> float:
@@ -418,13 +412,13 @@ def _ladder_sum(what: str, levels) -> float:
     the quantity in the error raised when no attempt settles.
     """
     folds = [(b, *_fold(b, coeffs, den)) for b, coeffs, den in levels]
-    dps = _first_dps(folds)
+    prec = _first_prec(folds)
     for _ in range(8):
-        num, err, den = _fold_sum(folds, dps)
+        num, err, den = _fold_sum(folds, prec)
         value = (num - err) / den
         if err < abs(num) and value == (num + err) / den:
             return value
-        dps *= 2
+        prec *= 2
     raise NumericError(f"adaptive precision for {what} did not settle")
 
 
@@ -537,6 +531,8 @@ def eve_leakage_upper_bound(cfg: SystemConfig) -> float:
     as alpha and beta grow with n_e <= n_a - n_b.
     """
     damp = 1.0 + cfg.alpha * cfg.n_b
+    if damp == math.inf:
+        raise DomainError(f"1 + alpha * n_b must be finite, got {damp!r}")
     return (
         cfg.n_e * math.log(damp)
         + theta(cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta / damp)

@@ -34,7 +34,10 @@ class UnboundedRangeError(NumericError):
 
 def _finite(name: str, value, positive: bool = False) -> float:
     """float(value); DomainError unless it is finite and >= 0 (> 0 if positive)."""
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int past the double range rounds to inf
+        v = math.inf if value > 0 else -math.inf
     if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
         bound = ">" if positive else ">="
         raise DomainError(f"{name} must be finite and {bound} 0, got {v!r}")

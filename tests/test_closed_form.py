@@ -557,15 +557,15 @@ class TestOmega:
 
     # theta is omega at one level and shares its precision loop
     # (_ladder_sum), so the loop's tests run on both; the first case of each
-    # cancels 19 digits (theta) and 6 (omega)
+    # cancels about 66 bits (theta) and 17 (omega)
     @pytest.mark.parametrize("quantity, args", PRECISION_CASES)
     def test_short_first_precision_retries(self, monkeypatch, quantity, args):
-        # 20 digits cannot hold the digits the sum cancels: the attempt's
+        # 70 bits cannot hold the bits the sum cancels: the attempt's
         # error bound straddles a rounding boundary, and the retry at twice
         # the precision gives the usual value
         want = fresh_value(quantity, args)
         calls = counting(monkeypatch, "_fold_sum")
-        monkeypatch.setattr(closed_form, "_first_dps", lambda folds: 20)
+        monkeypatch.setattr(closed_form, "_first_prec", lambda folds: 70)
         assert fresh_value(quantity, args) == want
         assert len(calls) == 2
 
@@ -577,9 +577,9 @@ class TestOmega:
         calls = []
         real = closed_form._fold_sum
 
-        def zeroing(folds, dps):
-            num, size, den = real(folds, dps)
-            calls.append(dps)
+        def zeroing(folds, prec):
+            num, size, den = real(folds, prec)
+            calls.append(prec)
             return (0 if len(calls) == 1 else num), size, den
 
         monkeypatch.setattr(closed_form, "_fold_sum", zeroing)
@@ -598,7 +598,7 @@ class TestOmega:
         self, monkeypatch, quantity, args, what
     ):
         # the error names the quantity and its arguments
-        monkeypatch.setattr(closed_form, "_fold_sum", lambda folds, dps: (0, 1, 1))
+        monkeypatch.setattr(closed_form, "_fold_sum", lambda folds, prec: (0, 1, 1))
         with pytest.raises(NumericError) as exc:
             fresh_value(quantity, args)
         assert str(exc.value) == f"adaptive precision for {what} did not settle"
@@ -664,12 +664,12 @@ class TestOmega:
         ],
     )
     def test_doubled_first_precision_agrees(self, monkeypatch, quantity, args, pinned):
-        # the precision rule's claim: what passes at D digits is what 2D digits give
-        at_d = fresh_value(quantity, args)
-        assert pinned is None or at_d.hex() == pinned
-        real = closed_form._first_dps
-        monkeypatch.setattr(closed_form, "_first_dps", lambda folds: 2 * real(folds))
-        assert fresh_value(quantity, args) == at_d
+        # the precision rule's claim: what passes at P bits is what 2P bits give
+        at_p = fresh_value(quantity, args)
+        assert pinned is None or at_p.hex() == pinned
+        real = closed_form._first_prec
+        monkeypatch.setattr(closed_form, "_first_prec", lambda folds: 2 * real(folds))
+        assert fresh_value(quantity, args) == at_p
 
     @pytest.mark.parametrize(
         "n_a, n_b, n_e, alpha, beta, expect",
@@ -842,6 +842,13 @@ class TestBobCapacityAndLeakage:
                     c = cfg(6, 3, n_e, alpha=alpha, beta=beta, gamma=1.0)
                     assert eve_leakage_upper_bound(c) >= 0.0
 
+    def test_leakage_damping_that_overflows_is_a_domain_error(self):
+        # 1 + alpha n_b past the largest double would make the bound inf
+        # for a finite true value
+        with pytest.raises(DomainError) as exc:
+            eve_leakage_upper_bound(cfg(6, 3, 4, alpha=1e308, beta=1e-10, gamma=1.0))
+        assert str(exc.value) == "1 + alpha * n_b must be finite, got inf"
+
     def test_leakage_vanishes_with_strong_noise(self):
         c = cfg(6, 3, 3, alpha=1e3, beta=1e3, gamma=1.0)
         assert eve_leakage_upper_bound(c) <= 0.05
@@ -983,10 +990,12 @@ RATIOS = AsymptoticRatios(beta1=1.5, beta2=2.0, beta3=0.75, p_u=6.0, p_v=6.0, ga
             lambda: critical_eve_antennas(6, 3, 1.0, 1.0, -math.inf),
             "gamma must be finite and > 0, got -inf",
         ),
+        (lambda: cfg(4, 2, 2, 10**400, 1.0, 1.0), "alpha must be finite and >= 0, got inf"),
     ],
 )
 def test_finite_argument_messages(call, message):
-    # the twelve checks of a finite nonnegative (or positive) argument
+    # the twelve checks of a finite nonnegative (or positive) argument, and
+    # an int past the double range, which rounds to inf
     with pytest.raises(DomainError) as exc:
         call()
     assert str(exc.value) == message

@@ -145,11 +145,11 @@ class TestIntegerExpE1:
     @pytest.mark.parametrize("prec", [60, 111, 151, 400, 2000])
     @pytest.mark.parametrize("level", LEVELS)
     def test_within_the_claimed_bound(self, level, prec):
-        assert t0_error(self.LEVELS[level], prec) <= 1
+        assert t0_error(self.LEVELS[level], prec) <= 0.25
 
     @pytest.mark.parametrize("level", ["b=2^-1074", "b=0.018", "b=10", "b=1e3", "x=2^-1074"])
     def test_within_the_claimed_bound_at_9000_bits(self, level):
-        assert t0_error(self.LEVELS[level], 9000) <= 1
+        assert t0_error(self.LEVELS[level], 9000) <= 0.25
 
     @pytest.mark.parametrize("prec", [60, 151, 2000])
     def test_both_sides_of_the_series_switch(self, prec):
@@ -158,7 +158,7 @@ class TestIntegerExpE1:
         w = prec + 2 * prec.bit_length() + 8
         split = (w * 710 >> 10) + 10
         for b in [(split - 1, 1), (split, 1), (split * 2**40 + 1, 2**40), (split + 1, 1)]:
-            assert t0_error(b, prec) <= 1, b
+            assert t0_error(b, prec) <= 0.25, b
 
     @pytest.mark.parametrize("w", [60, 200, 1000, 5000])
     def test_constants_and_log_within_their_bounds(self, w):
