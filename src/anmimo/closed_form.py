@@ -24,17 +24,17 @@ Numerical notes, since both closed forms are badly alternating sums:
   denominator per level, built from the levels scaled to integers.
 * The ladder T_t = (1 - b T_{t-1}) / t is folded exactly in integers at
   the exact level b, which leaves one transcendental T_0 = exp(b) E1(b)
-  per level. Only T_0 is rounded; the sum is exact and one correctly
-  rounded division gives the double. The sum cancels heavily (plain
-  compensated double summation of theta loses all 16 digits at
-  m = n = 16, x = 0.05; omega's weights grow like
-  (mu1 / (mu1 - mu2))^(n_a - 1) as the two eigenvalue groups merge, and
-  low SNR, b >> 1, grows the folded terms like b^t / t!). So T_0 is
-  first rounded 100 bits beyond the largest folded term, and Ziv's
-  rounding test accepts the sum only when both ends of its error bound
-  round to the same double, doubling the precision otherwise: the
-  result is correctly rounded, with a proven bound on T_0. So omega
-  needs no switch near beta = 1.
+  per level. An attempt rounds T_0, and each folded term to a fixed
+  point, with a proven bound on both; one correctly rounded division
+  gives the double. The sum cancels heavily (plain compensated double
+  summation of theta loses all 16 digits at m = n = 16, x = 0.05;
+  omega's weights grow like (mu1 / (mu1 - mu2))^(n_a - 1) as the two
+  eigenvalue groups merge, and low SNR, b >> 1, grows the folded terms
+  like b^t / t!). So each level's T_0 is first rounded 100 bits beyond
+  its largest folded term, and Ziv's rounding test accepts the sum only
+  when both ends of its error bound round to the same double, doubling
+  the precisions otherwise: the result is correctly rounded, with a
+  proven bound on T_0. So omega needs no switch near beta = 1.
 * T_0 is evaluated in integers at the exact level (_exp_e1): the E1
   power series with Euler's gamma by Brent and McMillan for small b,
   the asymptotic series kept relative to 1/b for large b, each with a
@@ -44,10 +44,16 @@ Numerical notes, since both closed forms are badly alternating sums:
   (numerator, denominator), float.as_integer_ratio() reversed. Only
   alpha * beta == alpha routes omega to the single-group theta, and
   theta(m, n, 0) = 0 is the one zero-SNR rule. Exact omega lies
-  between theta at the two scales, and correct rounding and the shared
-  subtraction are monotone, so lower <= exact <= upper holds exactly.
-  The last 64 theta values are memoized, so the exact rate and its
-  bounds, which share theta terms, compute each once.
+  between theta at the two scales, so the true rate lies between the
+  true bounds.
+* Every public number is one sum of signed terms, correctly rounded
+  (_ladder_sums): theta and omega, the exact rate bob + AN - omega, each
+  bound bob + AN - theta at one scale, and the leakage bound's drop in
+  theta. The rate and its bounds add no doubles, so near zero the rate
+  has its true sign, and since rounding is monotone, the three correctly
+  rounded sums keep lower <= exact <= upper exactly. The sums of one
+  call fold each shared term once and round T_0 once per level and
+  attempt.
 * The exponential prefactor of the published theta sum appears with a
   negative exponent; the m = n = 1 reduction E[ln(1+x|g|^2)] =
   exp(1/x) E1(1/x) and Monte Carlo both fix the true sign as positive,
@@ -247,9 +253,9 @@ def _fold(b, coeffs, den: int):
 
 
 def _first_prec(folds) -> int:
-    """First working precision: 100 bits beyond the largest |S_P| / D or |S_Q| / D."""
-    bits = max(s.bit_length() - d.bit_length() for _, s_p, s_q, d in folds for s in (s_p, s_q))
-    return 100 + max(0, bits)
+    """A level's first working precision: 100 bits beyond its largest |S_P| / D or |S_Q| / D."""
+    bits = [s.bit_length() - d.bit_length() for _, s_p, s_q, d in folds for s in (s_p, s_q)]
+    return 100 + max([0, *bits])
 
 
 def _constant(fn, w: int) -> int:
@@ -381,45 +387,92 @@ def _exp_e1(p: int, q: int, prec: int):
     return man >> shift, shift - 2 * w
 
 
-def _fold_sum(folds, prec: int):
-    """One attempt at prec bits: integers (N, E, Q) over one denominator Q.
+def _fold_sums(sums, scale: int):
+    """One attempt: yields each sum as integers (N, E, 2^W), within E / 2^W of it.
 
-    N / Q sums the folds' (S_P + S_Q T~) / D, T~ the value _exp_e1(b, prec)
-    rounds T_0(b) = exp(b) E1(b) to, and E / Q = 2^-prec sum |S_Q T~| / D:
-    |T~ - T_0| <= 2^-(prec+2) T_0 gives T_0 < T~ / (1 - 2^-(prec+2)), so
-    the error is below E / Q. T~ is kept as its exact man * 2^exp, so a
-    tiny T_0 (~1 / b at low SNR) keeps its digits.
+    A sum holds terms (sign, (b, S_P, S_Q, D), first), each exactly
+    sign (S_P + S_Q T_0(b)) / D, with first its level's first precision.
+    Each level is rounded at scale times that precision, so every
+    level's error starts equally small in absolute terms and doubles its
+    own bits on a retry, and a small-b level of a rate costs what it costs
+    on its own. T~ = man 2^exp, the value _exp_e1(b, p) rounds
+    T_0(b) = exp(b) E1(b) to at the level's precision p, once per level
+    for all the sums, keeps its own exponent, so a tiny T_0 (~1 / b at
+    low SNR) keeps its digits. |T~ - T_0| <= 2^-(p+2) T_0 gives
+    T_0 < T~ / (1 - 2^-(p+2)), so a term at T~ errs by under
+    2^-p |S_Q T~| / D. Each term at T~ is floored to W fractional bits and
+    its bound rounded up, two units per term in all; W makes a unit at
+    most half the largest term's bound.
     """
-    num, err, den = 0, 0, 1
-    for b, s_p, s_q, d in folds:
-        man, exp = _exp_e1(*b, prec)
-        # s_p / d and s_q T~ / d as p / q and r / q, T~ = man / 2^-exp
-        p, r, q = s_p << -exp, s_q * man, d << -exp
-        num, err, den = num * q + (p + r) * den, err * q + abs(r) * den, den * q
-    return num << prec, err, den << prec
+    precs = {b: scale * first for terms in sums for _, (b, *_), first in terms}
+    t0 = {b: (*_exp_e1(*b, p), p) for b, p in precs.items()}
+    for terms in sums:
+        parts = []  # each term at T~ as (n + r) / q, its error bound 2^-p |r| / q
+        for sign, (b, s_p, s_q, d), _ in terms:
+            man, exp, p = t0[b]
+            r = sign * s_q * man
+            parts.append(((sign * s_p << -exp) + r, abs(r), d << -exp, p))
+        w = max(0, min(p + 2 - r.bit_length() + q.bit_length() for _, r, q, p in parts))
+        num = sum((n << w) // q for n, _, q, _ in parts)
+        yield num, sum(((r << w) // q >> p) + 2 for _, r, q, p in parts), 1 << w
 
 
-def _ladder_sum(what: str, levels) -> float:
-    """sum over (b, coeffs, den) in levels of sum_t coeffs[t] / den T_t(b), as a double.
+def _ladder_sums(what: str, sums) -> list:
+    """Each sum of signed ladder terms, as its correctly rounded double.
 
-    Each level folds exactly to (S_P + S_Q T_0(b)) / D (_fold); an attempt
-    (_fold_sum) sums them exactly to N / Q within E / Q of the true sum.
-    Ziv's rounding test accepts it when both ends, (N - E) / Q and
-    (N + E) / Q, are nonzero of one sign and round to the same double:
-    then so does the sum, and that double is its correctly rounded value.
-    Otherwise it retries at twice the precision, so a sum near a rounding
-    tie or zero costs another attempt, not a wrong last bit. what names
-    the quantity in the error raised when no attempt settles.
+    A term (sign, b, coeffs, den) stands for
+    sign * sum_t coeffs[t] / den T_t(b). Each distinct (level, weight
+    vector) folds once, exactly, to (S_P + S_Q T_0(b)) / D (_fold); a
+    weight vector is one object wherever it recurs (theta's are cached per
+    shape, omega's built once per call), so identity finds the repeats.
+    Within a sum a repeated term adds its signs, so theta(x) - theta(x)
+    is the empty sum, exactly 0. Each level's first precision is
+    _first_prec over all its folds, fixed for the call, so every retry
+    raises it. An attempt (_fold_sums) gives each open
+    sum as N / Q within E / Q of its true value. Ziv's rounding test
+    accepts a sum when both ends, (N - E) / Q and (N + E) / Q, are
+    nonzero of one sign and round to the same double: then so does the
+    sum, and that double is its correctly rounded value. The sums not yet
+    accepted retry at twice the precisions, so a sum near a rounding tie
+    or zero costs another attempt, not a wrong last bit or sign. what
+    names the quantity in the error raised when no attempt settles.
     """
-    folds = [(b, *_fold(b, coeffs, den)) for b, coeffs, den in levels]
-    prec = _first_prec(folds)
-    for _ in range(8):
-        num, err, den = _fold_sum(folds, prec)
-        value = (num - err) / den
-        if err < abs(num) and value == (num + err) / den:
-            return value
-        prec *= 2
-    raise NumericError(f"adaptive precision for {what} did not settle")
+    folds, merged = {}, []
+    for terms in sums:
+        merged.append({})
+        for sign, b, coeffs, den in terms:
+            key = b, id(coeffs)
+            folds[key] = folds.get(key) or (b, *_fold(b, coeffs, den))
+            merged[-1][key] = merged[-1].get(key, 0) + sign
+    first = {b: _first_prec([f for f in folds.values() if f[0] == b]) for b in {k[0] for k in folds}}
+    signed = [[(sign, folds[k], first[k[0]]) for k, sign in m.items() if sign] for m in merged]
+    values = [None if terms else 0.0 for terms in signed]
+    scale = 1
+    while None in values:
+        if scale == 256:  # eight attempts
+            raise NumericError(f"adaptive precision for {what} did not settle")
+        todo = [i for i, value in enumerate(values) if value is None]
+        for i, (num, err, den) in zip(todo, _fold_sums([signed[i] for i in todo], scale)):
+            value = (num - err) / den
+            if err < abs(num) and value == (num + err) / den:
+                values[i] = value
+        scale *= 2
+    return values
+
+
+def _theta_terms(sign: int, m: int, n: int, x, name: str = "x"):
+    """theta(m, n, x) as signed ladder terms: none at x = 0, else one at the level 1/x.
+
+    Checks the shape and x; name is what an error calls x, so a rate
+    names the product it formed (alpha * gamma, alpha * beta).
+    """
+    m, n = _integer("m", m, 1), _integer("n", n, 1)
+    if m > n:
+        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
+    if n > _THETA_MAX_N:
+        raise DomainError(f"supported envelope is n <= {_THETA_MAX_N}, got n={n}")
+    x = _finite(name, x)
+    return [(sign, x.as_integer_ratio()[::-1], *_theta_coeffs(m, n))] if x else []
 
 
 def theta(m: int, n: int, x: float) -> float:
@@ -432,66 +485,63 @@ def theta(m: int, n: int, x: float) -> float:
 
     theta is omega at a single level: sum_j A_j T_j(b), b = 1/x, with
     T_j(b) = exp(b) E_{j+1}(b) and exact rational A_j (_theta_coeffs,
-    cached per (m, n)), folded and rounded by _ladder_sum.
+    cached per (m, n)), folded and rounded by _ladder_sums.
     """
-    m = _integer("m", m, 1)
-    n = _integer("n", n, 1)
-    if m > n:
-        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if n > _THETA_MAX_N:
-        raise DomainError(
-            f"supported envelope is n <= {_THETA_MAX_N}, got n={n}"
-        )
-    return _theta_value(m, n, _finite("x", x))
+    return _ladder_sums(f"theta({m}, {n}, {x!r})", [_theta_terms(1, m, n, x)])[0]
 
 
-@lru_cache(maxsize=64)
-def _theta_value(m: int, n: int, x: float) -> float:
-    """theta(m, n, x) for checked arguments; one rate point needs at most five."""
-    if x == 0.0:
-        return 0.0
-    level = x.as_integer_ratio()[::-1]
-    return _ladder_sum(f"theta({m}, {n}, {x!r})", [(level, *_theta_coeffs(m, n))])
+def _omega_terms(sign: int, cfg: SystemConfig):
+    """omega(cfg) as signed ladder terms, one per level.
+
+    The levels are read as theta reads its scale: 1/alpha on the n_b data
+    dimensions and 1/(alpha beta) on the n_a - n_b noise dimensions, the
+    exact reciprocals of the doubles alpha and alpha * beta. When those
+    doubles are equal (beta == 1, a beta so close to 1 that the product
+    rounds onto alpha, or alpha == 0) the two groups see one level, and
+    omega is theta(n_hat_min, n_hat_max, alpha).
+    """
+    ab = cfg.alpha * cfg.beta
+    if ab == cfg.alpha:
+        return _theta_terms(sign, cfg.n_hat_min, cfg.n_hat_max, cfg.alpha)
+    if ab == 0.0 or ab == math.inf:
+        raise DomainError(f"alpha * beta must be finite and > 0, got {ab!r}")
+    data, noise = cfg.alpha.as_integer_ratio()[::-1], ab.as_integer_ratio()[::-1]
+    levels = ((data, cfg.n_b), (noise, cfg.n_a - cfg.n_b))
+    return [(sign, b, *w) for (b, _), w in zip(levels, _ladder_weights(cfg.n_a, cfg.n_e, levels))]
 
 
 def omega(cfg: SystemConfig) -> float:
     """Eavesdropper-side ergodic log-det E[ln det(I + alpha W1 + alpha beta W2)].
 
     The exact two-level weights (_ladder_weights) on the E1 ladder of
-    each level, correctly rounded by _ladder_sum however close beta is to
-    1. The levels are read as theta reads its scale: 1/alpha on the n_b
-    data dimensions and 1/(alpha beta) on the n_a - n_b noise dimensions,
-    the exact reciprocals of the doubles alpha and alpha * beta. When
-    those doubles are equal (beta == 1, a beta so close to 1 that the
-    product rounds onto alpha, or alpha == 0) the two groups see one
-    level, and omega is theta(n_hat_min, n_hat_max, alpha). So omega lies
-    between the single-group values at the two scales, and the bounds
-    hold with no slack.
+    each level (_omega_terms), correctly rounded by _ladder_sums however
+    close beta is to 1. omega lies between the single-group values at the
+    two scales, so the bounds hold with no slack.
     """
-    ab = cfg.alpha * cfg.beta
-    if ab == cfg.alpha:
-        return theta(cfg.n_hat_min, cfg.n_hat_max, cfg.alpha)
-    if ab == 0.0 or ab == math.inf:
-        raise DomainError(f"alpha * beta must be finite and > 0, got {ab!r}")
-    levels = (
-        (cfg.alpha.as_integer_ratio()[::-1], cfg.n_b),
-        (ab.as_integer_ratio()[::-1], cfg.n_a - cfg.n_b),
-    )
-    weights = _ladder_weights(cfg.n_a, cfg.n_e, levels)
-    return _ladder_sum(
-        f"omega(n_a={cfg.n_a}, n_b={cfg.n_b}, n_e={cfg.n_e}, "
-        f"alpha={cfg.alpha!r}, beta={cfg.beta!r})",
-        [(mu, *w) for (mu, _), w in zip(levels, weights)],
-    )
+    what = f"n_a={cfg.n_a}, n_b={cfg.n_b}, n_e={cfg.n_e}, alpha={cfg.alpha!r}, beta={cfg.beta!r}"
+    return _ladder_sums(f"omega({what})", [_omega_terms(1, cfg)])[0]
 
 
-def _common_theta(cfg: SystemConfig) -> float:
-    """theta(n_b, n_a, alpha gamma) + theta(n_min, n_max, alpha beta).
+def _rate_values(what: str, cfg: SystemConfig, names) -> dict:
+    """The named among exact, lower, upper and bob_capacity, from one _ladder_sums call.
 
-    The legitimate-link and artificial-noise-only terms, which the exact
-    rate and both bounds share.
+    Each shares bob + AN, theta(n_b, n_a, alpha gamma) +
+    theta(n_min, n_max, alpha beta) (bob_capacity is bob alone). The exact
+    rate subtracts omega's two levels, each bound theta(n_hat_min,
+    n_hat_max) at the larger (lower) or smaller (upper) of alpha and
+    alpha beta. Only the named sums are built, so the bounds need no
+    omega weights; asked together, the sums fold each shared term once and
+    round T_0 once per level and attempt. what names the caller in errors.
     """
-    return bob_capacity(cfg) + theta(cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta)
+    bob = _theta_terms(1, cfg.n_b, cfg.n_a, cfg.alpha * cfg.gamma, "alpha * gamma")
+    shared = bob + _theta_terms(1, cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta, "alpha * beta")
+    sums = {"exact": shared + _omega_terms(-1, cfg)} if "exact" in names else {}
+    if "lower" in names or "upper" in names:
+        for name, s in zip(("lower", "upper"), sorted((cfg.alpha, cfg.alpha * cfg.beta))[::-1]):
+            sums[name] = shared + _theta_terms(-1, cfg.n_hat_min, cfg.n_hat_max, s)
+    if "bob_capacity" in names:
+        sums["bob_capacity"] = bob
+    return dict(zip(sums, _ladder_sums(f"{what}({cfg})", list(sums.values()))))
 
 
 def average_secrecy_rate(cfg: SystemConfig) -> float:
@@ -499,9 +549,10 @@ def average_secrecy_rate(cfg: SystemConfig) -> float:
 
     Legitimate-link term theta(n_b, n_a, alpha gamma) plus the
     artificial-noise-only term theta(n_min, n_max, alpha beta), minus the
-    full eavesdropper term omega(cfg).
+    full eavesdropper term omega(cfg), as one correctly rounded sum, so
+    its sign is right however close it is to zero.
     """
-    return _common_theta(cfg) - omega(cfg)
+    return _rate_values("average_secrecy_rate", cfg, ("exact",))["exact"]
 
 
 def average_rate_bounds(cfg: SystemConfig) -> tuple[float, float]:
@@ -509,43 +560,39 @@ def average_rate_bounds(cfg: SystemConfig) -> tuple[float, float]:
 
     Replaces omega with the single-group value at the larger (lower
     bound) or smaller (upper bound) of the two power scales alpha and
-    alpha beta. The two coincide exactly at beta = 1.
+    alpha beta, each bound one correctly rounded sum. The two coincide
+    exactly at beta = 1.
     """
-    common = _common_theta(cfg)
-    scales = (cfg.alpha, cfg.alpha * cfg.beta)
-    lower = common - theta(cfg.n_hat_min, cfg.n_hat_max, max(scales))
-    upper = common - theta(cfg.n_hat_min, cfg.n_hat_max, min(scales))
-    return (lower, upper)
+    return tuple(_rate_values("average_rate_bounds", cfg, ("lower", "upper")).values())
 
 
 def bob_capacity(cfg: SystemConfig) -> float:
     """Ergodic capacity of the legitimate link, theta(n_b, n_a, alpha gamma)."""
-    return theta(cfg.n_b, cfg.n_a, cfg.alpha * cfg.gamma)
+    bob = _theta_terms(1, cfg.n_b, cfg.n_a, cfg.alpha * cfg.gamma, "alpha * gamma")
+    return _ladder_sums(f"bob_capacity({cfg})", [bob])[0]
 
 
 def eve_leakage_upper_bound(cfg: SystemConfig) -> float:
     """Upper bound on the information rate leaked to the eavesdropper.
 
     n_e ln(1 + alpha n_b) plus the drop in the artificial-noise term when
-    its scale is divided by (1 + alpha n_b). Nonnegative; tends to zero
-    as alpha and beta grow with n_e <= n_a - n_b.
+    its scale is divided by (1 + alpha n_b), the drop one correctly
+    rounded sum. Nonnegative; tends to zero as alpha and beta grow with
+    n_e <= n_a - n_b.
     """
     damp = 1.0 + cfg.alpha * cfg.n_b
     if damp == math.inf:
         raise DomainError(f"1 + alpha * n_b must be finite, got {damp!r}")
-    return (
-        cfg.n_e * math.log(damp)
-        + theta(cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta / damp)
-        - theta(cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta)
-    )
+    drop = _theta_terms(-1, cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta, "alpha * beta")
+    drop += _theta_terms(1, cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta / damp)
+    value = _ladder_sums(f"eve_leakage_upper_bound({cfg})", [drop])[0]
+    return cfg.n_e * math.log1p(cfg.alpha * cfg.n_b) + value
 
 
 def rate_report(cfg: SystemConfig) -> RateReport:
-    """Exact rate, both bounds, and the legitimate capacity in one record."""
-    lower, upper = average_rate_bounds(cfg)
-    return RateReport(
-        exact=average_secrecy_rate(cfg),
-        lower=lower,
-        upper=upper,
-        bob_capacity=bob_capacity(cfg),
-    )
+    """Exact rate, both bounds, and the legitimate capacity in one record.
+
+    The four sums share their levels and terms, so one evaluation folds
+    each term once and rounds T_0 once per level and attempt.
+    """
+    return RateReport(**_rate_values("rate_report", cfg, RateReport.__annotations__))

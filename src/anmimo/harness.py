@@ -32,7 +32,7 @@ from .asymptotics import (
     delta_highsnr,
     psi,
 )
-from .closed_form import SystemConfig, average_rate_bounds, average_secrecy_rate
+from .closed_form import SystemConfig, _rate_values
 from .errors import ConfigError, SweepError
 
 LN2 = math.log(2.0)
@@ -224,21 +224,17 @@ def run_point(
     """
     wanted = _check_outputs(outputs, units)
     row: Dict[str, float] = {}
+    if "exact" in wanted or "lower" in wanted or "upper" in wanted:
+        # one evaluation of what is asked: the rate and its bounds share their terms
+        values = _rate_values("run_point", cfg, wanted)
     if "exact" in wanted:
-        exact = average_secrecy_rate(cfg)
-        row["exact"] = exact
-        row["exact_clamped"] = max(exact, 0.0)
+        row.update(exact=values["exact"], exact_clamped=max(values["exact"], 0.0))
     # the asymptotic column and the margins share one set of ratios
     ratios = None
     if "asymptotic" in wanted:
         ratios = AsymptoticRatios.from_config(cfg)
         row["asymptotic"] = cfg.n_b * psi(ratios) if cfg.alpha != 0.0 else 0.0
-    if "lower" in wanted or "upper" in wanted:
-        lower, upper = average_rate_bounds(cfg)
-        if "lower" in wanted:
-            row["lower"] = lower
-        if "upper" in wanted:
-            row["upper"] = upper
+    row.update((name, values[name]) for name in ("lower", "upper") if name in wanted)
     if "mc" in wanted:
         from .monte_carlo import mc_average_secrecy_rate  # numpy only when MC runs
 

@@ -2,13 +2,17 @@
 
 perfbench/run.py accepts a closed-form output within 1e-10 relative of
 perfbench/reference.json, so a last-bit drift would pass it unseen. Here
-every run_point output on the 45 closed-form points must equal the
-recorded double bit for bit, or the new double of a declared move within
-2 ulps of the recorded one. omega must build its two-level weights once
-and settle in one attempt on each of the 36 points beyond its
-single-group branch, and each distinct theta value must settle in one
-attempt. Every design-cli candidate must write the recorded bytes through
-the CLI. The benchmark's files are only read.
+every exact, lower and upper output of run_point on the 45 closed-form
+points must equal the 600-digit reference rounded once, and stay within
+2 ulps of the point's largest term of the recorded double, the error
+that adding doubles of the terms once allowed; exact_clamped must be
+exact floored at zero, within the same bound of its recorded double; the
+asymptotic output must equal the recorded double bit for bit, and a row
+must hold the recorded columns. Each point must build omega's
+two-level weights once beyond its single-group branch, settle in one
+attempt and round T_0 once per level. Every design-cli candidate must
+write the recorded bytes through the CLI. The benchmark's files are only
+read.
 """
 
 import json
@@ -19,20 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from anmimo import SystemConfig, closed_form, run_point
+from anmimo import SystemConfig, closed_form, omega, run_point, theta
 from anmimo.cli import main
+from closed_form_reference import rate_reference
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-# closed-form outputs that moved on purpose since perfbench/reference.json
-# was recorded, by op key and output name, as the new double's hex; the
-# file is re-recorded only with a change of the benchmark
-DECLARED_MOVES = {
-    # omega reads its levels as the exact reciprocals of alpha and
-    # alpha * beta, as theta does: here omega moved one ulp and the exact
-    # rate two
-    ("17:0", "exact"): "-0x1.1384c6bdf5b5cp+3",
-}
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +49,23 @@ def workloads():
         del sys.modules[module.__name__]
 
 
+def largest_terms(c):
+    """For the exact rate, lower and upper bound, the largest magnitude among its terms."""
+    shared = (
+        theta(c.n_b, c.n_a, c.alpha * c.gamma),
+        theta(c.n_min, c.n_max, c.alpha * c.beta),
+    )
+    scales = (c.alpha, c.alpha * c.beta)
+    hats = [theta(c.n_hat_min, c.n_hat_max, s) for s in (max(scales), min(scales))]
+    return [max(*shared, last) for last in (omega(c), *hats)]
+
+
 def test_closed_form_points_match_reference_bitwise(workloads, reference, monkeypatch):
     reference = reference["closed-form"]
     # perfbench's per-layer closed_form.theta.coeff_cache_misses reads this
     assert callable(closed_form._theta_coeffs.cache_info)
-    weights, attempts = [], []
-    for name, calls in (("_ladder_weights", weights), ("_fold_sum", attempts)):
+    weights, t0s, attempts = [], [], []
+    for name, calls in (("_ladder_weights", weights), ("_exp_e1", t0s), ("_fold_sums", attempts)):
         real = getattr(closed_form, name)
 
         def counting(*args, real=real, calls=calls):
@@ -67,29 +73,30 @@ def test_closed_form_points_match_reference_bitwise(workloads, reference, monkey
             return real(*args)
 
         monkeypatch.setattr(closed_form, name, counting)
-    memo = closed_form._theta_value
     points = [op for slot in workloads.candidates("closed-form") for op in slot]
     assert len(points) == 45
-    for (key, name), moved in DECLARED_MOVES.items():
-        # a declared move cannot hide a larger drift
-        recorded = reference[key][name]
-        assert abs(float.fromhex(moved) - recorded) <= 2 * math.ulp(recorded)
     beyond_single_group = 0
     for op in points:
-        before = len(weights), len(attempts), memo.cache_info().misses
-        row = run_point(SystemConfig(**op.params), list(workloads.CLOSED_FORM_OUTPUTS))
-        got = {name: value.hex() for name, value in row.items()}
-        want = {
-            name: DECLARED_MOVES.get((op.key, name), float(value).hex())
-            for name, value in reference[op.key].items()
-        }
-        assert got == want, op.params
-        # theta's one-level weights are cached; count omega's two-level builds
-        two_level = sum(len(args[2]) == 2 for args in weights[before[0]:])
-        thetas = memo.cache_info().misses - before[2]
-        omegas = int(op.params["beta"] != 1.0)
+        c = SystemConfig(**op.params)
+        del weights[:], t0s[:], attempts[:]
+        row = run_point(c, list(workloads.CLOSED_FORM_OUTPUTS))
+        two_level = sum(len(args[2]) == 2 for args in weights)
+        counts = (two_level, len(attempts), len(t0s))
+        levels = {c.alpha * c.gamma, c.alpha, c.alpha * c.beta}
+        omegas = int(c.alpha * c.beta != c.alpha)
         beyond_single_group += omegas
-        assert (two_level, len(attempts) - before[1]) == (omegas, omegas + thetas), op.params
+        assert counts == (omegas, 1, len(levels)), op.params
+        assert {args[:2] for args in t0s} == {x.as_integer_ratio()[::-1] for x in levels}
+        recorded = reference[op.key]
+        assert set(row) == set(recorded), op.params
+        assert row["asymptotic"].hex() == recorded["asymptotic"].hex(), op.params
+        want = rate_reference(c)[:3]
+        names = ("exact", "lower", "upper")
+        assert tuple(row[name] for name in names) == want, op.params
+        assert row["exact_clamped"] == max(row["exact"], 0.0), op.params
+        terms = largest_terms(c)
+        for name, term in zip(("exact_clamped", *names), terms[:1] + terms):
+            assert abs(row[name] - recorded[name]) <= 2 * math.ulp(term), (op.params, name)
     assert beyond_single_group == 36
 
 

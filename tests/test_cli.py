@@ -108,6 +108,29 @@ class TestRate:
         assert code == 1 and out == ""
         assert err == "error: alpha * beta must be finite and > 0, got 0.0\n"
 
+    @pytest.mark.parametrize(
+        "scales, product",
+        [("alpha = 1e200\nbeta = 1e200\ngamma = 1\n", "alpha * beta"),
+         ("alpha = 1e200\nbeta = 1\ngamma = 1e200\n", "alpha * gamma")],
+        ids=["alpha-beta", "alpha-gamma"],
+    )
+    def test_overflowing_product_is_named(self, capsys, tmp_path, scales, product):
+        # the product that overflows, not an argument the config never gave
+        cfg = write(tmp_path, "p.cfg", "n_a = 6\nn_b = 3\nn_e = 4\n" + scales)
+        code, out, err = run_main(capsys, ["rate", "--config", cfg])
+        assert code == 1 and out == ""
+        assert err == f"error: {product} must be finite and >= 0, got inf\n"
+
+    def test_rate_keeps_its_sign_at_the_zero_crossing(self, capsys, tmp_path):
+        # the true rate here is +3.434e-15; the three terms rounded to
+        # doubles and then subtracted gave -7.105e-15, clamped to 0
+        text = "n_a = 12\nn_b = 4\nn_e = 12\nalpha = 10\nbeta = 3\ngamma = 0.20814001408996496\n"
+        cfg = write(tmp_path, "p.cfg", text)
+        code, out, _ = run_main(capsys, ["rate", "--config", cfg, "--json"])
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["exact_clamped"] == row["exact"] > 0.0
+
     def test_missing_antenna_count(self, capsys, tmp_path):
         cfg = write(tmp_path, "p.cfg", POINT.replace("n_e = 4\n", ""))
         code, out, err = run_main(capsys, ["rate", "--config", cfg])
@@ -510,8 +533,10 @@ class TestSubprocess:
     def test_cold_rate_report_imports_neither_mpmath_nor_fractions(self):
         script = (
             "import sys\n"
-            "from anmimo import SystemConfig, rate_report\n"
+            "from anmimo import SystemConfig, eve_leakage_upper_bound, rate_report, theta\n"
             "rate_report(SystemConfig(16, 8, 16, 2.0, 0.5, 1.0))\n"
+            "eve_leakage_upper_bound(SystemConfig(16, 8, 16, 2.0, 0.5, 1.0))\n"
+            "theta(16, 16, 0.05)\n"
             "assert 'mpmath' not in sys.modules, 'mpmath'\n"
             "assert 'fractions' not in sys.modules, 'fractions'\n"
         )

@@ -5,14 +5,14 @@ suite; here the same cross-checks run at reduced trial counts plus the
 exact identities, degeneracy routing, and validation behavior.
 """
 
-import functools
 import math
 import random
+import struct
 import sys
 import threading
 import time
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import pairwise
 
 import mpmath as mp
 import pytest
@@ -40,71 +40,19 @@ from anmimo import (
     theta,
 )
 from anmimo import closed_form
+from closed_form_reference import (
+    cramer_matrices,
+    eve_levels,
+    omega_by_cramer,
+    omega_sum,
+    published_coeffs,
+    rate_reference,
+    theta_by_published_sum,
+)
 
 
 def cfg(n_a, n_b, n_e, alpha, beta, gamma):
     return SystemConfig(n_a=n_a, n_b=n_b, n_e=n_e, alpha=alpha, beta=beta, gamma=gamma)
-
-
-@functools.lru_cache(maxsize=None)
-def published_coeffs(m, n):
-    """The A_j of theta(m, n, x) = sum_j A_j exp(b) E_{j+1}(b), b = 1/x, as Fractions.
-
-    The paper's triple sum, term by term; the A_j alternate in sign and
-    reach ~1e20 by (16, 16).
-    """
-    coeffs = {}
-    for k in range(m):
-        for ell in range(k + 1):
-            for i in range(2 * ell + 1):
-                num = (
-                    (-1) ** i
-                    * math.factorial(2 * ell)
-                    * math.factorial(n - m + i)
-                    * math.comb(2 * (k - ell), k - ell)
-                    * math.comb(2 * (ell + n - m), 2 * ell - i)
-                )
-                den = (
-                    2 ** (2 * k - i)
-                    * math.factorial(ell)
-                    * math.factorial(i)
-                    * math.factorial(n - m + ell)
-                )
-                c = Fraction(num, den)
-                for j in range(n - m + i + 1):
-                    coeffs[j] = coeffs.get(j, Fraction(0)) + c
-    return [coeffs[j] for j in range(len(coeffs))]
-
-
-@functools.lru_cache(maxsize=None)
-def exp_e1_ladder(x, dps=600):
-    """exp(b) E_{j+1}(b), b = 1/x, for j = 0..30 at fixed precision, by forward recursion from mp.e1.
-
-    The recursion multiplies T_0's rounding error by up to b^j / j!, under
-    150 of the 600 digits for x >= 1e-6.
-    """
-    with mp.workdps(dps):
-        b = 1 / mp.mpf(x)
-        ts = [mp.exp(b) * mp.e1(b)]
-        for j in range(1, 31):
-            ts.append((1 - b * ts[-1]) / j)
-        return ts
-
-
-def theta_by_published_sum(m, n, x, dps=600):
-    """theta as the published A_j dotted with exp(b) E_{j+1}(b) at fixed precision.
-
-    The reference for theta's exact fold: it shares neither the weights
-    nor the fold nor the precision rule.
-    """
-    if x == 0.0:
-        return 0.0
-    with mp.workdps(dps):
-        ts = exp_e1_ladder(x, dps)
-        return float(mp.fsum(
-            mp.mpf(a.numerator) / a.denominator * t
-            for a, t in zip(published_coeffs(m, n), ts)
-        ))
 
 
 def theta_enclosure(m, n, x, terms=40):
@@ -143,62 +91,9 @@ def counting(monkeypatch, name):
     return calls
 
 
-def eve_levels(n_a, n_b, alpha, beta):
-    """omega's two levels (mu, multiplicity), the larger first.
-
-    The levels are the exact reciprocals of the doubles alpha and
-    alpha * beta, as Fractions.
-    """
-    data, noise = (1 / Fraction(alpha), n_b), (1 / Fraction(alpha * beta), n_a - n_b)
-    return sorted((data, noise), reverse=True)
-
-
 def integer_levels(n_a, n_b, alpha, beta):
     """eve_levels as _ladder_weights takes them, each level an integer pair (numerator, denominator)."""
     return [(mu.as_integer_ratio(), m) for mu, m in eve_levels(n_a, n_b, alpha, beta)]
-
-
-def cramer_matrices(n_a, n_b, n_e, alpha, beta):
-    """R0, C and each row's (level, shift) of omega's expansion, at the current precision.
-
-    A row of level mu and shift d holds the d-th derivatives at mu of the
-    column functions phi! mu^-(phi+1), phi = n_e - p + k for k < p, then
-    mu^j for j = n_a - p - 1 .. 0. Column k of C is column k of R0 scaled
-    entrywise by the E1 tail sums sum_{t <= phi} exp(mu) E_{t+1}(mu), the
-    E_{t+1} by their forward recursion from mp.e1. The exact levels are
-    rounded to the working precision.
-    """
-    p = min(n_e, n_a)
-    r0, c, labels = [], [], []
-    for level, (mu, m) in enumerate(eve_levels(n_a, n_b, alpha, beta)):
-        mu = mp.mpf(mu.numerator) / mu.denominator
-        ts = [mp.exp(mu) * mp.e1(mu)]
-        for t in range(1, n_e + m - 1):
-            ts.append((1 - mu * ts[-1]) / t)
-        tails = list(accumulate(ts))
-        for d in range(m - 1, -1, -1):
-            phis = range(n_e - p + d, n_e + d)
-            row = [(-1) ** d * math.factorial(phi) / mu ** (phi + 1) for phi in phis]
-            c.append([v * tails[phi] for v, phi in zip(row, phis)])
-            r0.append(row + [
-                math.perm(j, d) * mu ** (j - d) if j >= d else mp.mpf(0)
-                for j in range(n_a - p - 1, -1, -1)
-            ])
-            labels.append((level, d))
-    return mp.matrix(r0), mp.matrix(c), labels
-
-
-def omega_by_cramer(n_a, n_b, n_e, alpha, beta, dps=600):
-    """omega as the Cramer sum tr(R0^-1 C), from one inverse of R0 at fixed precision.
-
-    The reference for omega's residue form: it shares neither the weights
-    nor the precision rule. On every config it checks here, 600 digits gave
-    the same double as 1500.
-    """
-    with mp.workdps(dps):
-        r0, c, _ = cramer_matrices(n_a, n_b, n_e, alpha, beta)
-        inv = mp.inverse(r0)
-        return float(mp.fsum(inv[k, j] * c[j, k] for k in range(c.cols) for j in range(c.rows)))
 
 
 def reference_configs(seed, count):
@@ -215,12 +110,9 @@ def reference_configs(seed, count):
     return out
 
 
-def fresh_value(quantity, args):
-    """theta(*args) computed past its memo, or omega of the config args at gamma 1."""
-    if quantity == "theta":
-        closed_form._theta_value.cache_clear()
-        return theta(*args)
-    return omega(cfg(*args, 1.0))
+def evaluate(quantity, args):
+    """theta(*args), or omega of the config args at gamma 1."""
+    return theta(*args) if quantity == "theta" else omega(cfg(*args, 1.0))
 
 
 PRECISION_CASES = [
@@ -551,39 +443,40 @@ class TestOmega:
         ],
     )
     def test_first_precision_settles(self, monkeypatch, n_a, n_b, n_e, alpha, beta, attempts):
-        calls = counting(monkeypatch, "_fold_sum")
+        calls = counting(monkeypatch, "_fold_sums")
         omega(cfg(n_a, n_b, n_e, alpha, beta, 1.0))
         assert len(calls) == attempts
 
     # theta is omega at one level and shares its precision loop
-    # (_ladder_sum), so the loop's tests run on both; the first case of each
+    # (_ladder_sums), so the loop's tests run on both; the first case of each
     # cancels about 66 bits (theta) and 17 (omega)
     @pytest.mark.parametrize("quantity, args", PRECISION_CASES)
     def test_short_first_precision_retries(self, monkeypatch, quantity, args):
         # 70 bits cannot hold the bits the sum cancels: the attempt's
         # error bound straddles a rounding boundary, and the retry at twice
         # the precision gives the usual value
-        want = fresh_value(quantity, args)
-        calls = counting(monkeypatch, "_fold_sum")
+        want = evaluate(quantity, args)
+        calls = counting(monkeypatch, "_fold_sums")
         monkeypatch.setattr(closed_form, "_first_prec", lambda folds: 70)
-        assert fresh_value(quantity, args) == want
+        assert evaluate(quantity, args) == want
         assert len(calls) == 2
 
     @pytest.mark.parametrize("quantity, args", PRECISION_CASES)
     def test_zero_sum_retries(self, monkeypatch, quantity, args):
         # a zero sum holds no correct digit: the attempt fails and the retry
         # at twice the precision gives the usual value
-        want = fresh_value(quantity, args)
+        want = evaluate(quantity, args)
         calls = []
-        real = closed_form._fold_sum
+        real = closed_form._fold_sums
 
-        def zeroing(folds, prec):
-            num, size, den = real(folds, prec)
+        def zeroing(sums, prec):
             calls.append(prec)
-            return (0 if len(calls) == 1 else num), size, den
+            return [
+                (0 if len(calls) == 1 else num, size, den) for num, size, den in real(sums, prec)
+            ]
 
-        monkeypatch.setattr(closed_form, "_fold_sum", zeroing)
-        assert fresh_value(quantity, args) == want
+        monkeypatch.setattr(closed_form, "_fold_sums", zeroing)
+        assert evaluate(quantity, args) == want
         assert calls[1] == 2 * calls[0]
 
     @pytest.mark.parametrize(
@@ -598,9 +491,9 @@ class TestOmega:
         self, monkeypatch, quantity, args, what
     ):
         # the error names the quantity and its arguments
-        monkeypatch.setattr(closed_form, "_fold_sum", lambda folds, prec: (0, 1, 1))
+        monkeypatch.setattr(closed_form, "_fold_sums", lambda sums, prec: [(0, 1, 1)] * len(sums))
         with pytest.raises(NumericError) as exc:
-            fresh_value(quantity, args)
+            evaluate(quantity, args)
         assert str(exc.value) == f"adaptive precision for {what} did not settle"
 
     def test_threads_get_the_serial_values(self):
@@ -634,7 +527,6 @@ class TestOmega:
         assert not any(t.is_alive() for t in threads)
         assert got == [want, want]
         with mp.workdps(15):
-            closed_form._theta_value.cache_clear()
             theta(16, 16, 0.05)
             omega(cfg(16, 8, 16, 2.0, 0.5, 1.0))
             assert mp.mp.prec == 53
@@ -665,11 +557,11 @@ class TestOmega:
     )
     def test_doubled_first_precision_agrees(self, monkeypatch, quantity, args, pinned):
         # the precision rule's claim: what passes at P bits is what 2P bits give
-        at_p = fresh_value(quantity, args)
+        at_p = evaluate(quantity, args)
         assert pinned is None or at_p.hex() == pinned
         real = closed_form._first_prec
         monkeypatch.setattr(closed_form, "_first_prec", lambda folds: 2 * real(folds))
-        assert fresh_value(quantity, args) == at_p
+        assert evaluate(quantity, args) == at_p
 
     @pytest.mark.parametrize(
         "n_a, n_b, n_e, alpha, beta, expect",
@@ -714,13 +606,11 @@ class TestOmega:
 
 class TestAverageSecrecyRate:
     def test_equal_ratio_identity(self):
+        # at beta = 1 omega is theta(n_hat_min, n_hat_max, alpha), so the rate
+        # is the three published sums bob + AN - that theta, added at 600
+        # digits and rounded once
         c = cfg(6, 3, 4, alpha=2.0, beta=1.0, gamma=3.0)
-        expect = (
-            theta(c.n_b, c.n_a, c.alpha * c.gamma)
-            + theta(c.n_min, c.n_max, c.alpha)
-            - theta(c.n_hat_min, c.n_hat_max, c.alpha)
-        )
-        assert average_secrecy_rate(c) == expect
+        assert average_secrecy_rate(c) == rate_reference(c)[0]
 
     def test_matches_mc_unclamped(self):
         c = cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0)
@@ -798,8 +688,8 @@ class TestBounds:
 
     def test_order_holds_without_slack_near_beta_one(self):
         # omega reads its levels as theta reads its scale, so it lies between
-        # the single-group values at the two scales; correct rounding and the
-        # shared subtraction from one common double are monotone, so the
+        # the single-group values at the two scales; the rate and each bound
+        # are one correctly rounded sum, and rounding is monotone, so the
         # order is exact. 400 shapes, beta = 1 +- k 2^-52
         rng = random.Random(3)
         for _ in range(400):
@@ -808,14 +698,16 @@ class TestBounds:
             alpha = 10 ** rng.uniform(-1, 2)
             for k in (1, 2, 3, 8, 64, 1024):
                 for beta in (1 + k * 2**-52, 1 - k * 2**-52):
-                    c = cfg(n_a, n_b, n_e, alpha, beta, 1.0)
-                    lower, upper = average_rate_bounds(c)
-                    assert lower <= average_secrecy_rate(c) <= upper, c
+                    rep = rate_report(cfg(n_a, n_b, n_e, alpha, beta, 1.0))
+                    assert rep.lower <= rep.exact <= rep.upper, (n_a, n_b, n_e, alpha, beta)
         # when omega read 1/alpha and 1/(alpha beta) as rounded doubles,
-        # this config's exact rate fell 32 ulps below both bounds
+        # this config's exact rate fell 32 ulps below both bounds; each
+        # value is the 600-digit sum rounded once
         c = cfg(16, 1, 15, 54.03541800078337, 1 + 3 * 2**-52, 1.0)
-        assert average_secrecy_rate(c) == 3.849062371688035
-        assert average_rate_bounds(c) == (3.849062371688035, 3.849062371688035)
+        exact, lower, upper, _ = rate_reference(c)
+        assert lower < exact < upper
+        assert average_secrecy_rate(c) == exact
+        assert average_rate_bounds(c) == (lower, upper)
 
 
 class TestBobCapacityAndLeakage:
@@ -853,6 +745,101 @@ class TestBobCapacityAndLeakage:
         c = cfg(6, 3, 3, alpha=1e3, beta=1e3, gamma=1.0)
         assert eve_leakage_upper_bound(c) <= 0.05
 
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-10, 1e-14, 1e-200])
+    def test_leakage_at_low_snr_within_an_ulp(self, alpha):
+        # n_e ln(1 + alpha n_b) by log1p: 1 + alpha n_b as a double lost
+        # the digits of alpha n_b (relative errors 8e-12 to 8e-4, and 0.0
+        # at 1e-200). The log is mpmath's, the drop in theta an exact
+        # enclosure at the program's two scales
+        c = cfg(6, 3, 4, alpha=alpha, beta=2.0, gamma=1.0)
+        ab = c.alpha * c.beta
+        lo_damped, hi_damped = theta_enclosure(c.n_min, c.n_max, ab / (1.0 + alpha * c.n_b))
+        lo, hi = theta_enclosure(c.n_min, c.n_max, ab)
+        assert float(lo_damped - hi) == float(hi_damped - lo)
+        drop = (lo_damped - hi + hi_damped - lo) / 2
+        with mp.workdps(60):
+            want = c.n_e * mp.log1p(mp.mpf(alpha) * c.n_b)
+            want += mp.mpf(drop.numerator) / drop.denominator
+            got = eve_leakage_upper_bound(c)
+            assert abs(got - want) <= 2**-52 * want
+
+
+@pytest.mark.parametrize(
+    "call, scales, product",
+    [
+        pytest.param(call, scales, product, id=f"{call.__name__}-{product.replace(' * ', '-')}")
+        for scales, product, calls in [
+            # bob_capacity reads no beta, the leakage bound no gamma
+            ((1e200, 1e200, 1.0), "alpha * beta", (eve_leakage_upper_bound,)),
+            ((1e200, 1.0, 1e200), "alpha * gamma", (bob_capacity,)),
+        ]
+        for call in (average_secrecy_rate, average_rate_bounds, rate_report, *calls)
+    ],
+)
+def test_overflowing_product_is_named(call, scales, product):
+    # the message names the product that overflows, not an argument the
+    # caller never passed
+    with pytest.raises(DomainError) as exc:
+        call(cfg(6, 3, 4, *scales))
+    assert str(exc.value) == f"{product} must be finite and >= 0, got inf"
+
+
+def crossing_gammas(n_a, n_b, n_e, alpha, beta):
+    """The adjacent doubles gamma_lo < gamma_hi between which the exact rate turns positive.
+
+    The rate grows with gamma, and each value is correctly rounded, so
+    its sign is monotone in gamma too: bisection on the bit patterns of
+    the positive doubles from 2^-100 to 2^400.
+    """
+    def bits(g):
+        return struct.unpack("<q", struct.pack("<d", g))[0]
+
+    def double(i):
+        return struct.unpack("<d", struct.pack("<q", i))[0]
+
+    lo, hi = bits(2.0**-100), bits(2.0**400)
+    assert average_secrecy_rate(cfg(n_a, n_b, n_e, alpha, beta, double(lo))) < 0.0
+    assert average_secrecy_rate(cfg(n_a, n_b, n_e, alpha, beta, double(hi))) > 0.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if average_secrecy_rate(cfg(n_a, n_b, n_e, alpha, beta, double(mid))) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return double(lo), double(hi)
+
+
+class TestZeroCrossing:
+    # (12,4,12), alpha 10, beta 3: the rate turns positive just below this
+    # gamma. The three terms, each rounded to a double and then subtracted,
+    # gave -7.105e-15 here, so the clamped rate read 0
+    CROSSING = cfg(12, 4, 12, 10.0, 3.0, 0.20814001408996496)
+
+    def test_sign_at_the_crossing(self):
+        want = rate_reference(self.CROSSING)
+        assert want[0] > 0.0
+        row = run_point(self.CROSSING, ["exact", "lower", "upper"])
+        assert (row["exact"], row["lower"], row["upper"]) == want[:3]
+        assert row["exact_clamped"] == row["exact"] > 0.0
+
+    def test_drawn_crossings_match_the_reference(self):
+        # about 20 seeded shapes: at the crossing gamma and its float
+        # neighbours, the rate and its bounds are each the 600-digit sum
+        # rounded once, so the rate's sign is the true sign
+        rng = random.Random(11)
+        for _ in range(20):
+            n_a = rng.randint(2, 16)
+            n_b, n_e = rng.randint(1, n_a - 1), rng.randint(1, 16)
+            alpha, beta = 10 ** rng.uniform(-1, 2), 10 ** rng.uniform(-1, 1)
+            lo, hi = crossing_gammas(n_a, n_b, n_e, alpha, beta)
+            eve = omega_sum(cfg(n_a, n_b, n_e, alpha, beta, 1.0))
+            for gamma in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, math.inf)):
+                c = cfg(n_a, n_b, n_e, alpha, beta, gamma)
+                rep = rate_report(c)
+                got = (rep.exact, rep.lower, rep.upper, rep.bob_capacity)
+                assert got == rate_reference(c, omega=eve), c
+            assert rate_report(cfg(n_a, n_b, n_e, alpha, beta, lo)).exact <= 0.0
+
 
 class TestRateReport:
     def test_fields_consistent(self):
@@ -863,69 +850,79 @@ class TestRateReport:
         assert rep.bob_capacity == bob_capacity(c)
         assert rep.bob_capacity >= rep.exact
 
-    def test_each_theta_term_computed_once(self):
-        # bob_capacity is the legitimate-link term the exact rate and the
-        # bounds share, so the record needs four distinct theta values; the
-        # memo computes each once
-        memo = closed_form._theta_value
-        memo.cache_clear()
-        rep = rate_report(cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0))
-        assert memo.cache_info().misses == 4
-        # and they are these four: asking for them again computes nothing
-        for args in [(3, 6, 4.0), (3, 4, 1.0), (4, 6, 2.0), (4, 6, 1.0)]:
-            theta(*args)
-        assert memo.cache_info().misses == 4
-        # the record is bitwise the one each term computed on its own gave
-        assert rep.exact == float.fromhex("0x1.43af8dd439066p+2")
-        assert rep.lower == float.fromhex("0x1.0089c72ab1fbap+2")
-        assert rep.upper == float.fromhex("0x1.8e66ebd1e8c04p+2")
-        assert rep.bob_capacity == float.fromhex("0x1.1b7592653e20ap+3")
-
-    def test_bounds_share_theta_at_beta_one(self):
-        # at beta = 1 both bounds are common - theta(n_hat_min, n_hat_max,
-        # alpha), and omega, whose two levels are equal, takes the same
-        # value, so the record's three rates are equal and need three theta
-        # values
-        c = cfg(6, 3, 4, alpha=2.0, beta=1.0, gamma=2.0)
-        memo = closed_form._theta_value
-        memo.cache_clear()
+    def test_each_theta_term_computed_once(self, monkeypatch):
+        # the record's four sums hold six distinct terms (bob, AN, omega's
+        # two levels, theta_hat at each scale) on three levels, 1/(alpha
+        # gamma), 1/alpha and 1/(alpha beta): each term folds once, and the
+        # one attempt rounds T_0 once per level
+        c = cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0)
+        folds = counting(monkeypatch, "_fold")
+        t0s = counting(monkeypatch, "_exp_e1")
+        attempts = counting(monkeypatch, "_fold_sums")
         rep = rate_report(c)
-        assert memo.cache_info().misses == 3
-        for args in [(3, 6, 4.0), (3, 4, 2.0), (4, 6, 2.0)]:
-            theta(*args)
-        assert memo.cache_info().misses == 3
-        assert rep.exact == rep.lower == rep.upper
-        assert rep.exact == float.fromhex("0x1.611203aa81dc2p+2")
-        assert rep.bob_capacity == float.fromhex("0x1.1b7592653e20ap+3")
-        memo.cache_clear()
+        assert (len(folds), len(attempts)) == (6, 1)
+        assert sorted(args[:2] for args in t0s) == [(1, 1), (1, 2), (1, 4)]
+        assert (rep.exact, rep.lower, rep.upper, rep.bob_capacity) == rate_reference(c)
+
+    def test_bounds_share_theta_at_beta_one(self, monkeypatch):
+        # at beta = 1 omega's two levels are one, so the rate and both
+        # bounds are the one sum bob + AN - theta(n_hat_min, n_hat_max,
+        # alpha): three terms on two levels, and three equal values
+        c = cfg(6, 3, 4, alpha=2.0, beta=1.0, gamma=2.0)
+        want = rate_reference(c)
+        assert want[0] == want[1] == want[2]
+        folds = counting(monkeypatch, "_fold")
+        t0s = counting(monkeypatch, "_exp_e1")
+        rep = rate_report(c)
+        assert (len(folds), len(t0s)) == (3, 2)
+        assert (rep.exact, rep.lower, rep.upper, rep.bob_capacity) == want
         row = run_point(c, ["exact", "lower", "upper"])
-        assert memo.cache_info().misses == 3
-        assert row["exact"] == row["lower"] == row["upper"] == rep.exact
+        assert (len(folds), len(t0s)) == (6, 4)
+        assert (row["exact"], row["lower"], row["upper"]) == want[:3]
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.0 + 1e-7])
-    def test_memo_is_invisible(self, beta):
-        # cold or warm, the memo gives the same bits, and the argument
-        # checks run before it, so a bad argument raises either way
+    def test_memo_is_invisible(self, monkeypatch, beta):
+        # the memos left are theta's weights per shape and the constants
+        # of T_0: cold or warm they give the 600-digit reference's bits, and
+        # the argument checks run before them, so a bad argument raises
+        # either way
         c = cfg(6, 3, 4, alpha=2.0, beta=beta, gamma=2.0)
-        outputs = ["exact", "lower", "upper", "asymptotic"]
+        want = [v.hex() for v in rate_reference(c)]
 
         def report():
             rep = rate_report(c)
             return [v.hex() for v in (rep.exact, rep.lower, rep.upper, rep.bob_capacity)]
 
         def row():
-            return [(k, v.hex()) for k, v in run_point(c, outputs).items()]
+            got = run_point(c, ["exact", "lower", "upper", "asymptotic"])
+            return [got[k].hex() for k in ("exact", "lower", "upper")] + want[3:]
 
         for call in (report, row):
-            closed_form._theta_value.cache_clear()
-            cold = call()
-            assert call() == cold
+            closed_form._theta_coeffs.cache_clear()
+            monkeypatch.setattr(closed_form, "_CONSTANTS", {})
+            assert call() == want
+            assert call() == want
         theta(2, 3, 1.0)
         theta(3, 3, 1.0)
         with pytest.raises(DomainError):
             theta(3, 2, 1.0)
         with pytest.raises(DomainError):
             theta(2, 3, -1.0)
+
+    def test_fields_equal_the_separate_calls(self):
+        # one evaluation of the record gives, bit for bit, what each
+        # function gives on its own, at beta = 1, at alpha = 0 and across
+        # decades
+        configs = [cfg(6, 3, 4, 2.0, 1.0, 2.0), cfg(6, 3, 4, 0.0, 0.5, 2.0)]
+        rng = random.Random(5)
+        for n_a, n_b, n_e, alpha, beta in reference_configs(27, 40):
+            configs.append(cfg(n_a, n_b, n_e, alpha, beta, 10 ** rng.uniform(-3, 3)))
+        for c in configs:
+            rep = rate_report(c)
+            want = (average_secrecy_rate(c), *average_rate_bounds(c), bob_capacity(c))
+            assert [v.hex() for v in (rep.exact, rep.lower, rep.upper, rep.bob_capacity)] == [
+                v.hex() for v in want
+            ], c
 
     @pytest.mark.parametrize("alpha, beta", [(2.0, 1.0 + 1e-7), (2.0, 1.0 - 1e-7), (0.0, 1.0)])
     def test_near_beta_one_matches_separate_terms(self, alpha, beta):
@@ -937,6 +934,66 @@ class TestRateReport:
         row = run_point(c, ["exact", "lower", "upper"])
         assert (rep.exact, rep.lower, rep.upper) == want
         assert (row["exact"], row["lower"], row["upper"]) == want
+
+    @pytest.mark.parametrize(
+        "outputs, folds, two_level",
+        [
+            (["exact"], 4, 1),
+            (["lower"], 4, 0),
+            (["upper", "lower"], 4, 0),
+            (["exact", "upper", "asymptotic"], 6, 1),
+        ],
+    )
+    def test_run_point_builds_only_what_is_asked(self, monkeypatch, outputs, folds, two_level):
+        # the exact rate alone folds bob, AN and omega's two levels; the
+        # bounds alone fold bob, AN and theta_hat at both scales, and build
+        # no two-level weights
+        c = cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0)
+        want = dict(zip(("exact", "lower", "upper"), rate_reference(c)))
+        fold_calls = counting(monkeypatch, "_fold")
+        weights = counting(monkeypatch, "_ladder_weights")
+        row = run_point(c, outputs)
+        assert len(fold_calls) == folds
+        assert sum(len(args[2]) == 2 for args in weights) == two_level
+        assert [row[name] for name in outputs if name in want] == [
+            want[name] for name in outputs if name in want
+        ]
+
+    def test_bounds_alone_need_no_omega(self):
+        # alpha * beta underflows to 0 with alpha > 0: omega has no second
+        # level and raises, while the bounds, which never use it, have
+        # their values
+        c = cfg(6, 3, 4, alpha=1e-200, beta=1e-200, gamma=1.0)
+        lower, upper = average_rate_bounds(c)
+        assert lower <= upper
+        row = run_point(c, ["lower", "upper"])
+        assert (row["lower"], row["upper"]) == (lower, upper)
+        for call in (average_secrecy_rate, rate_report, lambda c: run_point(c, ["exact"])):
+            with pytest.raises(DomainError, match=r"^alpha \* beta must be finite and > 0"):
+                call(c)
+
+    def test_a_retry_doubles_every_level_precision(self, monkeypatch):
+        # only the lower bound retries; at 1/alpha omega's weights, which
+        # grow as beta nears 1, set the first attempt's precision, and the
+        # retry still rounds each of the bound's levels at twice its bits
+        c = cfg(16, 8, 16, alpha=2.0, beta=0.9, gamma=2.0)
+        t0s = counting(monkeypatch, "_exp_e1")
+        real, starts = closed_form._fold_sums, []
+
+        def zeroing(sums, scale):
+            starts.append(len(t0s))
+            out = list(real(sums, scale))
+            if scale == 1:
+                out[1] = (0, *out[1][1:])  # the lower bound
+            return out
+
+        monkeypatch.setattr(closed_form, "_fold_sums", zeroing)
+        rep = rate_report(c)
+        assert len(starts) == 2
+        first = {args[:2]: args[2] for args in t0s[: starts[1]]}
+        second = {args[:2]: args[2] for args in t0s[starts[1] :]}
+        assert second == {b: 2 * first[b] for b in second}
+        assert (rep.exact, rep.lower, rep.upper, rep.bob_capacity) == rate_reference(c)
 
 
 class TestSystemConfigValidation:

@@ -2,7 +2,7 @@
 
 Both closed forms are weighted sums over the ladder
 T_t(b) = exp(b) E_{t+1}(b) = exp(b) b^t Gamma(-t, b), folded exactly to
-one transcendental T_0 and rounded by ``closed_form._ladder_sum``. These
+one transcendental T_0 and rounded by ``closed_form._ladder_sums``. These
 tests read E1 and the nonpositive-order upper incomplete gamma off that
 evaluator, with a unit weight on one rung, and pin them against
 quadrature of the defining integrals, series values and known bounds,
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anmimo import DomainError, theta
-from anmimo.closed_form import _euler, _exp_e1, _ladder_sum, _ln, _ln2
+from anmimo.closed_form import _euler, _exp_e1, _ladder_sums, _ln, _ln2
 
 
 def rung(t: int, b: float) -> float:
@@ -28,7 +28,7 @@ def rung(t: int, b: float) -> float:
     caller's context.
     """
     with mp.workdps(15):
-        return _ladder_sum(f"T_{t}({b!r})", [(b.as_integer_ratio(), [0] * t + [1], 1)])
+        return _ladder_sums(f"T_{t}({b!r})", [[(1, b.as_integer_ratio(), [0] * t + [1], 1)]])[0]
 
 
 def e1(b: float) -> float:
