@@ -1,11 +1,12 @@
-"""600-digit references for the closed forms, shared by the test modules.
+"""High-precision references for the closed forms, shared by the test modules.
 
 Each reference shares neither the weights nor the fold nor the precision
 rule with ``anmimo.closed_form``: theta is the paper's published sum
 dotted with the E1 ladder by forward recursion from ``mp.e1``, and omega
 is the Cramer sum tr(R0^-1 C) of its determinant expansion. A rate or a
-bound is the difference of these terms summed at 600 digits and rounded
-to a double once.
+bound is the difference of these terms summed at dps digits (600 unless
+the caller raises it; the tests use 1200 past n = 16) and rounded to a
+double once.
 """
 
 import functools
@@ -20,10 +21,12 @@ import mpmath as mp
 def published_coeffs(m, n):
     """The A_j of theta(m, n, x) = sum_j A_j exp(b) E_{j+1}(b), b = 1/x, as Fractions.
 
-    The paper's triple sum, term by term; the A_j alternate in sign and
-    reach ~1e20 by (16, 16).
+    The paper's triple sum, term by term. Each term weights the tail sum
+    sum_{j <= n - m + i} exp(b) E_{j+1}(b), so the terms are gathered by
+    their last rung and A_j is the suffix sum over last rungs >= j. The
+    A_j alternate in sign and reach ~1e20 by (16, 16).
     """
-    coeffs = {}
+    tails = [Fraction(0)] * (n + m - 1)
     for k in range(m):
         for ell in range(k + 1):
             for i in range(2 * ell + 1):
@@ -40,35 +43,48 @@ def published_coeffs(m, n):
                     * math.factorial(i)
                     * math.factorial(n - m + ell)
                 )
-                c = Fraction(num, den)
-                for j in range(n - m + i + 1):
-                    coeffs[j] = coeffs.get(j, Fraction(0)) + c
-    return [coeffs[j] for j in range(len(coeffs))]
+                tails[n - m + i] += Fraction(num, den)
+    return list(accumulate(reversed(tails)))[::-1]
 
 
 @functools.lru_cache(maxsize=None)
-def exp_e1_ladder(x, dps=600):
-    """exp(b) E_{j+1}(b), b = 1/x, for j = 0..30 at fixed precision, by forward recursion from mp.e1.
+def exp_e1(x, dps):
+    """exp(b) E1(b), b = 1/x, at dps digits from mp.e1, cached for every ladder length."""
+    with mp.workdps(dps):
+        b = 1 / mp.mpf(x)
+        return mp.exp(b) * mp.e1(b)
 
-    The recursion multiplies T_0's rounding error by up to b^j / j!, under
-    150 of the 600 digits for x >= 1e-6.
+
+@functools.lru_cache(maxsize=None)
+def exp_e1_ladder(x, count, dps=600):
+    """exp(b) E_{j+1}(b), b = 1/x, for j < count at dps digits, by forward recursion from exp_e1.
+
+    The recursion multiplies T_0's rounding error by up to b^j / j!. For
+    x >= 1e-6 that is under 150 digits up to j = 30 (n <= 16), which 600
+    digits absorb, and under 430 up to j = 95 (n <= 48), which needs the
+    1200 digits the tests use past n = 16.
     """
     with mp.workdps(dps):
         b = 1 / mp.mpf(x)
-        ts = [mp.exp(b) * mp.e1(b)]
-        for j in range(1, 31):
+        ts = [exp_e1(x, dps)]
+        for j in range(1, count):
             ts.append((1 - b * ts[-1]) / j)
         return ts
 
 
 def theta_sum(m, n, x, dps=600):
-    """theta as the published A_j dotted with exp(b) E_{j+1}(b), an mpf at dps digits."""
+    """theta as the published A_j dotted with exp(b) E_{j+1}(b), an mpf at dps digits.
+
+    The ladder is as long as the A_j, and the strict zip raises should the
+    two ever differ in length.
+    """
     if x == 0.0:
         return mp.mpf(0)
+    coeffs = published_coeffs(m, n)
     with mp.workdps(dps):
         return mp.fsum(
             mp.mpf(a.numerator) / a.denominator * t
-            for a, t in zip(published_coeffs(m, n), exp_e1_ladder(x, dps))
+            for a, t in zip(coeffs, exp_e1_ladder(x, len(coeffs), dps), strict=True)
         )
 
 

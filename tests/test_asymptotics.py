@@ -322,9 +322,9 @@ class TestPsi:
     def test_per_antenna_gap_shrinks_at_fixed_ratios(self, shape, alpha, beta, gamma):
         # the large-system limit at fixed antenna ratios (Tulino & Verdu
         # 2004): scaling every count by k, the gap per legitimate antenna
-        # falls at every step of k up to the theta envelope n <= 16
+        # falls at every step of k up to n = 48
         gaps = []
-        for k in range(1, 16 // max(shape[0], shape[2]) + 1):
+        for k in range(1, 48 // max(shape[0], shape[2]) + 1):
             n_a, n_b, n_e = (k * s for s in shape)
             c = SystemConfig(n_a=n_a, n_b=n_b, n_e=n_e, alpha=alpha, beta=beta, gamma=gamma)
             gaps.append(abs(average_secrecy_rate(c) - asymptotic_average_rate(c)) / n_b)

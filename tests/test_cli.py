@@ -121,6 +121,15 @@ class TestRate:
         assert code == 1 and out == ""
         assert err == f"error: {product} must be finite and >= 0, got inf\n"
 
+    def test_rate_past_16(self, capsys, tmp_path):
+        # n_a = n_e = 24 puts theta's n at 24: the rate and both bounds evaluate
+        text = "n_a = 24\nn_b = 12\nn_e = 24\nalpha = 2\nbeta = 0.5\ngamma = 2\n"
+        cfg = write(tmp_path, "p.cfg", text)
+        code, out, err = run_main(capsys, ["rate", "--config", cfg, "--json"])
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)
+        assert row["lower"] <= row["exact"] <= row["upper"]
+
     def test_rate_keeps_its_sign_at_the_zero_crossing(self, capsys, tmp_path):
         # the true rate here is +3.434e-15; the three terms rounded to
         # doubles and then subtracted gave -7.105e-15, clamped to 0
@@ -235,11 +244,28 @@ class TestSweep:
         assert f"seed must fit in 64 unsigned bits, got {10**401}" in err
 
     def test_partial_failure_reports_completed_rows(self, capsys, tmp_path):
-        text = SWEEP.replace("values = 2, 4, 6", "values = 4, 17")
+        # at alpha = 1e300, gamma = 90 dB makes alpha * gamma overflow,
+        # which only evaluation finds
+        text = (
+            "axis = gamma_db\nvalues = 0, 90\noutputs = exact, lower, upper\n"
+            "n_a = 6\nn_b = 3\nn_e = 4\nalpha = 1e300\nbeta = 0.5\n"
+        )
         cfg = write(tmp_path, "s.cfg", text)
         code, _, err = run_main(capsys, ["sweep", "--config", cfg])
         assert code == 1
         assert "sweep aborted after 1 completed row(s)" in err
+        assert "gamma_db=90.0: alpha * gamma must be finite and >= 0, got inf" in err
+
+    def test_eavesdropper_past_16_completes(self, capsys, tmp_path):
+        # n_e = 24 puts theta's n at 24: every row has its values
+        text = "axis = n_e\nvalues = 8, 16, 24\noutputs = exact, lower, upper\n" + POINT
+        cfg = write(tmp_path, "s.cfg", text.replace("n_e = 4\n", ""))
+        code, out, err = run_main(capsys, ["sweep", "--config", cfg])
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [r["n_e"] for r in rows] == ["8", "16", "24"]
+        for r in rows:
+            assert float(r["lower"]) <= float(r["exact"]) <= float(r["upper"])
 
     def test_bad_clamp_is_config_error(self, capsys, tmp_path):
         cfg = write(tmp_path, "s.cfg", SWEEP + "clamp = maybe\n")

@@ -168,9 +168,9 @@ class TestTheta:
         with pytest.raises(DomainError):
             theta(0, 2, 1.0)
         with pytest.raises(DomainError):
-            theta(2, 17, 1.0)  # beyond the validated envelope
-        with pytest.raises(DomainError):
             theta(2, 3, -0.5)
+        # n has no upper limit
+        assert theta(2, 17, 1.0) == theta_by_published_sum(2, 17, 1.0, dps=1200)
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_polynomial_fold_matches_recursion(self, n):
@@ -182,6 +182,27 @@ class TestTheta:
         # only integers stay cached
         coeffs, den = closed_form._theta_coeffs(n, n)
         assert all(type(c) is int for c in coeffs + [den])
+
+    @pytest.mark.parametrize("n", [*range(17, 33), 48])
+    def test_published_sum_past_16(self, n):
+        # no cap on n: the same fold gives the published sum's double past
+        # 16, where the reference's ladder needs 1200 digits
+        for m in sorted({1, n // 3, n // 2, n}):
+            for x in (1e-6, 1e-3, 0.05, 1.0, 37.5, 1e6):
+                want = theta_by_published_sum(m, n, x, dps=1200)
+                assert theta(m, n, x).hex() == want.hex(), (m, n, x)
+
+    def test_published_sum_past_16_at_twice_the_digits(self):
+        # the reference's 1200 digits suffice where its ladder amplifies
+        # T_0's rounding most: 2400 give the same double
+        for args in ((32, 32, 1e-6), (48, 48, 1e-6)):
+            want = theta_by_published_sum(*args, dps=1200)
+            assert theta_by_published_sum(*args, dps=2400) == want == theta(*args), args
+
+    @pytest.mark.parametrize("m, n, x", [(17, 17, 1.0), (20, 24, 0.5), (8, 40, 2.0)])
+    def test_against_mc_oracle_past_16(self, m, n, x):
+        est = mc_logdet_oracle(m, n, x, 20_000, seed=28)
+        assert abs(theta(m, n, x) - est.mean) <= 3.0 * est.stderr
 
     @given(
         st.integers(min_value=1, max_value=16),
@@ -197,14 +218,14 @@ class TestTheta:
     def test_weights_are_the_published_coefficients(self):
         # theta is omega at one level: the rung weights of that level,
         # over their denominator, are the published A_j exactly, on every
-        # shape of the envelope
+        # shape up to n = 16
         for n in range(1, 17):
             for m in range(1, n + 1):
                 coeffs, den = closed_form._theta_coeffs(m, n)
                 assert [Fraction(c, den) for c in coeffs] == published_coeffs(m, n), (m, n)
 
     def test_envelope_boundary_finite(self):
-        # largest supported size, stressed both at tiny and large scale
+        # (16, 16), stressed both at tiny and large scale
         assert math.isfinite(theta(16, 16, 0.05))
         assert math.isfinite(theta(16, 16, 100.0))
 
@@ -550,6 +571,9 @@ class TestOmega:
                 # extreme low SNR, where T_0 ~ 1 / b is tiny: T_0 must keep
                 # its own exponent, a fixed-point T_0 loses every digit
                 ("theta", (16, 16, 1e-300), "0x1.56e1fc2f8f359p-989"),
+                # m n x to leading order, 16 times the (16, 16) value; both
+                # ends of an exact enclosure round to this pin
+                ("theta", (64, 64, 1e-300), "0x1.56e1fc2f8f359p-985"),
                 ("omega", (6, 3, 12, 1e-200, 2.0), "0x1.4aacb41faa0f9p-658"),
                 ("omega", (4, 1, 3, 1e-300, 3.0), "0x1.4173dc6c96424p-992"),
             ]
@@ -678,8 +702,8 @@ class TestBounds:
     )
     @settings(max_examples=200, deadline=None)
     def test_sandwich_across_decades(self, n_a, n_b, n_e, log_alpha, log_beta):
-        # the whole theta envelope (n <= 16), alpha and beta log-uniform
-        # over 1e-6..1e6, low SNR included
+        # every shape up to n = 16, alpha and beta log-uniform over
+        # 1e-6..1e6, low SNR included
         c = cfg(n_a, min(n_b, n_a - 1), n_e, 10.0**log_alpha, 10.0**log_beta, 1.0)
         lower, upper = average_rate_bounds(c)
         exact = average_secrecy_rate(c)
@@ -958,6 +982,18 @@ class TestRateReport:
         assert [row[name] for name in outputs if name in want] == [
             want[name] for name in outputs if name in want
         ]
+
+    @pytest.mark.parametrize("n_a, n_b, n_e", [(24, 12, 24), (32, 8, 40)])
+    def test_past_16(self, n_a, n_b, n_e):
+        # the rate and its bounds take any antenna count: each field is the
+        # reference's sum at 1200 digits rounded once, the order holds, and
+        # the unclamped MC mean agrees
+        c = cfg(n_a, n_b, n_e, alpha=2.0, beta=0.5, gamma=2.0)
+        rep = rate_report(c)
+        assert rep.lower <= rep.exact <= rep.upper
+        assert (rep.exact, rep.lower, rep.upper, rep.bob_capacity) == rate_reference(c, dps=1200)
+        est = mc_average_secrecy_rate(c, 20_000, seed=28, clamp=False)
+        assert abs(rep.exact - est.mean) <= 3.0 * est.stderr
 
     def test_bounds_alone_need_no_omega(self):
         # alpha * beta underflows to 0 with alpha > 0: omega has no second

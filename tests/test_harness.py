@@ -375,13 +375,16 @@ class TestRunSweep:
         assert exact == sorted(exact, reverse=True)
 
     def test_partial_rows_survive_failure(self):
-        # n_e=17 exceeds the supported matrix envelope only at evaluation
-        # time, so the first row completes and the error carries it
-        spec = SweepSpec(base=base_cfg(), axis="n_e", values=(2, 17), outputs=("exact",))
-        with pytest.raises(SweepError, match="n_e=17") as err:
+        # at alpha = 1e300, gamma = 90 dB makes alpha * gamma overflow,
+        # which only evaluation finds, so the first row completes and the
+        # error carries it
+        base = SystemConfig(n_a=6, n_b=3, n_e=4, alpha=1e300, beta=0.5, gamma=2.0)
+        spec = SweepSpec(base=base, axis="gamma_db", values=(0, 90), outputs=("exact",))
+        with pytest.raises(SweepError, match="gamma_db=90") as err:
             run_sweep(spec)
+        assert "alpha * gamma must be finite and >= 0, got inf" in str(err.value)
         assert len(err.value.partial_rows) == 1
-        assert err.value.partial_rows[0]["n_e"] == 2
+        assert err.value.partial_rows[0]["gamma"] == 1.0
 
     def test_bits_apply_per_row(self):
         spec_nats = SweepSpec(base=base_cfg(), axis="n_e", values=(2, 4), outputs=("exact",))
