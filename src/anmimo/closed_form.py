@@ -3,12 +3,16 @@
 The central object is ``theta(m, n, x)``, the ergodic log-determinant
 
     theta(m, n, x) = E[ ln det(I_m + x W) ],   W = G G^H,  G m-by-n
-                     standard complex Gaussian, m <= n,
+                     standard complex Gaussian,
 
-evaluated by a finite sum over incomplete-gamma terms. From it the module
-builds the average secrecy rate of null-space artificial-noise beamforming,
-its two-sided bounds, the legitimate link's ergodic capacity, and an upper
-bound on the eavesdropper leakage.
+for any m, n >= 1. Sylvester's identity, det(I_m + x G G^H) =
+det(I_n + x G^H G), makes it symmetric in m and n, so each caller passes
+its channel's own shape; the published sum, stated for m <= n, is taken
+at the ordered shape. theta is evaluated by a finite sum over
+incomplete-gamma terms. From it the module builds the average secrecy
+rate of null-space artificial-noise beamforming, its two-sided bounds,
+the legitimate link's ergodic capacity, and an upper bound on the
+eavesdropper leakage.
 
 Numerical notes, since both closed forms are badly alternating sums:
 
@@ -19,9 +23,10 @@ Numerical notes, since both closed forms are badly alternating sums:
   interpolation, and taking the interpolant's coefficients by residues
   gives exact weights on the E1 tail sums of each level. theta is the
   same sum at a single level, where the weights (the published A_j)
-  depend on the shape alone and are cached per (m, n). The weights are
-  homogeneous of degree 0 in the levels, so they are Python ints over one
-  denominator per level, built from the levels scaled to integers.
+  depend on the shape alone and are cached per ordered shape
+  (min(m, n), max(m, n)). The weights are homogeneous of degree 0 in the
+  levels, so they are Python ints over one denominator per level, built
+  from the levels scaled to integers.
 * The ladder T_t = (1 - b T_{t-1}) / t is folded exactly in integers at
   the exact level b, which leaves one transcendental T_0 = exp(b) E1(b)
   per level. An attempt rounds T_0, and each folded term to a fixed
@@ -115,22 +120,6 @@ class SystemConfig:
     @property
     def p_v(self) -> float:
         return self.alpha * self.beta * self.gamma * (self.n_a - self.n_b)
-
-    @property
-    def n_min(self) -> int:
-        return min(self.n_e, self.n_a - self.n_b)
-
-    @property
-    def n_max(self) -> int:
-        return max(self.n_e, self.n_a - self.n_b)
-
-    @property
-    def n_hat_min(self) -> int:
-        return min(self.n_e, self.n_a)
-
-    @property
-    def n_hat_max(self) -> int:
-        return max(self.n_e, self.n_a)
 
 
 @dataclass(frozen=True)
@@ -462,12 +451,12 @@ def _ladder_sums(what: str, sums) -> list:
 def _theta_terms(sign: int, m: int, n: int, x, name: str = "x"):
     """theta(m, n, x) as signed ladder terms: none at x = 0, else one at the level 1/x.
 
-    Checks the shape and x; name is what an error calls x, so a rate
-    names the product it formed (alpha * gamma, alpha * beta).
+    Checks the shape and x, and orders the shape, so theta(m, n) and
+    theta(n, m) are one term on one cached weight vector. name is what an
+    error calls x, so a rate names the product it formed (alpha * gamma,
+    alpha * beta).
     """
-    m, n = _integer("m", m, 1), _integer("n", n, 1)
-    if m > n:
-        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
+    m, n = sorted((_integer("m", m, 1), _integer("n", n, 1)))
     x = _finite(name, x)
     return [(sign, x.as_integer_ratio()[::-1], *_theta_coeffs(m, n))] if x else []
 
@@ -475,13 +464,16 @@ def _theta_terms(sign: int, m: int, n: int, x, name: str = "x"):
 def theta(m: int, n: int, x: float) -> float:
     """Ergodic E[ln det(I_m + x W)] for an m-by-n complex Wishart W, in nats.
 
-    Requires 1 <= m <= n and x >= 0; theta(m, n, 0) = 0. The tests hold
-    it bitwise to the published sum at 600 digits for every shape up to
+    Takes any m, n >= 1 and x >= 0; theta(m, n, 0) = 0. By Sylvester's
+    identity det(I_m + x G G^H) = det(I_n + x G^H G), so theta(m, n, x)
+    equals theta(n, m, x), bit for bit: both evaluate the shape
+    (min(m, n), max(m, n)). The tests hold it bitwise to the published
+    sum, which is stated for m <= n, at 600 digits for every shape up to
     n = 16, and at 1200 digits on a grid over n = 17..32 and at n = 48.
 
     theta is omega at a single level: sum_j A_j T_j(b), b = 1/x, with
     T_j(b) = exp(b) E_{j+1}(b) and exact rational A_j (_theta_coeffs,
-    cached per (m, n)), folded and rounded by _ladder_sums.
+    cached per ordered shape), folded and rounded by _ladder_sums.
     """
     return _ladder_sums(f"theta({m}, {n}, {x!r})", [_theta_terms(1, m, n, x)])[0]
 
@@ -494,11 +486,11 @@ def _omega_terms(sign: int, cfg: SystemConfig):
     exact reciprocals of the doubles alpha and alpha * beta. When those
     doubles are equal (beta == 1, a beta so close to 1 that the product
     rounds onto alpha, or alpha == 0) the two groups see one level, and
-    omega is theta(n_hat_min, n_hat_max, alpha).
+    omega is theta(n_e, n_a, alpha).
     """
     ab = cfg.alpha * cfg.beta
     if ab == cfg.alpha:
-        return _theta_terms(sign, cfg.n_hat_min, cfg.n_hat_max, cfg.alpha)
+        return _theta_terms(sign, cfg.n_e, cfg.n_a, cfg.alpha)
     if ab == 0.0 or ab == math.inf:
         raise DomainError(f"alpha * beta must be finite and > 0, got {ab!r}")
     data, noise = cfg.alpha.as_integer_ratio()[::-1], ab.as_integer_ratio()[::-1]
@@ -522,19 +514,20 @@ def _rate_values(what: str, cfg: SystemConfig, names) -> dict:
     """The named among exact, lower, upper and bob_capacity, from one _ladder_sums call.
 
     Each shares bob + AN, theta(n_b, n_a, alpha gamma) +
-    theta(n_min, n_max, alpha beta) (bob_capacity is bob alone). The exact
-    rate subtracts omega's two levels, each bound theta(n_hat_min,
-    n_hat_max) at the larger (lower) or smaller (upper) of alpha and
-    alpha beta. Only the named sums are built, so the bounds need no
-    omega weights; asked together, the sums fold each shared term once and
-    round T_0 once per level and attempt. what names the caller in errors.
+    theta(n_e, n_a - n_b, alpha beta) (bob_capacity is bob alone). The
+    exact rate subtracts omega's two levels, each bound theta(n_e, n_a) at
+    the larger (lower) or smaller (upper) of alpha and alpha beta; each
+    theta takes its channel's own shape. Only the named sums are built, so
+    the bounds need no omega weights; asked together, the sums fold each
+    shared term once and round T_0 once per level and attempt. what names
+    the caller in errors.
     """
     bob = _theta_terms(1, cfg.n_b, cfg.n_a, cfg.alpha * cfg.gamma, "alpha * gamma")
-    shared = bob + _theta_terms(1, cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta, "alpha * beta")
+    shared = bob + _theta_terms(1, cfg.n_e, cfg.n_a - cfg.n_b, cfg.alpha * cfg.beta, "alpha * beta")
     sums = {"exact": shared + _omega_terms(-1, cfg)} if "exact" in names else {}
     if "lower" in names or "upper" in names:
         for name, s in zip(("lower", "upper"), sorted((cfg.alpha, cfg.alpha * cfg.beta))[::-1]):
-            sums[name] = shared + _theta_terms(-1, cfg.n_hat_min, cfg.n_hat_max, s)
+            sums[name] = shared + _theta_terms(-1, cfg.n_e, cfg.n_a, s)
     if "bob_capacity" in names:
         sums["bob_capacity"] = bob
     return dict(zip(sums, _ladder_sums(f"{what}({cfg})", list(sums.values()))))
@@ -544,7 +537,7 @@ def average_secrecy_rate(cfg: SystemConfig) -> float:
     """Unclamped average secrecy rate in nats; may be negative.
 
     Legitimate-link term theta(n_b, n_a, alpha gamma) plus the
-    artificial-noise-only term theta(n_min, n_max, alpha beta), minus the
+    artificial-noise-only term theta(n_e, n_a - n_b, alpha beta), minus the
     full eavesdropper term omega(cfg), as one correctly rounded sum, so
     its sign is right however close it is to zero.
     """
@@ -579,8 +572,8 @@ def eve_leakage_upper_bound(cfg: SystemConfig) -> float:
     damp = 1.0 + cfg.alpha * cfg.n_b
     if damp == math.inf:
         raise DomainError(f"1 + alpha * n_b must be finite, got {damp!r}")
-    drop = _theta_terms(-1, cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta, "alpha * beta")
-    drop += _theta_terms(1, cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta / damp)
+    drop = _theta_terms(-1, cfg.n_e, cfg.n_a - cfg.n_b, cfg.alpha * cfg.beta, "alpha * beta")
+    drop += _theta_terms(1, cfg.n_e, cfg.n_a - cfg.n_b, cfg.alpha * cfg.beta / damp)
     value = _ladder_sums(f"eve_leakage_upper_bound({cfg})", [drop])[0]
     return cfg.n_e * math.log1p(cfg.alpha * cfg.n_b) + value
 

@@ -173,14 +173,19 @@ def _chunked(trials: int, words_per_trial: int, values, finish) -> list:
     A chunk's values are values(s, n) over its slices of trials [s, s+n),
     each of at most _SLICE_WORDS words, joined in trial order. Per-trial
     values do not depend on the slicing: each trial has its own counter
-    span, and every LAPACK/BLAS call works on one trial's matrices.
+    span, and every LAPACK/BLAS call works on one trial's matrices. The
+    slices run with numpy's overflow and invalid warnings off, in the
+    thread that runs the chunk (a pool thread does not inherit its
+    caller's errstate): an overflowing Gram leaves inf or nan values,
+    which finish refuses by trial.
     """
     size = _chunk_size(words_per_trial)
     step = max(1, _SLICE_WORDS // (4 * _blocks_per_trial(words_per_trial)))
 
     def chunk(t0):
         end = min(t0 + size, trials)
-        vals = np.concatenate([values(s, min(step, end - s)) for s in range(t0, end, step)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.concatenate([values(s, min(step, end - s)) for s in range(t0, end, step)])
         return finish(t0, vals)
 
     starts = range(0, trials, size)
@@ -326,17 +331,19 @@ def instantaneous_secrecy_rate(ch: ChannelRealization, cfg: SystemConfig) -> flo
     Legitimate log-det minus the eavesdropper log-det gap, each computed
     by Cholesky on the smaller side of the Gram pairing (never from raw
     eigenvalues, which lose digits at high SNR). Only ch.h and ch.g enter.
-    A rank-deficient ch.h raises NumericError, as in the batched estimators.
+    A rank-deficient ch.h raises NumericError, as in the batched
+    estimators, and so does a rate that overflows, with no numpy warning.
     """
     if ch.h.shape != (cfg.n_b, cfg.n_a) or ch.g.shape != (cfg.n_e, cfg.n_a):
         raise DomainError(
             f"realization shaped h{ch.h.shape}, g{ch.g.shape} does not match "
             f"config ({cfg.n_b}x{cfg.n_a}, {cfg.n_e}x{cfg.n_a})"
         )
-    rate = _secrecy_rates(cfg, np.concatenate((ch.h, ch.g))[None, ...], 0)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = float(_secrecy_rates(cfg, np.concatenate((ch.h, ch.g))[None, ...], 0)[0])
     if not math.isfinite(rate):
         raise NumericError(f"non-finite rate {rate!r}")
-    return float(rate)
+    return rate
 
 
 def _finite_trials(what: str, t0: int, vals: np.ndarray) -> np.ndarray:
@@ -404,11 +411,14 @@ def mc_average_secrecy_rate(
 
     clamp=True floors each realization at zero before averaging (the
     operational nonnegative rate); clamp=False matches the unclamped
-    closed-form expectation. Bitwise reproducible for fixed inputs at any
-    worker count.
+    closed-form expectation. clamp must be a bool (numpy's too): a string
+    such as "false" raises DomainError rather than clamp by truthiness.
+    Bitwise reproducible for fixed inputs at any worker count.
     """
     trials = _integer("trials", trials, 2)
     seed = _check_seed(seed)
+    if not isinstance(clamp, (bool, np.bool_)):
+        raise DomainError(f"clamp must be True or False, got {clamp!r}")
     partials = _rate_chunks(cfg, seed, trials, clamp, _chunk_partials)
     mean, stderr = _merge_mean_stderr(partials, trials)
     return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, clamped=bool(clamp))

@@ -151,26 +151,33 @@ def omega_by_cramer(n_a, n_b, n_e, alpha, beta, dps=600):
 
 
 def omega_sum(cfg, dps=600):
-    """omega(cfg) as an mpf: one level when alpha * beta == alpha, else the Cramer sum."""
+    """omega(cfg) as an mpf: one level when alpha * beta == alpha, else the Cramer sum.
+
+    The published sum is stated for m <= n, so the single level orders
+    the eavesdropper's shape (n_e, n_a) itself.
+    """
     if cfg.alpha * cfg.beta == cfg.alpha:
-        return theta_sum(cfg.n_hat_min, cfg.n_hat_max, cfg.alpha, dps)
+        return theta_sum(*sorted((cfg.n_e, cfg.n_a)), cfg.alpha, dps)
     return cramer_sum(cfg.n_a, cfg.n_b, cfg.n_e, cfg.alpha, cfg.beta, dps)
 
 
 def rate_reference(cfg, dps=600, omega=None):
     """(exact, lower, upper, bob_capacity), each one sum at dps digits rounded once.
 
-    omega, an mpf from omega_sum, saves its Cramer sum when only gamma
-    changed.
+    The published sum is stated for m <= n, so the artificial-noise term
+    and the bounds order their shapes, (n_e, n_a - n_b) and (n_e, n_a),
+    here. omega, an mpf from omega_sum, saves its Cramer sum when only
+    gamma changed.
     """
+    noise, eve = sorted((cfg.n_e, cfg.n_a - cfg.n_b)), sorted((cfg.n_e, cfg.n_a))
     with mp.workdps(dps):
         if omega is None:
             omega = omega_sum(cfg, dps)
         bob = theta_sum(cfg.n_b, cfg.n_a, cfg.alpha * cfg.gamma, dps)
-        shared = bob + theta_sum(cfg.n_min, cfg.n_max, cfg.alpha * cfg.beta, dps)
+        shared = bob + theta_sum(*noise, cfg.alpha * cfg.beta, dps)
         scales = (cfg.alpha, cfg.alpha * cfg.beta)
         lower, upper = (
-            shared - theta_sum(cfg.n_hat_min, cfg.n_hat_max, scale, dps)
+            shared - theta_sum(*eve, scale, dps)
             for scale in (max(scales), min(scales))
         )
         return tuple(float(v) for v in (shared - omega, lower, upper, bob))

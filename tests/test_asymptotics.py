@@ -272,6 +272,17 @@ class TestSolveDelta:
         r = ratios(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0)
         with pytest.raises(DomainError):
             delta_equal_scales(r)
+        r0 = AsymptoticRatios(beta1=2.0, beta2=2.0, beta3=1.0, p_u=0.0, p_v=0.0, gamma=1.0)
+        with pytest.raises(DomainError, match="^requires positive power$"):
+            delta_equal_scales(r0)
+
+    def test_solution_checks_its_range(self):
+        assert DeltaSolution(delta=1.0, residual=0.0, iterations=0).delta == 1.0
+        for delta in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(DomainError, match=r"^delta must lie in \(0, 1\]"):
+                DeltaSolution(delta=delta, residual=0.0, iterations=1)
+        with pytest.raises(DomainError, match="^residual must be nonnegative$"):
+            DeltaSolution(delta=0.5, residual=-1e-300, iterations=1)
 
 
 class TestPsi:

@@ -53,10 +53,10 @@ def largest_terms(c):
     """For the exact rate, lower and upper bound, the largest magnitude among its terms."""
     shared = (
         theta(c.n_b, c.n_a, c.alpha * c.gamma),
-        theta(c.n_min, c.n_max, c.alpha * c.beta),
+        theta(c.n_e, c.n_a - c.n_b, c.alpha * c.beta),
     )
     scales = (c.alpha, c.alpha * c.beta)
-    hats = [theta(c.n_hat_min, c.n_hat_max, s) for s in (max(scales), min(scales))]
+    hats = [theta(c.n_e, c.n_a, s) for s in (max(scales), min(scales))]
     return [max(*shared, last) for last in (omega(c), *hats)]
 
 

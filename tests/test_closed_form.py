@@ -12,7 +12,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from itertools import pairwise
+from itertools import combinations, pairwise
 
 import mpmath as mp
 import pytest
@@ -163,14 +163,34 @@ class TestTheta:
             assert float(lo) == float(hi) == theta(m, n, x), (m, n)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            theta(3, 2, 1.0)  # m > n: caller must order the pair
+        # m > n is the same log-det by Sylvester's identity, not an error
+        assert theta(3, 2, 1.0) == theta(2, 3, 1.0)
         with pytest.raises(DomainError):
             theta(0, 2, 1.0)
+        with pytest.raises(DomainError):
+            theta(2, 0, 1.0)
         with pytest.raises(DomainError):
             theta(2, 3, -0.5)
         # n has no upper limit
         assert theta(2, 17, 1.0) == theta_by_published_sum(2, 17, 1.0, dps=1200)
+
+    def test_symmetric_in_m_and_n(self):
+        # det(I_m + x G G^H) = det(I_n + x G^H G): omega's single-level
+        # weights are the same integers, over denominator 1, either way
+        # round, so ordering the shape changes no bit of theta
+        for m in range(1, 17):
+            for n in range(1, 17):
+                weights = closed_form._ladder_weights(m, n, (((1, 1), m),))[0]
+                assert weights == closed_form._ladder_weights(n, m, (((1, 1), n),))[0]
+                assert weights[1] == 1
+        for m, n in [*combinations(range(1, 17), 2), (17, 48)]:
+            for x in (1e-6, 1e-3, 0.05, 1.0, 37.5, 1e6):
+                assert theta(m, n, x).hex() == theta(n, m, x).hex(), (m, n, x)
+
+    @pytest.mark.parametrize("rows, cols, x", [(5, 2, 2.0), (8, 3, 0.5), (17, 1, 4.0)])
+    def test_more_rows_than_columns_against_mc_oracle(self, rows, cols, x):
+        est = mc_logdet_oracle(rows, cols, x, 20_000, seed=29)
+        assert abs(theta(rows, cols, x) - est.mean) <= 3.0 * est.stderr
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_polynomial_fold_matches_recursion(self, n):
@@ -630,7 +650,7 @@ class TestOmega:
 
 class TestAverageSecrecyRate:
     def test_equal_ratio_identity(self):
-        # at beta = 1 omega is theta(n_hat_min, n_hat_max, alpha), so the rate
+        # at beta = 1 omega is theta(n_e, n_a, alpha), so the rate
         # is the three published sums bob + AN - that theta, added at 600
         # digits and rounded once
         c = cfg(6, 3, 4, alpha=2.0, beta=1.0, gamma=3.0)
@@ -777,8 +797,10 @@ class TestBobCapacityAndLeakage:
         # enclosure at the program's two scales
         c = cfg(6, 3, 4, alpha=alpha, beta=2.0, gamma=1.0)
         ab = c.alpha * c.beta
-        lo_damped, hi_damped = theta_enclosure(c.n_min, c.n_max, ab / (1.0 + alpha * c.n_b))
-        lo, hi = theta_enclosure(c.n_min, c.n_max, ab)
+        # the published A_j are stated for m <= n: (n_e, n_a - n_b) ordered
+        shape = sorted((c.n_e, c.n_a - c.n_b))
+        lo_damped, hi_damped = theta_enclosure(*shape, ab / (1.0 + alpha * c.n_b))
+        lo, hi = theta_enclosure(*shape, ab)
         assert float(lo_damped - hi) == float(hi_damped - lo)
         drop = (lo_damped - hi + hi_damped - lo) / 2
         with mp.workdps(60):
@@ -890,8 +912,8 @@ class TestRateReport:
 
     def test_bounds_share_theta_at_beta_one(self, monkeypatch):
         # at beta = 1 omega's two levels are one, so the rate and both
-        # bounds are the one sum bob + AN - theta(n_hat_min, n_hat_max,
-        # alpha): three terms on two levels, and three equal values
+        # bounds are the one sum bob + AN - theta(n_e, n_a, alpha): three
+        # terms on two levels, and three equal values
         c = cfg(6, 3, 4, alpha=2.0, beta=1.0, gamma=2.0)
         want = rate_reference(c)
         assert want[0] == want[1] == want[2]
@@ -929,7 +951,7 @@ class TestRateReport:
         theta(2, 3, 1.0)
         theta(3, 3, 1.0)
         with pytest.raises(DomainError):
-            theta(3, 2, 1.0)
+            theta(0, 3, 1.0)
         with pytest.raises(DomainError):
             theta(2, 3, -1.0)
 
@@ -1036,8 +1058,6 @@ class TestSystemConfigValidation:
     def test_accepts_valid(self):
         c = cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0)
         assert c.p_u == pytest.approx(2.0 * 2.0 * 3)
-        assert c.n_min == 3 and c.n_max == 4
-        assert c.n_hat_min == 4 and c.n_hat_max == 6
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from anmimo import (
     ConfigError,
+    DomainError,
     SweepError,
     SweepSpec,
     SystemConfig,
@@ -200,6 +201,12 @@ class TestRunPoint:
         row = run_point(base_cfg(), ["mc"], mc_trials=500, seed=3)
         assert row["mc_stderr"] > 0.0
 
+    def test_clamp_must_be_a_bool(self):
+        # checked where Monte Carlo runs, as the seed is
+        with pytest.raises(DomainError, match="^clamp must be True or False, got 'no'$"):
+            run_point(base_cfg(), ["mc"], mc_trials=500, seed=3, clamp="no")
+        assert run_point(base_cfg(), ["exact"], clamp="no") == run_point(base_cfg(), ["exact"])
+
     def test_bounds_bracket_exact(self):
         row = run_point(base_cfg(), ["exact", "lower", "upper"])
         assert row["lower"] <= row["exact"] <= row["upper"]
@@ -331,6 +338,7 @@ clamp = false
         assert spec.units == "bits" and spec.clamp is False
         # swept key omitted from the base: first value fills in
         assert spec.base.gamma == 10.0**-0.4
+        assert parse_sweep_text(self.TEXT.replace("clamp = false", "clamp = True")).clamp is True
 
     def test_flag_overrides_beat_file(self):
         spec = parse_sweep_text(self.TEXT, mc_trials=99, seed=5, units="nats", clamp=True)
@@ -359,6 +367,11 @@ clamp = false
         bad = self.TEXT.replace("-4, 0, 4", "-4, mid, 4")
         with pytest.raises(ConfigError, match="bad sweep values"):
             parse_sweep_text(bad)
+        for line in ("mc_trials = 400", "seed = 11"):
+            key = line.split()[0]
+            bad = self.TEXT.replace(line, f"{key} = many")
+            with pytest.raises(ConfigError, match=f"^bad value 'many' for '{key}'$"):
+                parse_sweep_text(bad)
 
 
 class TestRunSweep:
@@ -385,6 +398,18 @@ class TestRunSweep:
         assert "alpha * gamma must be finite and >= 0, got inf" in str(err.value)
         assert len(err.value.partial_rows) == 1
         assert err.value.partial_rows[0]["gamma"] == 1.0
+
+    def test_non_bool_clamp_fails_the_mc_row(self):
+        # "false" is truthy: it clamped silently and reported clamped=True.
+        # Monte Carlo refuses it, and the sweep carries that DomainError
+        spec = SweepSpec(
+            base=base_cfg(), axis="n_e", values=(4,), outputs=("mc",), mc_trials=200,
+            clamp="false",
+        )
+        with pytest.raises(SweepError, match="n_e=4.0: clamp must be True or False") as err:
+            run_sweep(spec)
+        assert isinstance(err.value.__cause__, DomainError)
+        assert err.value.partial_rows == []
 
     def test_bits_apply_per_row(self):
         spec_nats = SweepSpec(base=base_cfg(), axis="n_e", values=(2, 4), outputs=("exact",))
@@ -417,11 +442,12 @@ class TestDesignReport:
 
 class TestSerialization:
     def test_csv_golden(self):
+        # a cell that is no number is written as its str, quoted by csv
         rows = [
             {"n_a": 6, "n_b": 3, "exact": 1.25, "flag": True},
-            {"n_a": 6, "n_b": 3, "exact": -0.5},
+            {"n_a": 6, "n_b": 3, "exact": -0.5, "note": "a, b"},
         ]
-        expect = "n_a,n_b,exact,flag\n6,3,1.25,true\n6,3,-0.5,\n"
+        expect = 'n_a,n_b,exact,flag,note\n6,3,1.25,true,\n6,3,-0.5,,"a, b"\n'
         assert rows_to_csv(rows) == expect
 
     def test_column_order_is_config_then_outputs_then_extras(self):

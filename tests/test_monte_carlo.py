@@ -136,6 +136,13 @@ class TestInstantaneousRate:
         with pytest.raises(DomainError):
             instantaneous_secrecy_rate(ch, other)
 
+    def test_overflowing_rate_is_a_numeric_error(self):
+        # alpha 1e308 overflows the Grams; the rate is nan, refused with no
+        # numpy warning first
+        c = cfg(6, 3, 4, 1e308, 0.5, 1.0)
+        with pytest.raises(NumericError, match="^non-finite rate nan$"):
+            instantaneous_secrecy_rate(sample_channel(c, 0, 1), c)
+
     def test_rank_deficient_h_raises(self):
         # the batched estimators refuse such an h; one realization must too,
         # not return a rate for a link whose null space is the wrong size
@@ -284,6 +291,31 @@ class TestAverageEstimator:
         with pytest.raises(DomainError):
             mc_average_secrecy_rate(BASE, 100.0)
 
+    def test_clamp_must_be_a_bool(self):
+        # "false" is truthy: it clamped silently (mc 0.109 against -0.747
+        # unclamped at this point) and reported clamped=True
+        lossy = cfg(6, 3, 16, *(10**0.3, 10**-0.3, 10**0.3))
+        for bad in ("false", "no", 0, 1, None):
+            with pytest.raises(DomainError, match=f"^clamp must be True or False, got {bad!r}$"):
+                mc_average_secrecy_rate(lossy, 200, seed=1, clamp=bad)
+        raw = mc_average_secrecy_rate(lossy, 200, seed=1, clamp=False)
+        assert raw.mean < 0.0
+        # numpy's bools are bools
+        assert mc_average_secrecy_rate(lossy, 200, seed=1, clamp=np.False_) == raw
+        assert mc_average_secrecy_rate(lossy, 200, seed=1, clamp=np.True_).clamped is True
+
+    @pytest.mark.parametrize("workers, chunks", [("1", 1), ("2", 2)])
+    def test_overflowing_rate_names_the_first_trial(self, monkeypatch, workers, chunks):
+        # at alpha 1e308 the Grams overflow to inf and nan: a typed error
+        # naming the trial, and no numpy warning, which the suite turns
+        # into an error, on the serial path and on the pool's threads,
+        # which do not inherit a caller's errstate
+        monkeypatch.setenv("ANMIMO_WORKERS", workers)
+        c = cfg(6, 3, 4, 1e308, 0.5, 1.0)
+        trials = chunks * mc._chunk_size(mc._rate_words(c))
+        with pytest.raises(NumericError, match="^non-finite rate at trial 0$"):
+            mc_average_secrecy_rate(c, trials, seed=1)
+
 
 class TestLogdetOracle:
     def test_single_antenna_matches_theta(self):
@@ -308,10 +340,18 @@ class TestLogdetOracle:
     )
     def test_overflowing_gram_names_the_first_trial(self, scale, trial):
         # the Gram overflows to inf and nan, which Cholesky does not refuse;
-        # at 3e307 the first three trials still fit
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match=f"^non-finite log-det at trial {trial}$"):
-                mc_logdet_oracle(2, 3, scale, 50, seed=1)
+        # at 3e307 the first three trials still fit. No numpy warning
+        # comes first: the suite would raise it instead
+        with pytest.raises(NumericError, match=f"^non-finite log-det at trial {trial}$"):
+            mc_logdet_oracle(2, 3, scale, 50, seed=1)
+
+    def test_overflowing_gram_on_the_pool(self, monkeypatch):
+        # two chunks on two workers: the pool's threads ignore numpy's
+        # overflow warnings themselves, and the first bad trial is named
+        monkeypatch.setenv("ANMIMO_WORKERS", "2")
+        trials = 2 * mc._chunk_size(2 * 2 * 3)
+        with pytest.raises(NumericError, match="^non-finite log-det at trial 3$"):
+            mc_logdet_oracle(2, 3, 3e307, trials, seed=1)
 
     def test_profile_validation(self):
         with pytest.raises(DomainError):
