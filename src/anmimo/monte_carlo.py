@@ -13,11 +13,21 @@ to keep of a chunk. Chunks are evaluated on a thread pool with one
 worker per available core; the ANMIMO_WORKERS environment variable
 narrows or widens that pool. It can never change a result or an output
 byte, only the schedule. Results are bitwise the same for one numpy and
-BLAS build on one CPU kernel; another BLAS kernel (say, another
-OPENBLAS_CORETYPE) can round the per-trial log-dets differently, by a
-few units in the last place. Each worker walks its chunk in slices of at
+BLAS build on one CPU kernel. Each worker walks its chunk in slices of at
 most 2**19 words, which bounds memory without touching the per-trial
 values.
+
+Every log-det is ln det(I + B B^H) on the smaller side of the Gram, by
+one of two paths that a rule on the shape alone picks (_on_batch_axis:
+Gram side n, other dimension m, n (n + 1) m <= 120 and m <= 20). Small
+Grams run an LDL^H elimination on the batch axis: Python loops over the
+few rows and columns, each step one elementwise IEEE operation on the
+arrays of all trials, in a fixed order. That costs no call per trial,
+and no BLAS kernel can round it differently. Larger Grams form one Gram
+per trial by matmul and factor it by LAPACK's Cholesky, and the rate's
+QR always runs on LAPACK, so there another BLAS kernel (say, another
+OPENBLAS_CORETYPE) can round a trial differently, by a few units in the
+last place.
 
 Each public function runs OpenBLAS single-threaded for as long as it
 runs, on the serial path as on the pool, and restores the previous
@@ -67,6 +77,12 @@ _COND_CLEAR = 1e6
 _MAX_SEED = 2**64
 _PHILOX_BLOCKS = 2**256  # Philox's 256-bit block counter
 _SLICE_WORDS = 1 << 19
+# the batch-axis log-det (_on_batch_axis): its largest n (n + 1) m and m,
+# the trials per block, and the trials per tile of the copy into a block
+_BATCH_AXIS_WORK = 120
+_BATCH_AXIS_MAX_M = 20
+_BATCH_AXIS_BLOCK = 8192
+_BATCH_AXIS_TILE = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +189,8 @@ def _chunked(trials: int, words_per_trial: int, values, finish) -> list:
     A chunk's values are values(s, n) over its slices of trials [s, s+n),
     each of at most _SLICE_WORDS words, joined in trial order. Per-trial
     values do not depend on the slicing: each trial has its own counter
-    span, and every LAPACK/BLAS call works on one trial's matrices. The
+    span, every LAPACK/BLAS call works on one trial's matrices, and the
+    batch-axis log-dets work elementwise across trials. The
     slices run with numpy's overflow and invalid warnings off, in the
     thread that runs the chunk (a pool thread does not inherit its
     caller's errstate): an overflowing Gram leaves inf or nan values,
@@ -200,7 +217,108 @@ def _herm(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -2, -1).conj()
 
 
+def _on_batch_axis(rows: int, cols: int) -> bool:
+    """Whether a rows x cols B takes the batch-axis log-det.
+
+    With n = min(rows, cols), the Gram side, and m = max(rows, cols), the
+    rule is n (n + 1) m <= 120 and m <= 20: n = 1 and n = 2 up to m = 20,
+    n = 3 up to m = 10 and n = 4 up to m = 6. It reads the shape alone,
+    never the trial count, slice or worker count, so a trial's log-det
+    never depends on how it was batched.
+    """
+    n, m = sorted((rows, cols))
+    return m <= _BATCH_AXIS_MAX_M and n * (n + 1) * m <= _BATCH_AXIS_WORK
+
+
 def _logdet_eye_plus_gram(b: np.ndarray) -> np.ndarray:
+    """ln det(I + B B^H) for a batch of B, on the smaller side of the Gram.
+
+    Shapes that _on_batch_axis admits run an LDL^H elimination on the
+    batch axis (_logdet_batch_axis), _BATCH_AXIS_BLOCK trials at a time,
+    with no numpy warning: an overflowing B gives a non-finite log-det.
+    The others form one Gram per trial by matmul and factor it by
+    LAPACK's Cholesky. At these sizes a LAPACK call costs more than its
+    arithmetic, while the batch axis costs about n (n + 1) m elementwise
+    operations per trial. Measured on one AVX-512 vCPU, one BLAS thread,
+    2**19-word batches, the batch axis took this share of LAPACK's time:
+    n = 1: 0.2 at m = 3, 0.4-0.6 at m = 8-15, 0.8-1.0 at m = 16-20 and
+    1.0-1.9 beyond; n = 2: 0.1-0.2 at m <= 4, 0.3-0.6 up to m = 20;
+    n = 3: 0.2-0.3 at m <= 6, 0.5 at m = 8-12, 0.8 at m = 16-20; n = 4:
+    0.4-0.6 at m <= 7, 0.7-0.8 at m = 8-10; 0.6-0.8 at (5,5) and (6,6);
+    1.1 at (6,8), 1.5 at (8,8) and 2.1 at (6,20). The rule keeps the
+    shapes where the gain is large, and keeps the block's memory (16 n m
+    bytes per trial) small.
+    """
+    rows, cols = b.shape[-2], b.shape[-1]
+    if not _on_batch_axis(rows, cols):
+        return _logdet_lapack(b)
+    trials = b.reshape(-1, rows, cols)
+    if cols < rows:
+        # B^T (B^T)^H is the conjugate of B^H B: the same real pivots
+        trials = np.swapaxes(trials, -2, -1)
+    out = np.empty(len(trials))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for s in range(0, len(trials), _BATCH_AXIS_BLOCK):
+            out[s : s + _BATCH_AXIS_BLOCK] = _logdet_batch_axis(trials[s : s + _BATCH_AXIS_BLOCK])
+    return out.reshape(b.shape[:-2])
+
+
+def _logdet_batch_axis(x: np.ndarray) -> np.ndarray:
+    """ln det(I + X X^H) per trial of x, (trials, n, m) with n <= m.
+
+    Each entry of X is a real and an imaginary array over the trials, so
+    every operation below is one elementwise IEEE +, -, *, / or log on
+    arrays of trials, in an order fixed here: no reduction, matmul or
+    complex multiply, whose rounding and FMA use may change with the
+    array length. A trial's log-det is therefore the same bits in a batch
+    of any size. The lower triangle of A = I + X X^H is formed first;
+    the right-looking LDL^H elimination then takes pivot d_j = A_jj,
+    l_i = A_ij / d_j, and A_ik -= l_i conj(A_kj) for j < k <= i, and the
+    log-det is the sum of the ln d_j in pivot order. l_i is formed before
+    its product, so no intermediate exceeds the Gram's own range.
+    """
+    t, n, m = x.shape
+    # copied a tile at a time: a whole block's strided reads, power-of-two
+    # bytes apart at some shapes, ran up to 2.7x slower
+    xr, xi = np.empty((2, n, m, t))
+    for u in range(0, t, _BATCH_AXIS_TILE):
+        tile = x[u : u + _BATCH_AXIS_TILE].transpose(1, 2, 0)
+        xr[..., u : u + _BATCH_AXIS_TILE] = tile.real
+        xi[..., u : u + _BATCH_AXIS_TILE] = tile.imag
+    ar, ai = {}, {}  # real and imaginary parts of A[i, j], j <= i
+    for i in range(n):
+        for j in range(i + 1):
+            re = xr[i, 0] * xr[j, 0]
+            re += xi[i, 0] * xi[j, 0]
+            for k in range(1, m):
+                re += xr[i, k] * xr[j, k]
+                re += xi[i, k] * xi[j, k]
+            if i == j:
+                re += 1.0
+            else:
+                im = xi[i, 0] * xr[j, 0]
+                im -= xr[i, 0] * xi[j, 0]
+                for k in range(1, m):
+                    im += xi[i, k] * xr[j, k]
+                    im -= xr[i, k] * xi[j, k]
+                ai[i, j] = im
+            ar[i, j] = re
+    logdet = np.log(ar[0, 0])
+    for j in range(n - 1):
+        d = ar[j, j]
+        lr = {i: ar[i, j] / d for i in range(j + 1, n)}
+        li = {i: ai[i, j] / d for i in range(j + 1, n)}
+        for i in range(j + 1, n):
+            for k in range(j + 1, i + 1):
+                wr, wi = ar[k, j], ai[k, j]
+                ar[i, k] -= lr[i] * wr + li[i] * wi
+                if k < i:
+                    ai[i, k] -= li[i] * wr - lr[i] * wi
+        logdet += np.log(ar[j + 1, j + 1])
+    return logdet
+
+
+def _logdet_lapack(b: np.ndarray) -> np.ndarray:
     """ln det(I + B B^H) batched, via Cholesky on the smaller Gram side."""
     rows, cols = b.shape[-2], b.shape[-1]
     if cols < rows:
@@ -329,10 +447,11 @@ def instantaneous_secrecy_rate(ch: ChannelRealization, cfg: SystemConfig) -> flo
     """Secrecy rate of one realization in nats, unclamped.
 
     Legitimate log-det minus the eavesdropper log-det gap, each computed
-    by Cholesky on the smaller side of the Gram pairing (never from raw
-    eigenvalues, which lose digits at high SNR). Only ch.h and ch.g enter.
-    A rank-deficient ch.h raises NumericError, as in the batched
-    estimators, and so does a rate that overflows, with no numpy warning.
+    by _logdet_eye_plus_gram on the smaller side of the Gram pairing
+    (never from raw eigenvalues, which lose digits at high SNR). Only
+    ch.h and ch.g enter. A rank-deficient ch.h raises NumericError, as in
+    the batched estimators, and so does a rate that overflows, with no
+    numpy warning.
     """
     if ch.h.shape != (cfg.n_b, cfg.n_a) or ch.g.shape != (cfg.n_e, cfg.n_a):
         raise DomainError(

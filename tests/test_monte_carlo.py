@@ -435,7 +435,9 @@ class TestPrecodingBasis:
             want = _svd_rates(c, *batch(c, 8, 0, trials))
             assert np.all(np.abs(vals - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
-    @pytest.mark.parametrize("shape", [(6, 3, 4), (6, 3, 20), (16, 15, 8), (4, 1, 12)])
+    @pytest.mark.parametrize(
+        "shape", [(6, 3, 4), (6, 3, 20), (16, 15, 8), (4, 1, 12), (3, 1, 5)]
+    )
     def test_qr_rates_hold_at_high_snr(self, shape):
         # alpha beta = 1e10: g (I - P) g^H has n_e - (n_a - n_b) zero
         # eigenvalues here, which a difference g g^H - g P g^H would leave
@@ -496,7 +498,9 @@ class TestPrecodingBasis:
         with pytest.raises(NumericError, match="rank-deficient legitimate channel at trial 102"):
             _rates(BASE, h, g, 100)
 
-    @pytest.mark.parametrize("shape", [(6, 3, 4), (16, 8, 8), (6, 3, 20), (128, 64, 64)])
+    @pytest.mark.parametrize(
+        "shape", [(6, 3, 4), (16, 8, 8), (6, 3, 20), (128, 64, 64), (3, 1, 5)]
+    )
     def test_sliced_chunk_equals_whole_chunk(self, shape):
         c = cfg(*shape, 2.0, 0.5, 2.0)
         size = mc._chunk_size(mc._rate_words(c))
@@ -535,6 +539,119 @@ class TestGaussianMap:
             got = mc._gaussians_from_words(w)
             want = self.reference_map(w)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _eye_plus_gram(b):
+    # I plus the smaller Gram of each B
+    bh = np.swapaxes(b, -2, -1).conj()
+    gram = bh @ b if b.shape[-1] < b.shape[-2] else b @ bh
+    return gram + np.eye(gram.shape[-1])
+
+
+def _complex_normal(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+# every (rows, cols) the rule sends to the batch axis, wide and tall
+BATCH_AXIS_SHAPES = [
+    (r, c) for r in range(1, 21) for c in range(1, 21) if mc._on_batch_axis(r, c)
+]
+
+
+class TestBatchAxisLogdet:
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1, 3), (3, 1), (2, 4), (4, 2), (3, 6), (6, 3), (4, 4), (4, 6), (6, 4),
+            (1, 20), (20, 2), (3, 10), (4, 8), (8, 4), (3, 20), (20, 6), (1, 21), (8, 8),
+        ],
+    )
+    @pytest.mark.parametrize("scale", [1.0, 1e5, 1e10])
+    def test_matches_cholesky(self, shape, scale):
+        # the reference: LAPACK's Cholesky of each Gram. Both methods are
+        # backward stable, so they may differ by a few eps times the
+        # condition number of I + B B^H, in nats
+        b = scale * _complex_normal(np.random.default_rng(sum(shape)), (2000, *shape))
+        a = _eye_plus_gram(b)
+        chol_diag = np.einsum("...ii->...i", np.linalg.cholesky(a)).real
+        want = 2.0 * np.sum(np.log(chol_diag), axis=-1)
+        got = mc._logdet_eye_plus_gram(b)
+        tol = 32 * min(shape) * np.finfo(float).eps * (np.linalg.cond(a) + np.abs(want))
+        assert np.all(np.abs(got - want) <= tol)
+
+    def test_rule_is_symmetric_and_bounded(self):
+        # n (n + 1) m <= 120 and m <= 20, either way round
+        assert all(mc._on_batch_axis(c, r) for r, c in BATCH_AXIS_SHAPES)
+        n_by_m = {}
+        for r, c in BATCH_AXIS_SHAPES:
+            n_by_m[min(r, c)] = max(n_by_m.get(min(r, c), 0), max(r, c))
+        assert n_by_m == {1: 20, 2: 20, 3: 10, 4: 6}
+
+    def test_rule_pinned_for_the_benchmark_shapes(self, monkeypatch):
+        # the Gram shapes each benchmark op passes, and the path each takes
+        shapes = []
+        logdet = mc._logdet_eye_plus_gram
+
+        def recording(b):
+            shapes.append(b.shape[-2:])
+            return logdet(b)
+
+        monkeypatch.setattr(mc, "_logdet_eye_plus_gram", recording)
+        paths = {}
+        for shape in [(6, 3, 4), (6, 3, 20), (16, 8, 8), (128, 64, 64)]:
+            shapes.clear()
+            mc.mc_normalized_rate_sample(cfg(*shape, 2.0, 0.5, 2.0), 2, seed=1)
+            paths[shape] = [mc._on_batch_axis(*s) for s in shapes]
+        for rows, cols in [(1, 3), (2, 4), (3, 6), (4, 4), (4, 8), (16, 32)]:
+            shapes.clear()
+            mc_logdet_oracle(rows, cols, 1.0, 2, seed=1)
+            paths[rows, cols] = [mc._on_batch_axis(*s) for s in shapes]
+        # legit, eve_full, eve_noise for the rates; one Gram per oracle
+        assert paths == {
+            (6, 3, 4): [True, True, True],
+            (6, 3, 20): [True, False, False],
+            (16, 8, 8): [False, False, False],
+            (128, 64, 64): [False, False, False],
+            (1, 3): [True],
+            (2, 4): [True],
+            (3, 6): [True],
+            (4, 4): [True],
+            (4, 8): [False],
+            (16, 32): [False],
+        }
+
+    @pytest.mark.parametrize("shape", BATCH_AXIS_SHAPES)
+    def test_batch_of_one_is_its_row(self, shape):
+        b = _complex_normal(np.random.default_rng(sum(shape)), (5000, *shape))
+        whole = mc._logdet_eye_plus_gram(b)
+        rows = [0, 2047, 2048, 4999]  # either side of a tile of the copy
+        alone = np.array([mc._logdet_eye_plus_gram(b[t : t + 1])[0] for t in rows])
+        assert np.array_equal(alone.view(np.uint64), whole[rows].view(np.uint64))
+
+    def test_rows_do_not_depend_on_the_block(self):
+        # a batch of three blocks: each block's rows are the same bits
+        # as the rows of that block alone
+        size = mc._BATCH_AXIS_BLOCK
+        b = _complex_normal(np.random.default_rng(30), (2 * size + 3, 2, 4))
+        whole = mc._logdet_eye_plus_gram(b)
+        for s in (0, size, 2 * size):
+            part = mc._logdet_eye_plus_gram(b[s : s + size])
+            assert np.array_equal(part.view(np.uint64), whole[s : s + size].view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (4, 6), (6, 4), (20, 1)])
+    def test_zero_b_is_exactly_zero(self, shape):
+        got = mc._logdet_eye_plus_gram(np.zeros((7, *shape), dtype=np.complex128))
+        assert np.array_equal(got, np.zeros(7)) and not np.signbit(got).any()
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (4, 6), (6, 4)])
+    def test_overflowing_b_is_not_finite_without_a_warning(self, shape):
+        # the suite turns numpy warnings into errors
+        b = _complex_normal(np.random.default_rng(3), (5, *shape))
+        b[2] *= 1e200
+        got = mc._logdet_eye_plus_gram(b)
+        assert not np.isfinite(got[2])
+        keep = [0, 1, 3, 4]
+        assert np.array_equal(got[keep], mc._logdet_eye_plus_gram(b[keep]))
 
 
 class TestWorkerCount:
@@ -589,15 +706,19 @@ class TestOneBlasThread:
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        # the thread counts at every _herm, which each public call reaches
+        # the thread counts at every log-det and rank check: each public
+        # call reaches one of them, on the batch axis as on LAPACK
         counts = []
-        herm = mc._herm
 
-        def recording(x):
-            counts.append(thread_counts())
-            return herm(x)
+        def recording(f):
+            def wrapped(*args):
+                counts.append(thread_counts())
+                return f(*args)
 
-        monkeypatch.setattr(mc, "_herm", recording)
+            return wrapped
+
+        for name in ("_logdet_eye_plus_gram", "_check_rank"):
+            monkeypatch.setattr(mc, name, recording(getattr(mc, name)))
         return counts
 
     @pytest.mark.parametrize(
@@ -635,9 +756,9 @@ class TestOneBlasThread:
         # either call comes back only when both are done
         a_inside, b_inside, a_done = (threading.Event() for _ in range(3))
         b_after_a = []
-        herm = mc._herm
+        check_rank = mc._check_rank
 
-        def gated(x):
+        def gated(r, t0):
             name = threading.current_thread().name
             if name == "A" and not b_inside.is_set():
                 a_inside.set()
@@ -646,7 +767,7 @@ class TestOneBlasThread:
                 b_inside.set()
                 a_done.wait(30)
                 b_after_a.append(thread_counts())
-            return herm(x)
+            return check_rank(r, t0)
 
         def run_a():
             mc_normalized_rate_sample(BASE, 50, seed=1)
@@ -656,7 +777,8 @@ class TestOneBlasThread:
             a_inside.wait(30)
             sample_channel(BASE, 3, 1)
 
-        monkeypatch.setattr(mc, "_herm", gated)
+        # both calls reach the rank check, inside their scopes
+        monkeypatch.setattr(mc, "_check_rank", gated)
         threads = [
             threading.Thread(target=run_a, name="A"),
             threading.Thread(target=run_b, name="B"),
@@ -714,3 +836,33 @@ class TestOneBlasThread:
                 assert sample.split()[100] == alone, (workers, blas)
                 outputs.add(sample)
         assert len(outputs) == 1
+
+
+# the oracle's mean and stderr at a batch-axis shape, in a fresh process
+_SMALL_ORACLE_SCRIPT = """
+from anmimo import mc_logdet_oracle
+est = mc_logdet_oracle(3, 6, 2.0, 20000, seed=5)
+print(est.mean.hex(), est.stderr.hex())
+"""
+
+
+@needs_openblas
+def test_small_shape_oracle_bitwise_across_openblas_kernels():
+    # the batch-axis log-dets call no BLAS, so the kernel OpenBLAS picks
+    # for the CPU cannot move them; the rate path's QR still can
+    assert mc._on_batch_axis(3, 6)
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    outputs = {}
+    for core in (None, "Haswell", "SandyBridge", "Prescott"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run(
+            [sys.executable, "-c", _SMALL_ORACLE_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[core] = proc.stdout.strip()
+    assert len(set(outputs.values())) == 1, outputs
