@@ -373,31 +373,30 @@ def _roomy(*values) -> bool:
     return all(2.0 * sys.float_info.min <= v <= 0.5 * sys.float_info.max for v in values)
 
 
-def _bound_stop(n_a, n_b, alpha, beta, gamma, p_u, p_v, beta2, phi, cap) -> int:
-    """A step of critical_eve_antennas' scan from which on, up to cap, no
-    margin is positive and no step raises; cap when that is not proven."""
-    # For n_e >= n_a both beta1 <= 1 and rho <= 1, the scales are
-    # alpha n_e and alpha beta n_e, and p_v/(gamma rho) = alpha beta n_e, so
-    # the margin at scale alpha c n_e is
-    #   K_c - ln n_e + beta2 E(n_a/n_e) - (beta2 - 1) E((n_a - n_b)/n_e),
-    #   K_c = phi - beta2 ln(alpha c) + (beta2 - 1) ln(alpha beta) + 1,
-    # with E = _entropy_gap: c = max(1, beta) for the sufficient margin and
-    # min(1, beta) for the necessary one, whose K_c is the larger. E
-    # increases on (0, 1] with range (-1, 0] (its derivative in s = 1 - y
-    # is (ln s + 1 - s)/(1 - s)^2 <= 0), so for every n_e >= N both
-    # margins are at most
-    #   B(N) = K_min(1, beta) - ln N + beta2 E(n_a/N) + beta2 - 1,
-    # which decreases in N.
-    if cap <= n_a or n_a >= (n_a - n_b) << 40:
-        return cap
-    # The skipped steps evaluate the same margins in floats. They raise
-    # nothing and stay within a few ulps of the closed form when every
-    # product and quotient they round is a normal float with room to
-    # spare. gamma beta3 and the data scale move monotonically in n_e. rho =
-    # beta1 - beta3 is off by at most 2**-52 n_a/(n_a - n_b) relative,
-    # below 2**-12 by the check above, so it stays > 0 and its products
-    # move by less than the room. Checking each at the cap covers every
-    # step in between.
+def _stop_slack(n_a, n_b, alpha, beta, gamma, p_u, p_v, beta2, phi, cap) -> float:
+    """How far below 0 both float margins of critical_eve_antennas' scan
+    at a step N >= n_a must lie to prove no later one up to cap positive;
+    inf when a step up to cap may raise (phi None: the first one does).
+
+    For n_e >= n_a (so beta1, rho <= 1) the margin at scale alpha c n_e,
+    c = max(1, beta) sufficient and min(1, beta) necessary, is
+      M(n_e) = K_c - ln n_e + beta2 E(n_a/n_e) - (beta2 - 1) E((n_a - n_b)/n_e),
+      K_c = phi - beta2 ln(alpha c) + (beta2 - 1) ln(alpha beta) + 1,
+    with E = _entropy_gap. h(y) = y E'(y) = sum_{k>=1} y^k/(k + 1) is >= 0
+    and increases on (0, 1], so
+      dM/dn_e = (-1 - beta2 h(n_a/n_e) + (beta2 - 1) h((n_a - n_b)/n_e))/n_e <= -1/n_e.
+    If every float margin up to cap lies within slack/2 of its M, one
+    below -slack at N puts M(N) and every later M below -slack/2, and so
+    every later float margin below 0.
+    """
+    if phi is None or n_a >= (n_a - n_b) << 40:
+        return math.inf
+    # The steps raise nothing and stay close to M when every product and
+    # quotient they round is a normal float with room to spare. gamma beta3
+    # and the data scale are monotone in n_e; rho = beta1 - beta3 is within
+    # 2**-52 n_a/(n_a - n_b) < 2**-12 relative (the check above), so it
+    # stays > 0 and its products move less than the room. Checking each at
+    # the cap covers every step.
     beta1, beta3 = n_a / cap, n_b / cap
     rho = beta1 - beta3
     if not (
@@ -405,29 +404,14 @@ def _bound_stop(n_a, n_b, alpha, beta, gamma, p_u, p_v, beta2, phi, cap) -> int:
         and _roomy(gamma * beta3, gamma * rho)
         and _roomy(p_u / (gamma * beta3), p_v / (gamma * rho), p_v / gamma / rho)
     ):
-        return cap
-    log_c = math.log(alpha * min(1.0, beta))
-    log_b = math.log(alpha * beta)
-    k = phi - beta2 * log_c + (beta2 - 1.0) * log_b + 1.0
-    # The slack is 1e-9 times the magnitudes of the terms: those of K, and
-    # 4 beta2 cap for those of size 1, ln N and beta2 and for the 1/y in E
-    # at y = beta1 and y = rho and the cancellation in rho, which each
-    # cost a float margin at most beta2 cap ulps.
-    slack = 1e-9 * (abs(phi) + beta2 * abs(log_c) + (beta2 - 1.0) * abs(log_b) + 4.0 * beta2 * cap)
-
-    def proven(n) -> bool:
-        return k - math.log(n) + beta2 * _entropy_gap(n_a / n) + beta2 - 1.0 < -slack
-
-    if not proven(cap):
-        return cap
-    lo, hi = n_a, cap  # proven(hi) holds throughout
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if proven(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+        return math.inf
+    # Beside phi a float margin rounds terms of size at most beta2 size
+    # (logs of the scales, E and 1): 1e-9 of that covers their few ulps
+    # many times over. The 1/y in E at beta1 and rho and the cancellation
+    # in rho each cost at most beta2 cap ulps of 1; slack/2, 32 beta2 cap
+    # ulps, covers the three with a safety factor of 10.
+    size = abs(math.log(alpha)) + abs(math.log(alpha * beta)) + math.log(cap) + 2.0
+    return 1e-9 * (abs(phi) + 2.0 * beta2 * size) + 64.0 * beta2 * cap * sys.float_info.epsilon
 
 
 def critical_eve_antennas(
@@ -445,17 +429,16 @@ def critical_eve_antennas(
     by the necessary one. Either value may be 0 when no antenna count
     satisfies its condition.
 
-    The scan visits every n_e below n_a: there, outside
-    applicability_guard, the margins are not monotone in n_e (a sign can
-    come back after it turned). From n_a on both margins lie below a
-    closed-form bound that decreases in n_e. The scan ends at the first
-    step where that bound is negative by far more than float rounding,
-    but only when nothing in the steps up to max_eve_antennas can raise;
-    otherwise it runs to the cap. If a margin is still positive at the
-    cap the threshold is unresolved and the scan raises
-    UnboundedRangeError. Thresholds and errors are those of delta_highsnr
-    on AsymptoticRatios at each n_e up to the cap, but the ratios are
-    validated once and phi_func(p_u, beta2) is evaluated once.
+    The scan visits every n_e below n_a, where outside applicability_guard
+    the margins are not monotone in n_e (a sign can come back after it
+    turned). From n_a on both margins fall at least as fast as -ln n_e:
+    the scan ends at the first step where both are negative by far more
+    than float rounding, unless a step up to max_eve_antennas might raise;
+    then it runs to the cap. If a margin is still positive at the cap the
+    threshold is unresolved and the scan raises UnboundedRangeError.
+    Thresholds and errors are those of delta_highsnr on AsymptoticRatios
+    at each n_e up to the cap, but the ratios are validated once and
+    phi_func(p_u, beta2) is evaluated once.
     """
     n_a = _integer("n_a", n_a, 1)
     n_b = _integer("n_b", n_b, 1)
@@ -476,14 +459,9 @@ def critical_eve_antennas(
         phi = _phi(p_u, beta2)
     except ArithmeticError:
         phi = None  # raised again after the first step's checks, as delta_highsnr orders them
-    stop = max_eve_antennas
-    if phi is not None:
-        stop = _bound_stop(n_a, n_b, alpha, beta, gamma, p_u, p_v, beta2, phi, stop)
+    floor = -_stop_slack(n_a, n_b, alpha, beta, gamma, p_u, p_v, beta2, phi, max_eve_antennas)
     n_suff = n_nec = 0
-    last_suff = last_nec = False
-    # the margins at stop are proven <= 0, so an early stop leaves both
-    # last_* False
-    for n_e in range(1, stop + 1):
+    for n_e in range(1, max_eve_antennas + 1):
         beta1 = n_a / n_e
         beta3 = n_b / n_e
         rho = beta1 - beta3
@@ -497,14 +475,16 @@ def critical_eve_antennas(
         # term both margins share may come before it
         noise = _residual_noise_term(p_v, gamma, rho, beta2, beta3)
         offset = _eve_offset(beta1)
-        last_suff = _margin(hi, phi, noise, offset, beta1, beta2, beta3) > 0.0
+        suff = _margin(hi, phi, noise, offset, beta1, beta2, beta3)
         lo = _checked_scale(min(a, b), p_u)
-        last_nec = _margin(lo, phi, noise, offset, beta1, beta2, beta3) > 0.0
-        if last_suff:
+        nec = _margin(lo, phi, noise, offset, beta1, beta2, beta3)
+        if suff > 0.0:
             n_suff = n_e
-        if last_nec:
+        if nec > 0.0:
             n_nec = n_e
-    if last_suff or last_nec:
+        if nec < floor and suff < floor and n_e >= n_a:
+            break
+    if suff > 0.0 or nec > 0.0:
         raise UnboundedRangeError(
             f"positivity margin still positive at the scan cap {max_eve_antennas}"
         )

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -84,17 +86,26 @@ def reference_scan(n_a, n_b, alpha, beta, gamma, max_eve_antennas=4096):
     return n_suff, n_nec
 
 
-def spy_stops(monkeypatch):
+def spy_stops(monkeypatch, limit=math.inf):
     """The steps at which critical_eve_antennas' scans end, as a list
-    that fills as the scans run."""
+    that fills as the scans run: a scan calls _residual_noise_term once
+    per step, and calls from elsewhere are not counted. A scan that goes
+    on past step limit fails."""
     stops = []
+    scan = [None]  # the frame of the scan whose steps stops[-1] counts
 
-    def recorded(*args):
-        stops.append(real(*args))
-        return stops[-1]
+    def counted(*args):
+        caller = sys._getframe(1)
+        if caller.f_code is critical_eve_antennas.__code__:
+            if scan[0] is not caller:
+                scan[0] = caller
+                stops.append(0)
+            stops[-1] += 1
+            assert stops[-1] <= limit, f"the scan runs on past step {limit}"
+        return real(*args)
 
-    real = asymptotics._bound_stop
-    monkeypatch.setattr(asymptotics, "_bound_stop", recorded)
+    real = asymptotics._residual_noise_term
+    monkeypatch.setattr(asymptotics, "_residual_noise_term", counted)
     return stops
 
 
@@ -476,6 +487,53 @@ class TestDesignScan:
         for n_e in range(stop, 4097):
             cfg = SystemConfig(n_a=n_a, n_b=n_b, n_e=n_e, **point)
             assert positivity_conditions(cfg) == (False, False), n_e
+
+    def test_large_cap_stops_early(self, monkeypatch):
+        # the slack's rounding term is 64 beta2 cap ulps, 0.03 here, well
+        # below the margins a few steps past the thresholds
+        stops = spy_stops(monkeypatch, limit=1000)
+        start = time.perf_counter()
+        assert critical_eve_antennas(6, 3, **EXAMPLE3, max_eve_antennas=10**12) == (12, 16)
+        assert time.perf_counter() - start < 1.0
+        assert stops == [17]
+
+    def test_margins_fall_past_n_a(self):
+        # the premise of the scan's early stop: from n_a on each float
+        # margin falls between steps by at least ln(n_e/(n_e - 1)), the
+        # fall of -ln n_e, less 64 beta2 n_e ulps (the slack's rounding
+        # term with the cap at n_e); the sufficient margin never exceeds
+        # the necessary one
+        for n_a, n_b, alpha, beta, gamma, _ in random_configs(13, 24):
+            prev = None
+            for n_e in range(n_a, 4096):
+                r = ratios(n_a, n_b, n_e, alpha, beta, gamma)
+                a_min, a_max = a_min_max(r)
+                margins = (delta_highsnr(a_max, r), delta_highsnr(a_min, r))
+                where = (n_a, n_b, alpha, beta, gamma, n_e)
+                assert margins[0] <= margins[1], where
+                if prev is not None:
+                    allowance = 64.0 * r.beta2 * n_e * sys.float_info.epsilon
+                    least_fall = math.log(n_e / (n_e - 1)) - allowance
+                    for before, now in zip(prev, margins):
+                        assert now <= before - least_fall, where
+                prev = margins
+
+    def test_entropy_gap_slope(self):
+        # the stop's proof needs h(y) = y E'(y), E = _entropy_gap, to be
+        # >= 0 and increasing on (0, 1]
+        def h(y):
+            return math.inf if y == 1.0 else -math.log1p(-y) / y - 1.0
+
+        ys = sorted({k / 64 for k in range(1, 65)} | {1.0 - 2.0**-k for k in range(7, 50, 6)})
+        hs = [h(y) for y in ys]
+        assert hs[0] > 0.0
+        assert all(a < b for a, b in zip(hs, hs[1:]))
+        for y in ys[:32]:  # y <= 1/2: h is the series and E's slope
+            series = math.fsum(y**k / (k + 1) for k in range(1, 80))
+            assert h(y) == pytest.approx(series, rel=1e-12)
+            d = 1e-6 * y
+            slope = (asymptotics._entropy_gap(y + d) - asymptotics._entropy_gap(y - d)) / (2 * d)
+            assert y * slope == pytest.approx(h(y), rel=1e-6)
 
     @pytest.mark.parametrize(
         "args, cap, expected",

@@ -54,8 +54,11 @@ def batch(c, seed, t0, nt):
 
 
 def rate_chunks(c, seed, trials):
-    # the unclamped rates of each chunk, as the estimators see them
-    return mc._rate_chunks(c, seed, trials, False, lambda vals: vals)
+    # the unclamped rates of each chunk, as the estimators see them: in
+    # their one-BLAS-thread scope, so no pool worker runs OpenBLAS at its
+    # default thread count
+    with _blas_threads._SCOPE:
+        return mc._rate_chunks(c, seed, trials, False, lambda vals: vals)
 
 
 class TestChannelStatistics:
@@ -398,8 +401,10 @@ def _svd_rates(c, h, g):
 
 
 def _rates(c, h, g, t0):
-    # the engine's rate path on given channels, rank check included
-    return mc._secrecy_rates(c, np.concatenate((h, g), axis=-2), t0)
+    # the engine's rate path on given channels, rank check included, in the
+    # estimators' one-BLAS-thread scope like rate_chunks
+    with _blas_threads._SCOPE:
+        return mc._secrecy_rates(c, np.concatenate((h, g), axis=-2), t0)
 
 
 def _conditioned_h(n_b, n_a, k, rng):
