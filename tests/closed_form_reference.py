@@ -7,10 +7,16 @@ is the Cramer sum tr(R0^-1 C) of its determinant expansion. A rate or a
 bound is the difference of these terms summed at dps digits (600 unless
 the caller raises it; the tests use 1200 past n = 16) and rounded to a
 double once.
+
+Two further references share no method with either: theta as Telatar's
+Laguerre-kernel integral over the eigenvalue density, and omega at one
+eavesdropper antenna as a Frullani integral. Both are one mp.quad each,
+rounded to a double once.
 """
 
 import functools
 import math
+import random
 from fractions import Fraction
 from itertools import accumulate
 
@@ -181,3 +187,59 @@ def rate_reference(cfg, dps=600, omega=None):
             for scale in (max(scales), min(scales))
         )
         return tuple(float(v) for v in (shared - omega, lower, upper, bob))
+
+
+def laguerre_kernel(m, n, lam):
+    """The unordered eigenvalue density of an m-by-n complex Wishart, m <= n:
+    sum_{k<m} k!/(k + n - m)! [L_k^(n-m)(lam)]^2 lam^(n-m) e^-lam, the
+    Laguerre polynomials by their three-term recurrence."""
+    a = n - m
+    prev, lag = mp.mpf(0), mp.mpf(1)
+    weight = 1 / mp.factorial(a)
+    total = weight * lag * lag
+    for k in range(m - 1):
+        prev, lag = lag, ((2 * k + 1 + a - lam) * lag - (k + a) * prev) / (k + 1)
+        weight = weight * (k + 1) / (k + 1 + a)
+        total += weight * lag * lag
+    return total * lam**a * mp.exp(-lam)
+
+
+def theta_by_telatar(m, n, x, dps=30):
+    """theta(m, n, x) as Telatar's integral of ln(1 + x lam) against
+    laguerre_kernel (Telatar 1999, Eur. Trans. Telecommun. 10), by mp.quad
+    at dps digits split at 1, 4, 4n and 8n + 20, rounded to a double."""
+    m, n = sorted((m, n))
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        splits = sorted({0, 1, 4, 4 * n, 8 * n + 20}) + [mp.inf]
+        return float(mp.quad(lambda lam: mp.log1p(x * lam) * laguerre_kernel(m, n, lam), splits))
+
+
+def omega_by_frullani(n_a, n_b, alpha, beta, dps=30):
+    """omega at n_e = 1 as the integral over s > 0 of
+    e^-s [1 - (1 + alpha s)^-n_b (1 + alpha beta s)^-(n_a - n_b)] / s.
+
+    Eve's one antenna sees alpha X1 + alpha beta X2, X1 ~ Gamma(n_b) and
+    X2 ~ Gamma(n_a - n_b), and ln(1 + y) is Frullani's integral of
+    e^-s (1 - e^(-s y)) / s, whose expectation is the Gamma Laplace
+    transform. alpha beta is the double omega forms (its level), and
+    mp.quad runs at dps digits split at 1/alpha and 1/(alpha beta).
+    """
+    ab = alpha * beta
+    with mp.workdps(dps):
+        a, b = mp.mpf(alpha), mp.mpf(ab)
+
+        def integrand(s):
+            log_laplace = -n_b * mp.log1p(a * s) - (n_a - n_b) * mp.log1p(b * s)
+            return -mp.exp(-s) * mp.expm1(log_laplace) / s
+
+        return float(mp.quad(integrand, sorted({0, 1 / a, 1 / b}) + [mp.inf]))
+
+
+def frullani_points(seed, count):
+    """Seeded (n_a, n_b, alpha, beta) with n_a <= 32, alpha log-uniform
+    over 1e-4..1e6 and beta over 1e-3..1e3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_a = rng.randint(2, 32)
+        yield n_a, rng.randint(1, n_a - 1), 10.0 ** rng.uniform(-4, 6), 10.0 ** rng.uniform(-3, 3)

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,6 +235,55 @@ class TestEtaAndV:
             v_of_delta(1.1, self.r)
 
 
+def wide_ratios(seed, count):
+    """Seeded ratios with n_a log-uniform over 2..10**6 and n_e up to n_a
+    (in every other draw at most 8, where n_a/n_e gets largest); alpha,
+    beta and gamma log-uniform over 1e-4..1e8."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n_a = min(max(round(10.0 ** rng.uniform(0.3, 6.0)), 2), 10**6)
+        n_b = rng.randint(1, n_a - 1)
+        n_e = rng.randint(1, min(n_a, 8)) if i % 2 else round(n_a ** rng.random())
+        yield ratios(n_a, n_b, n_e, *(10.0 ** rng.uniform(-4.0, 8.0) for _ in range(3)))
+
+
+def balance(r, d):
+    """solve_delta's balance g(d) in floats, written through eta_of_delta."""
+    return r.beta1 * (1.0 - eta_of_delta(d, r)) - (1.0 - d)
+
+
+def balance_root(r, dps=50):
+    """The root of the same balance at dps digits: the doubles the solver
+    forms (the two scales, the weight 1/beta2 and beta1) taken exactly."""
+    with mp.workdps(dps):
+        a, b = (mp.mpf(s) for s in (r.p_u / (r.gamma * r.beta3), r.p_v / (r.gamma * r.rho)))
+        w, beta1 = mp.mpf(1.0 / r.beta2), mp.mpf(r.beta1)
+
+        def g(d):
+            return beta1 * (1 - w / (1 + d * a) - (1 - w) / (1 + d * b)) - (1 - d)
+
+        return mp.findroot(g, (mp.mpf(1e-15), mp.mpf(1)), solver="anderson")
+
+
+def check_solve_delta(seed, count):
+    """Hold solve_delta to reference_solve_delta over wide_ratios(seed,
+    count): the same value or error wherever the reference does not stall,
+    and where it does, delta within 1e-9 relative of balance_root with the
+    residual |g(delta)|. Returns the number of stalls."""
+    stalls = 0
+    for r in wide_ratios(seed, count):
+        want = outcome(reference_solve_delta, r)
+        got = outcome(solve_delta, r)
+        if isinstance(want, tuple) and want[1].startswith("bisection stalled"):
+            stalls += 1
+            root = balance_root(r)
+            assert abs(got.delta - root) <= 1e-9 * root, r
+            assert got.residual == abs(balance(r, got.delta)), r
+        else:
+            assert got == want, r
+    return stalls
+
+
 class TestSolveDelta:
     def test_residual_invariant_random(self):
         rng = random.Random(5)
@@ -278,6 +328,12 @@ class TestSolveDelta:
         for n_a, n_b, alpha, beta, gamma, rng in random_configs(7, 300):
             r = ratios(n_a, n_b, rng.randint(1, 40), alpha, beta, gamma)
             assert outcome(solve_delta, r) == outcome(reference_solve_delta, r), r
+
+    def test_matches_reference_up_to_a_million_antennas(self):
+        # the reference stalls where g's slope, about beta1 = n_a/n_e,
+        # leaves no double within the tolerance; solve_delta then stops on
+        # its closed bracket and agrees with it everywhere else
+        assert check_solve_delta(17, 2000) >= 100
 
     def test_equal_scale_helper_rejects_mismatch(self):
         r = ratios(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0)
@@ -336,6 +392,15 @@ class TestPsi:
     def test_zero_snr(self):
         c = SystemConfig(n_a=6, n_b=3, n_e=4, alpha=0.0, beta=0.5, gamma=2.0)
         assert asymptotic_average_rate(c) == 0.0
+
+    def test_steep_antenna_ratio_tracks_exact_rate(self):
+        # n_a/n_e = 16000, where the fixed point's bisection ends on a
+        # closed bracket: the limit still matches the exact rate
+        c = SystemConfig(n_a=16000, n_b=1, n_e=1, alpha=100.0, beta=1.0, gamma=1.0)
+        with pytest.raises(NoRootError, match="^bisection stalled at residual"):
+            reference_solve_delta(AsymptoticRatios.from_config(c))
+        exact = average_secrecy_rate(c)
+        assert abs(asymptotic_average_rate(c) - exact) <= 1e-9 * abs(exact)
 
     @pytest.mark.parametrize(
         "alpha, beta, gamma", [(4.0, 2.0, 4.0), (2.0, 0.5, 2.0), (10.0, 1.0, 1.0)]
@@ -496,6 +561,14 @@ class TestDesignScan:
         assert critical_eve_antennas(6, 3, **EXAMPLE3, max_eve_antennas=10**12) == (12, 16)
         assert time.perf_counter() - start < 1.0
         assert stops == [17]
+
+    def test_documented_cap_limit_stops_early(self, monkeypatch):
+        # at the largest cap the docstring recommends, 10**14, the
+        # rounding term is 2.8 and both margins fall below the slack
+        # within a few hundred steps (at 5*10**14 only after 30 s or more)
+        stops = spy_stops(monkeypatch, limit=1000)
+        assert critical_eve_antennas(6, 3, **EXAMPLE3, max_eve_antennas=10**14) == (12, 16)
+        assert stops == [211]
 
     def test_margins_fall_past_n_a(self):
         # the premise of the scan's early stop: from n_a on each float

@@ -14,6 +14,7 @@ import pytest
 from anmimo import (
     NumericError,
     SystemConfig,
+    asymptotic_average_rate,
     average_secrecy_rate,
     mc_average_secrecy_rate,
     theta,
@@ -156,6 +157,18 @@ class TestRate:
         code, out, err = run_main(capsys, argv + [write(tmp_path, "p.cfg", text.format(146))])
         assert code == 0 and err == ""
         assert math.isfinite(float(parse_csv(out)[1][0]["asymptotic"]))
+
+    def test_asymptotic_at_a_steep_antenna_ratio(self, capsys, tmp_path):
+        # n_a/n_e = 20000: no double meets the fixed point's tolerance, and
+        # the bisection ends where its bracket closes
+        text = "n_a = 40000\nn_b = 3\nn_e = 2\nalpha_db = 10\nbeta = 1\ngamma = 1\n"
+        argv = ["rate", "--outputs", "asymptotic,delta_amax,delta_amin", "--config"]
+        code, out, err = run_main(capsys, argv + [write(tmp_path, "p.cfg", text)])
+        assert code == 0 and err == ""
+        (row,) = parse_csv(out)[1]
+        want = asymptotic_average_rate(SystemConfig(40000, 3, 2, 10.0, 1.0, 1.0))
+        assert float(row["asymptotic"]) == pytest.approx(want, rel=1e-11)
+        assert float(row["delta_amax"]) == float(row["delta_amin"]) > 0.0
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_main(capsys, ["rate", "--config", "/nonexistent/x.cfg"])

@@ -43,11 +43,14 @@ from anmimo import closed_form
 from closed_form_reference import (
     cramer_matrices,
     eve_levels,
+    frullani_points,
     omega_by_cramer,
+    omega_by_frullani,
     omega_sum,
     published_coeffs,
     rate_reference,
     theta_by_published_sum,
+    theta_by_telatar,
 )
 
 
@@ -131,6 +134,12 @@ class TestTheta:
         for x in (0.3, 1.0, 2.0, 7.5):
             expect = float(mp.quad(lambda s: mp.log1p(x * s) * mp.exp(-s), [0, mp.inf]))
             assert theta(1, 1, x) == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 4), (3, 6), (4, 4), (4, 8), (8, 8)])
+    def test_equals_telatar_integral(self, m, n):
+        # a reference with no E1 ladder: the eigenvalue density's integral
+        for x in (1e-3, 0.5, 4.0, 1e3):
+            assert theta(m, n, x) == theta_by_telatar(m, n, x), x
 
     def test_against_mc_oracle_small(self):
         for m, n, x in ((1, 1, 2.0), (2, 3, 4.0)):
@@ -268,6 +277,12 @@ class TestOmega:
     def test_equal_ratio_branch_reduces_to_theta(self):
         c = cfg(4, 2, 2, alpha=1.0, beta=1.0, gamma=1.0)
         assert omega(c) == theta(2, 4, 1.0)
+
+    def test_one_eve_antenna_equals_frullani_integral(self):
+        # a reference with no E1 ladder and no determinant expansion
+        for n_a, n_b, alpha, beta in frullani_points(5, 20):
+            c = cfg(n_a, n_b, 1, alpha, beta, gamma=1.0)
+            assert omega(c) == omega_by_frullani(n_a, n_b, alpha, beta), c
 
     def test_against_two_level_oracle(self):
         c = cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=1.0)

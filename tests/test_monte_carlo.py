@@ -6,6 +6,7 @@ counts) are exact. The rates, computed from h and g alone, are checked
 against rates through an explicit SVD precoding basis.
 """
 
+import io
 import math
 import os
 import subprocess
@@ -666,6 +667,73 @@ class TestWorkerCount:
             assert mc._worker_count() == len(os.sched_getaffinity(0))
         else:
             assert mc._worker_count() == os.cpu_count()
+
+    def test_default_without_affinity_is_cpu_count(self, monkeypatch):
+        # platforms without sched_getaffinity count the CPUs, and at least 1
+        monkeypatch.delenv("ANMIMO_WORKERS", raising=False)
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+        assert mc._worker_count() == 3
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc._worker_count() == 1
+
+
+class TestLinAlgFailures:
+    # a LinAlgError from LAPACK reaches the caller as NumericError
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        def fail(name):
+            def raising(*args, **kwargs):
+                raise np.linalg.LinAlgError("synthetic failure")
+
+            monkeypatch.setattr(np.linalg, name, raising)
+
+        return fail
+
+    def test_gram_cholesky(self, failing):
+        failing("cholesky")
+        b = np.ones((2, 3, 4), dtype=complex)
+        with pytest.raises(NumericError, match="^Gram factorization failed: synthetic failure$"):
+            mc._logdet_lapack(b)
+
+    def test_rank_check_svd(self, failing):
+        h, _ = batch(BASE, 3, 100, 5)
+        h = h.copy()
+        h[2, 1] = h[2, 0]  # an unclear bound sends trial 102 to the SVD
+        r = np.linalg.qr(mc._herm(h), mode="r")
+        failing("svd")
+        with pytest.raises(NumericError, match="^rank check failed near trial 100: synthetic failure$"):
+            mc._check_rank(r, 100)
+
+    def test_basis_qr(self, failing):
+        h, _ = batch(BASE, 3, 100, 5)
+        failing("qr")
+        with pytest.raises(NumericError, match="^QR basis failed near trial 100: synthetic failure$"):
+            mc._precoding_basis(h, BASE.n_b, 100)
+
+
+class TestBlasDiscovery:
+    # the fallbacks where no OpenBLAS can be driven; none needs one loaded
+    def test_unreadable_maps_find_nothing(self, monkeypatch):
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(_blas_threads, "open", unreadable, raising=False)
+        assert _blas_threads._loaded_openblas() == ()
+
+    def test_unopenable_mapping_is_skipped(self, monkeypatch):
+        # a mapped path that no longer opens (deleted or replaced since)
+        line = "7f0000000000-7f0000001000 r-xp 00000000 00:00 0 /nonexistent/libopenblas.so.0\n"
+        monkeypatch.setattr(_blas_threads, "open", lambda path: io.StringIO(line), raising=False)
+        assert _blas_threads._loaded_openblas() == ()
+
+    def test_no_openblas_leaves_the_function_alone(self, monkeypatch):
+        monkeypatch.setattr(_blas_threads, "_SCOPE", _blas_threads._OneThread(()))
+
+        def fn():
+            return 1
+
+        assert _blas_threads.one_blas_thread(fn) is fn
 
 
 def thread_counts():
