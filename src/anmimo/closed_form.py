@@ -26,13 +26,17 @@ Numerical notes, since both closed forms are badly alternating sums:
   depend on the shape alone and are cached per ordered shape
   (min(m, n), max(m, n)). The weights are homogeneous of degree 0 in the
   levels, so they are Python ints over one denominator per level, built
-  from the levels scaled to integers.
+  from the levels scaled to integers. The residues are summed along
+  diagonals of equal rung, and each rung's power of the level multiplies
+  in once, so a level of multiplicity m costs O(n_a m) products with one
+  small factor and O(n_e + m) products of two big integers.
 * The ladder T_t = (1 - b T_{t-1}) / t is folded exactly in integers at
-  the exact level b, which leaves one transcendental T_0 = exp(b) E1(b)
-  per level. An attempt rounds T_0, and each folded term to a fixed
-  point, with a proven bound on both; one correctly rounded division
-  gives the double. The sum cancels heavily (plain compensated double
-  summation of theta loses all 16 digits at m = n = 16, x = 0.05;
+  the exact level b, in one pass per level for all its weight vectors,
+  which leaves one transcendental T_0 = exp(b) E1(b) per level. An
+  attempt rounds T_0, and each folded term to a fixed point, with a
+  proven bound on both; one correctly rounded division gives the
+  double. The sum cancels heavily (plain compensated double summation
+  of theta loses all 16 digits at m = n = 16, x = 0.05;
   omega's weights grow like (mu1 / (mu1 - mu2))^(n_a - 1) as the two
   eigenvalue groups merge, and low SNR, b >> 1, grows the folded terms
   like b^t / t!). So each level's T_0 is first rounded 100 bits beyond
@@ -57,8 +61,7 @@ Numerical notes, since both closed forms are badly alternating sums:
   theta. The rate and its bounds add no doubles, so near zero the rate
   has its true sign, and since rounding is monotone, the three correctly
   rounded sums keep lower <= exact <= upper exactly. The sums of one
-  call fold each shared term once and round T_0 once per level and
-  attempt.
+  call fold each level once and round T_0 once per level and attempt.
 * The exponential prefactor of the published theta sum appears with a
   negative exponent; the m = n = 1 reduction E[ln(1+x|g|^2)] =
   exp(1/x) E1(1/x) and Monte Carlo both fix the true sign as positive,
@@ -164,6 +167,23 @@ def _ladder_weights(n_a: int, n_e: int, levels):
     kappa_{q,j} at A_l, j < m_l, follow by a short recurrence, and
     w_{l,phi} = sum_{k,d: b_k + d = phi} (-1)^d C(phi, d) A_l^-(phi+1)
     kappa_{q_k, m_l - 1 - d}.
+
+    The sums run along diagonals, so a level takes O(n_a m_l) products
+    with one small factor (A_l, g = A_l - A_other or a binomial) and
+    O(n_e + m_l) of two big ones. With c = max(0, n_e - m_l + 1),
+    kappa_{q,j} = (-1)^(m_l-1+j) A_l^c g^(m_l-1-j) k_{q,j} for integers
+    k_{q,j} far smaller than kappa: k_{n_a-1} is
+    (-1)^(m_l-1) C(n_e, i) A_l^(n_e-c-i) (-g)^i, i <= min(m_l - 1, n_e),
+    after m_other prefix sums (the Taylor coefficients of
+    (z - A_other)^-m_other), and
+    k_{q,j} = A_l k_{q+1,j} - g k_{q+1,j-1} + Q_{q+1} k_{n_a-1,j}. Then
+    w_{l,phi} A_l^(top+1) = A_l^(top-phi+c) s_phi, top = n_e + m_l - 2,
+    where the signs cancel in s_phi = sum_{k,d} C(phi, d) g^d
+    k_{q_k, m_l-1-d}. Each b_k in turn takes s_phi to g s_phi plus its
+    term (Horner's rule in g along the diagonal, with C(b_k + 1 + d, d)
+    from C(b_k + d, d) by Pascal's rule), which leaves
+    g^max(0, phi - n_e + 1) to multiply in once per rung with the power
+    of A_l.
     """
     p = min(n_e, n_a)
     base = n_e - p
@@ -179,36 +199,30 @@ def _ladder_weights(n_a: int, n_e: int, levels):
     out = []
     for a, m in levels:
         other, m_other = next(((o, mo) for o, mo in levels if o != a), (a - 1, 0))
+        gap = a - other
         top = n_e + m - 2
-        a_pow = list(accumulate([a] * (top + 1), operator.mul, initial=1))
-        gap_pow = list(accumulate([a - other] * (n_a - 1), operator.mul, initial=1))
-        # Taylor coefficients at A of z^n_e (z - A_other)^-m_other, times
-        # gap^(n_a - 1); C(n_e, i) vanishes for i > n_e, and
-        # C(m_other - 1 + k, k) for k > 0 at an empty level
-        e = [
-            sum(
-                math.comb(n_e, i) * a_pow[n_e - i]
-                * (-1) ** (j - i) * (math.comb(m_other - 1 + j - i, j - i) if j > i else 1)
-                * gap_pow[m - 1 - j + i]
-                for i in range(min(j, n_e) + 1)
-            )
-            for j in range(m)
-        ]
-        kappa = e
-        nums = [0] * (top + 1 - base)
+        c = max(0, n_e - m + 1)
+        a_pow = list(accumulate([a] * (top + c + 1), operator.mul, initial=1))
+        gap_pow = list(accumulate([gap] * (n_a - 1), operator.mul, initial=1))
+        # k_{n_a-1}: (-1)^(m-1) C(n_e, i) A^(n_e-c-i) (-g)^i, then m_other prefix sums
+        e = [math.comb(n_e, i) * a_pow[n_e - c - i] * gap_pow[i] for i in range(min(m - 1, n_e) + 1)]
+        e[m % 2 :: 2] = [-x for x in e[m % 2 :: 2]]
+        e += [0] * (m - len(e))
+        for _ in range(m_other):
+            e = list(accumulate(e))
+        k, diag, row = e, [0] * (top + 1 - base), [math.comb(base + d, d) for d in range(m)]
         for q in range(n_a - 1, -1, -1):
             if q < n_a - 1:
                 # z K_{q+1} at z = A + (z - A), plus Q_{q+1} z^n_e / w_l
-                kappa = [
-                    a * k + k_prev + q_poly[q + 1] * e_j
-                    for k, k_prev, e_j in zip(kappa, [0] + kappa, e)
-                ]
+                q_c = q_poly[q + 1]
+                k = [a * k_j - gap * k_prev + q_c * e_j for k_j, k_prev, e_j in zip(k, [0] + k, e)]
             if q < p:
-                b = n_e - 1 - q
-                for d in range(m):
-                    nums[b + d - base] += (
-                        (-1) ** d * math.comb(b + d, d) * a_pow[top - b - d] * kappa[m - 1 - d]
-                    )
+                lo = p - 1 - q  # b_k - base
+                diag[lo : lo + m] = [
+                    s * gap + r * k_j for s, r, k_j in zip(diag[lo : lo + m], row, reversed(k))
+                ]
+                row = list(accumulate(row))  # C(b + 1 + d, d) by Pascal's rule
+        nums = [a_pow[top - phi + c] * gap_pow[max(0, phi - n_e + 1)] * s for phi, s in enumerate(diag, base)]
         rungs = list(accumulate(reversed(nums)))[::-1]
         out.append(([rungs[0]] * base + rungs, a_pow[top + 1] * gap_pow[n_a - 1]))
     return out
@@ -220,24 +234,36 @@ def _theta_coeffs(m: int, n: int):
     return _ladder_weights(m, n, (((1, 1), m),))[0]
 
 
-def _fold(b, coeffs, den: int):
-    """sum_t coeffs[t] / den T_t(b) as integers (S_P, S_Q, D), exactly (S_P + S_Q T_0(b)) / D.
+def _fold(b, vectors):
+    """Each sum_t coeffs[t] / den T_t(b) on one level as (S_P, S_Q, D), exactly (S_P + S_Q T_0(b)) / D.
 
-    With b = num / d, an integer pair, T_t = (1 - b T_{t-1}) / t gives
+    vectors holds the level's (coeffs, den) pairs. With b = num / d, an
+    integer pair, T_t = (1 - b T_{t-1}) / t gives
     d^t t! T_t = V_t + (-num)^t T_0, where V_0 = 0 and
     V_t = (t-1)! d^t - num V_{t-1}, so Horner's rule over the common
-    denominator D = den d^top top! takes O(top) integer steps.
+    denominator D = den d^top top! takes O(top) integer steps. V_t,
+    (-num)^t and the step t d depend on the level alone, so one pass
+    forms them for every vector of the level.
     """
     num, b_den = b
-    s_p, s_q, v, power, lead = 0, coeffs[0], 0, 1, b_den
-    for t, c in enumerate(coeffs[1:], 1):
-        v = lead - num * v
+    v, power, scale, steps, vs, powers, scales = 0, 1, 1, [], [], [], [1]
+    for t in range(1, max(len(coeffs) for coeffs, _ in vectors)):
+        step = t * b_den
+        v = scale * b_den - num * v
         power *= -num
-        lead *= t * b_den
-        den *= t * b_den
-        s_p = s_p * t * b_den + c * v
-        s_q = s_q * t * b_den + c * power
-    return s_p, s_q, den
+        scale *= step  # t! d^t
+        steps.append(step)
+        vs.append(v)
+        powers.append(power)
+        scales.append(scale)
+    out = []
+    for coeffs, den in vectors:
+        s_p, s_q = 0, coeffs[0]
+        for step, v, power, c in zip(steps, vs, powers, coeffs[1:]):
+            s_p = s_p * step + c * v
+            s_q = s_q * step + c * power
+        out.append((s_p, s_q, den * scales[len(coeffs) - 1]))
+    return out
 
 
 def _first_prec(folds) -> int:
@@ -409,10 +435,11 @@ def _ladder_sums(what: str, sums) -> list:
     """Each sum of signed ladder terms, as its correctly rounded double.
 
     A term (sign, b, coeffs, den) stands for
-    sign * sum_t coeffs[t] / den T_t(b). Each distinct (level, weight
-    vector) folds once, exactly, to (S_P + S_Q T_0(b)) / D (_fold); a
-    weight vector is one object wherever it recurs (theta's are cached per
-    shape, omega's built once per call), so identity finds the repeats.
+    sign * sum_t coeffs[t] / den T_t(b). One _fold pass per level folds
+    each distinct weight vector on it once, exactly, to
+    (S_P + S_Q T_0(b)) / D; a weight vector is one object wherever it
+    recurs (theta's are cached per shape, omega's built once per call),
+    so identity finds the repeats.
     Within a sum a repeated term adds its signs, so theta(x) - theta(x)
     is the empty sum, exactly 0. Each level's first precision is
     _first_prec over all its folds, fixed for the call, so every retry
@@ -425,14 +452,18 @@ def _ladder_sums(what: str, sums) -> list:
     or zero costs another attempt, not a wrong last bit or sign. what
     names the quantity in the error raised when no attempt settles.
     """
-    folds, merged = {}, []
+    vectors, merged = {}, []
     for terms in sums:
         merged.append({})
         for sign, b, coeffs, den in terms:
             key = b, id(coeffs)
-            folds[key] = folds.get(key) or (b, *_fold(b, coeffs, den))
+            vectors.setdefault(b, {})[key] = coeffs, den
             merged[-1][key] = merged[-1].get(key, 0) + sign
-    first = {b: _first_prec([f for f in folds.values() if f[0] == b]) for b in {k[0] for k in folds}}
+    folds, first = {}, {}
+    for b, level in vectors.items():
+        level_folds = [(b, *f) for f in _fold(b, list(level.values()))]
+        folds.update(zip(level, level_folds))
+        first[b] = _first_prec(level_folds)
     signed = [[(sign, folds[k], first[k[0]]) for k, sign in m.items() if sign] for m in merged]
     values = [None if terms else 0.0 for terms in signed]
     scale = 1
@@ -519,8 +550,8 @@ def _rate_values(what: str, cfg: SystemConfig, names) -> dict:
     the larger (lower) or smaller (upper) of alpha and alpha beta; each
     theta takes its channel's own shape. Only the named sums are built, so
     the bounds need no omega weights; asked together, the sums fold each
-    shared term once and round T_0 once per level and attempt. what names
-    the caller in errors.
+    level once and round T_0 once per level and attempt. what names the
+    caller in errors.
     """
     bob = _theta_terms(1, cfg.n_b, cfg.n_a, cfg.alpha * cfg.gamma, "alpha * gamma")
     shared = bob + _theta_terms(1, cfg.n_e, cfg.n_a - cfg.n_b, cfg.alpha * cfg.beta, "alpha * beta")
@@ -565,9 +596,16 @@ def eve_leakage_upper_bound(cfg: SystemConfig) -> float:
     """Upper bound on the information rate leaked to the eavesdropper.
 
     n_e ln(1 + alpha n_b) plus the drop in the artificial-noise term when
-    its scale is divided by (1 + alpha n_b), the drop one correctly
-    rounded sum. Nonnegative; tends to zero as alpha and beta grow with
-    n_e <= n_a - n_b.
+    its scale is divided by D = 1 + alpha n_b. The exact bound is
+    nonnegative, since ln(1 + s l) - ln(1 + s l / D) <= ln D for each of
+    at most n_e eigenvalues l, and it tends to zero as alpha and beta grow
+    with n_e <= n_a - n_b. The double returned is not that bound correctly
+    rounded: the drop is one correctly rounded sum, but at the rounded
+    level alpha beta / D, and the rounded n_e log1p(alpha n_b) is added to
+    it in floating point. Where the two cancel it can be off by many ulps
+    (1,683 at (6,1,4), alpha 0.133, beta 9532), and by up to about 6e-5
+    relative for bounds near 1e-11 nats; nothing keeps such a small value
+    from coming out below zero.
     """
     damp = 1.0 + cfg.alpha * cfg.n_b
     if damp == math.inf:
@@ -582,6 +620,6 @@ def rate_report(cfg: SystemConfig) -> RateReport:
     """Exact rate, both bounds, and the legitimate capacity in one record.
 
     The four sums share their levels and terms, so one evaluation folds
-    each term once and rounds T_0 once per level and attempt.
+    each level once and rounds T_0 once per level and attempt.
     """
     return RateReport(**_rate_values("rate_report", cfg, RateReport.__annotations__))

@@ -8,6 +8,10 @@ bound is the difference of these terms summed at dps digits (600 unless
 the caller raises it; the tests use 1200 past n = 16) and rounded to a
 double once.
 
+ladder_weights_reference keeps the module's earlier product form of
+omega's rung weights, which the module's diagonal form must equal
+integer for integer.
+
 Two further references share no method with either: theta as Telatar's
 Laguerre-kernel integral over the eigenvalue density, and omega at one
 eavesdropper antenna as a Frullani integral. Both are one mp.quad each,
@@ -16,6 +20,7 @@ rounded to a double once.
 
 import functools
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -51,6 +56,89 @@ def published_coeffs(m, n):
                 )
                 tails[n - m + i] += Fraction(num, den)
     return list(accumulate(reversed(tails)))[::-1]
+
+
+def ladder_weights_reference(n_a: int, n_e: int, levels):
+    """Exact rung weights of omega at one or two levels, as integers per level.
+
+    The product form that anmimo.closed_form._ladder_weights replaced:
+    one C(b + d, d) A^(top - b - d) kappa product per (q, d) term, and
+    each e_j summed from fresh binomials. The module's diagonal form must
+    give these integers exactly.
+
+    levels holds one or two distinct rational (mu_l, m_l), in any order,
+    each mu_l an integer pair (numerator, denominator), with
+    multiplicities summing to n_a. For each level returns (coeffs,
+    denominator): omega is
+    sum_{l,t} coeffs_l[t] / denominator_l T_t(mu_l), t = 0 .. n_e + m_l - 2.
+    The weights are homogeneous of degree 0 in the levels, so the A_l are
+    the levels scaled to coprime integers by the lcm of their denominators
+    (A = 1 for one level) and each denominator is
+    A_l^(n_e + m_l - 1) (A_l - A_other)^(n_a - 1). One level is the case
+    with an empty other level (m = 0) one unit below, so theta's weights
+    come from here too and depend on the shape alone.
+
+    omega is sum_{l,phi} w_{l,phi} tail_l(phi) over the E1 tail sums
+    tail_l(phi) = sum_{t <= phi} T_t(mu_l), phi = n_e - p .. n_e + m_l - 2,
+    so the weight of rung t is the suffix sum of the w_{l,phi} over
+    phi >= t. x_kk is the coefficient of z^q, q = p - 1 - k, of the Hermite
+    interpolant of z^q tail_{b_k}(z), b_k = n_e - p + k, on the nodes of
+    Q(z) = prod_l (z - A_l)^m_l, which by residues is
+    sum_l Res_{A_l} z^q tail_{b_k}(z) R_q(z) / Q(z) with
+    R_q = sum_{j > q} Q_j z^(j - q - 1). With w_l the other level's factor
+    of Q, K_q = z^n_e R_q / w_l obeys K_{n_a - 1} = z^n_e / w_l and
+    K_q = z K_{q+1} + Q_{q+1} z^n_e / w_l, so its Taylor coefficients
+    kappa_{q,j} at A_l, j < m_l, follow by a short recurrence, and
+    w_{l,phi} = sum_{k,d: b_k + d = phi} (-1)^d C(phi, d) A_l^-(phi+1)
+    kappa_{q_k, m_l - 1 - d}.
+    """
+    p = min(n_e, n_a)
+    base = n_e - p
+    ratios = [mu for mu, _ in levels]
+    scale = math.lcm(*(d for _, d in ratios))
+    scaled = [n * (scale // d) for n, d in ratios]
+    g = math.gcd(*scaled)
+    levels = [(a // g, m) for a, (_, m) in zip(scaled, levels)]
+    q_poly = [1]  # coefficients of Q, lowest first
+    for a, m in levels:
+        for _ in range(m):
+            q_poly = [c - a * c_next for c, c_next in zip([0] + q_poly, q_poly + [0])]
+    out = []
+    for a, m in levels:
+        other, m_other = next(((o, mo) for o, mo in levels if o != a), (a - 1, 0))
+        top = n_e + m - 2
+        a_pow = list(accumulate([a] * (top + 1), operator.mul, initial=1))
+        gap_pow = list(accumulate([a - other] * (n_a - 1), operator.mul, initial=1))
+        # Taylor coefficients at A of z^n_e (z - A_other)^-m_other, times
+        # gap^(n_a - 1); C(n_e, i) vanishes for i > n_e, and
+        # C(m_other - 1 + k, k) for k > 0 at an empty level
+        e = [
+            sum(
+                math.comb(n_e, i) * a_pow[n_e - i]
+                * (-1) ** (j - i) * (math.comb(m_other - 1 + j - i, j - i) if j > i else 1)
+                * gap_pow[m - 1 - j + i]
+                for i in range(min(j, n_e) + 1)
+            )
+            for j in range(m)
+        ]
+        kappa = e
+        nums = [0] * (top + 1 - base)
+        for q in range(n_a - 1, -1, -1):
+            if q < n_a - 1:
+                # z K_{q+1} at z = A + (z - A), plus Q_{q+1} z^n_e / w_l
+                kappa = [
+                    a * k + k_prev + q_poly[q + 1] * e_j
+                    for k, k_prev, e_j in zip(kappa, [0] + kappa, e)
+                ]
+            if q < p:
+                b = n_e - 1 - q
+                for d in range(m):
+                    nums[b + d - base] += (
+                        (-1) ** d * math.comb(b + d, d) * a_pow[top - b - d] * kappa[m - 1 - d]
+                    )
+        rungs = list(accumulate(reversed(nums)))[::-1]
+        out.append(([rungs[0]] * base + rungs, a_pow[top + 1] * gap_pow[n_a - 1]))
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -44,6 +44,7 @@ from closed_form_reference import (
     cramer_matrices,
     eve_levels,
     frullani_points,
+    ladder_weights_reference,
     omega_by_cramer,
     omega_by_frullani,
     omega_sum,
@@ -450,6 +451,31 @@ class TestOmega:
                     (c1, den1), (c2, den2) = closed_form._ladder_weights(n_a, n_e, levels)
                     total = c1[0] * den2 + c2[0] * den1
                     assert total == min(n_e, n_a) * den1 * den2, (n_a, n_b, n_e)
+
+    def test_weights_equal_the_product_form(self):
+        # the diagonal sums give the product form's integers exactly, on
+        # every shape up to n_a = n_e = 24: one level at 1 and at a drawn
+        # level, and two levels drawn over twelve decades, once apart and
+        # once nearly merged
+        rng = random.Random(33)
+
+        def level():
+            return (10 ** rng.uniform(-6, 6)).as_integer_ratio()[::-1]
+
+        for n_a in range(1, 25):
+            for n_e in range(1, 25):
+                cases = [(((1, 1), n_a),), ((level(), n_a),)]
+                if n_a > 1:
+                    n_b = rng.randint(1, n_a - 1)
+                    x = 10 ** rng.uniform(-6, 6)
+                    for y in (10 ** rng.uniform(-6, 6), x * (1 + 10 ** rng.uniform(-12, -3))):
+                        levels = (x.as_integer_ratio()[::-1], n_b), (y.as_integer_ratio()[::-1], n_a - n_b)
+                        cases.append(levels)
+                for levels in cases:
+                    want = ladder_weights_reference(n_a, n_e, levels)
+                    assert closed_form._ladder_weights(n_a, n_e, levels) == want, (n_a, n_e, levels)
+        levels = ((2.0 ** 0.5).as_integer_ratio()[::-1], 24), ((10 ** 0.4).as_integer_ratio()[::-1], 24)
+        assert closed_form._ladder_weights(48, 60, levels) == ladder_weights_reference(48, 60, levels)
 
     def test_matches_cramer_reference_bitwise(self):
         for n_a, n_b, n_e, alpha, beta in reference_configs(16, 60):
@@ -914,55 +940,69 @@ class TestRateReport:
     def test_each_theta_term_computed_once(self, monkeypatch):
         # the record's four sums hold six distinct terms (bob, AN, omega's
         # two levels, theta_hat at each scale) on three levels, 1/(alpha
-        # gamma), 1/alpha and 1/(alpha beta): each term folds once, and the
-        # one attempt rounds T_0 once per level
+        # gamma), 1/alpha and 1/(alpha beta): each level folds once, each
+        # term in its level's pass once, and the one attempt rounds T_0
+        # once per level
         c = cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0)
         folds = counting(monkeypatch, "_fold")
         t0s = counting(monkeypatch, "_exp_e1")
         attempts = counting(monkeypatch, "_fold_sums")
         rep = rate_report(c)
-        assert (len(folds), len(attempts)) == (6, 1)
+        assert (len(folds), len(attempts)) == (3, 1)
+        # bob alone at 1/4; omega's data level and theta_hat at 1/2; AN,
+        # omega's noise level and theta_hat at 1
+        assert sorted((b, len(vectors)) for b, vectors in folds) == [((1, 1), 3), ((1, 2), 2), ((1, 4), 1)]
         assert sorted(args[:2] for args in t0s) == [(1, 1), (1, 2), (1, 4)]
         assert (rep.exact, rep.lower, rep.upper, rep.bob_capacity) == rate_reference(c)
 
     def test_bounds_share_theta_at_beta_one(self, monkeypatch):
         # at beta = 1 omega's two levels are one, so the rate and both
         # bounds are the one sum bob + AN - theta(n_e, n_a, alpha): three
-        # terms on two levels, and three equal values
+        # terms on two levels, one fold pass per level, and three equal
+        # values
         c = cfg(6, 3, 4, alpha=2.0, beta=1.0, gamma=2.0)
         want = rate_reference(c)
         assert want[0] == want[1] == want[2]
         folds = counting(monkeypatch, "_fold")
         t0s = counting(monkeypatch, "_exp_e1")
         rep = rate_report(c)
-        assert (len(folds), len(t0s)) == (3, 2)
+        assert (len(folds), sum(len(vectors) for _, vectors in folds), len(t0s)) == (2, 3, 2)
         assert (rep.exact, rep.lower, rep.upper, rep.bob_capacity) == want
         row = run_point(c, ["exact", "lower", "upper"])
-        assert (len(folds), len(t0s)) == (6, 4)
+        assert (len(folds), sum(len(vectors) for _, vectors in folds), len(t0s)) == (4, 6, 4)
         assert (row["exact"], row["lower"], row["upper"]) == want[:3]
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.0 + 1e-7])
     def test_memo_is_invisible(self, monkeypatch, beta):
-        # the memos left are theta's weights per shape and the constants
-        # of T_0: cold or warm they give the 600-digit reference's bits, and
-        # the argument checks run before them, so a bad argument raises
-        # either way
-        c = cfg(6, 3, 4, alpha=2.0, beta=beta, gamma=2.0)
-        want = [v.hex() for v in rate_reference(c)]
+        # the memos left are theta's weights per shape, built on first use
+        # by the same diagonal sums as omega's, and the constants of T_0:
+        # cold, warm, or warmed through the mirrored shapes they give the
+        # 600-digit reference's bits, and the argument checks run before
+        # them, so a bad argument raises either way. (6,3,9) has n_e > n_a,
+        # where the rungs below n_e - n_a share one weight, and in (8,6,2)
+        # n_e < m - 1, where no power of A is common to a level's e_j
+        for shape in ((6, 3, 4), (6, 3, 9), (8, 6, 2)):
+            c = cfg(*shape, alpha=2.0, beta=beta, gamma=2.0)
+            want = [v.hex() for v in rate_reference(c)]
 
-        def report():
-            rep = rate_report(c)
-            return [v.hex() for v in (rep.exact, rep.lower, rep.upper, rep.bob_capacity)]
+            def report():
+                rep = rate_report(c)
+                return [v.hex() for v in (rep.exact, rep.lower, rep.upper, rep.bob_capacity)]
 
-        def row():
-            got = run_point(c, ["exact", "lower", "upper", "asymptotic"])
-            return [got[k].hex() for k in ("exact", "lower", "upper")] + want[3:]
+            def row():
+                got = run_point(c, ["exact", "lower", "upper", "asymptotic"])
+                return [got[k].hex() for k in ("exact", "lower", "upper")] + want[3:]
 
-        for call in (report, row):
-            closed_form._theta_coeffs.cache_clear()
-            monkeypatch.setattr(closed_form, "_CONSTANTS", {})
-            assert call() == want
-            assert call() == want
+            for call in (report, row):
+                closed_form._theta_coeffs.cache_clear()
+                monkeypatch.setattr(closed_form, "_CONSTANTS", {})
+                assert call() == want, shape
+                assert call() == want, shape
+                closed_form._theta_coeffs.cache_clear()
+                for m, n in ((c.n_a, c.n_b), (c.n_a - c.n_b, c.n_e), (c.n_a, c.n_e)):
+                    theta(m, n, 1.0)
+                assert closed_form._theta_coeffs.cache_info().currsize == 3
+                assert call() == want, shape
         theta(2, 3, 1.0)
         theta(3, 3, 1.0)
         with pytest.raises(DomainError):
@@ -1008,13 +1048,15 @@ class TestRateReport:
     def test_run_point_builds_only_what_is_asked(self, monkeypatch, outputs, folds, two_level):
         # the exact rate alone folds bob, AN and omega's two levels; the
         # bounds alone fold bob, AN and theta_hat at both scales, and build
-        # no two-level weights
+        # no two-level weights; each asks for all three levels, 1/4, 1/2
+        # and 1, one fold pass each
         c = cfg(6, 3, 4, alpha=2.0, beta=0.5, gamma=2.0)
         want = dict(zip(("exact", "lower", "upper"), rate_reference(c)))
         fold_calls = counting(monkeypatch, "_fold")
         weights = counting(monkeypatch, "_ladder_weights")
         row = run_point(c, outputs)
-        assert len(fold_calls) == folds
+        assert len(fold_calls) == 3
+        assert sum(len(vectors) for _, vectors in fold_calls) == folds
         assert sum(len(args[2]) == 2 for args in weights) == two_level
         assert [row[name] for name in outputs if name in want] == [
             want[name] for name in outputs if name in want
