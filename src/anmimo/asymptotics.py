@@ -129,7 +129,9 @@ def phi_func(x: float, y: float) -> float:
     """Almost-sure limit of (1/rows) ln det(I + (x/rows) G G^H), y = cols/rows.
 
     phi_func(0, y) = 0 by continuous extension, and
-    phi_func(x, y) = y phi_func(xy, 1/y) (the two Gram orderings).
+    phi_func(x, y) = y phi_func(xy, 1/y) (the two Gram orderings). For
+    y > 1, 1 + x - f/4 cancels: about 1e-5 relative error at x = 1e12,
+    and NumericError from about x = 6.2e15 at y = 2.27, 1e15 at larger y.
     """
     return _phi(_finite("x", x), _finite("y", y, positive=True))
 

@@ -15,6 +15,8 @@ must be an integer at or above a minimum.
 import math
 import numbers
 
+_MAX_SEED = 2**64  # a seed is a Philox key: 64 unsigned bits
+
 
 class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""

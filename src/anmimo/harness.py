@@ -33,7 +33,7 @@ from .asymptotics import (
     psi,
 )
 from .closed_form import SystemConfig, _rate_values
-from .errors import ConfigError, SweepError
+from .errors import _MAX_SEED, ConfigError, SweepError
 
 LN2 = math.log(2.0)
 
@@ -295,6 +295,8 @@ class SweepSpec:
             raise ConfigError(f"mc_trials must be >= 2, got {self.mc_trials}")
         object.__setattr__(self, "mc_trials", trials)
         seed = _whole_number(self.seed, f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= seed < _MAX_SEED:
+            raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
         object.__setattr__(self, "seed", seed)
         # fail fast if any row cannot even be constructed
         object.__setattr__(self, "configs", tuple(self.config_at(v) for v in values))

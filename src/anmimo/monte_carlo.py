@@ -14,8 +14,8 @@ worker per available core; the ANMIMO_WORKERS environment variable
 narrows or widens that pool. It can never change a result or an output
 byte, only the schedule. Results are bitwise the same for one numpy and
 BLAS build on one CPU kernel. Each worker walks its chunk in slices of at
-most 2**19 words, which bounds memory without touching the per-trial
-values.
+most 8192 trials and at most 2**19 words, which bounds memory without
+touching the per-trial values; every batch below the chunk is one slice.
 
 Every log-det is ln det(I + B B^H) on the smaller side of the Gram, by
 one of two paths that a rule on the shape alone picks (_on_batch_axis:
@@ -66,7 +66,7 @@ import numpy as np
 
 from ._blas_threads import one_blas_thread
 from .closed_form import SystemConfig
-from .errors import ConfigError, DomainError, NumericError, _integer
+from .errors import _MAX_SEED, ConfigError, DomainError, NumericError, _integer
 
 _WORKERS_ENV = "ANMIMO_WORKERS"
 _INV_2_53 = 1.0 / float(2**53)
@@ -74,14 +74,12 @@ _RANK_RTOL = 1e-8
 # an upper bound on cond(h) at most this clears the rank check with a wide
 # margin over 1 / _RANK_RTOL, whatever the rounding in the bound
 _COND_CLEAR = 1e6
-_MAX_SEED = 2**64
 _PHILOX_BLOCKS = 2**256  # Philox's 256-bit block counter
-_SLICE_WORDS = 1 << 19
-# the batch-axis log-det (_on_batch_axis): its largest n (n + 1) m and m,
-# the trials per block, and the trials per tile of the copy into a block
+_SLICE_TRIALS = 8192  # a slice (_chunked) has at most this many trials
+_SLICE_WORDS = 1 << 19  # and at most this many Philox words
+# the batch-axis log-det's largest n (n + 1) m and m, and trials per copied tile
 _BATCH_AXIS_WORK = 120
 _BATCH_AXIS_MAX_M = 20
-_BATCH_AXIS_BLOCK = 8192
 _BATCH_AXIS_TILE = 2048
 
 
@@ -180,24 +178,24 @@ def _trial_gaussians(seed: int, t0: int, nt: int, words_per_trial: int) -> np.nd
 def _chunk_size(words_per_trial: int) -> int:
     # pure function of the trial shape, so chunk boundaries (and therefore
     # the reduction) never depend on trial count or worker count
-    return max(1, min(65536, (1 << 21) // max(1, words_per_trial)))
+    return max(1, min(65536, (1 << 21) // words_per_trial))
 
 
 def _chunked(trials: int, words_per_trial: int, values, finish) -> list:
     """finish(t0, chunk values) for each chunk of trials [0, trials), in chunk order.
 
     A chunk's values are values(s, n) over its slices of trials [s, s+n),
-    each of at most _SLICE_WORDS words, joined in trial order. Per-trial
-    values do not depend on the slicing: each trial has its own counter
-    span, every LAPACK/BLAS call works on one trial's matrices, and the
-    batch-axis log-dets work elementwise across trials. The
-    slices run with numpy's overflow and invalid warnings off, in the
+    each of at most _SLICE_TRIALS trials and _SLICE_WORDS words, joined in
+    trial order. Per-trial values do not depend on the slicing: each trial
+    has its own counter span, every LAPACK/BLAS call works on one trial's
+    matrices, and the batch-axis log-dets work elementwise across trials.
+    The slices run with numpy's overflow and invalid warnings off, in the
     thread that runs the chunk (a pool thread does not inherit its
     caller's errstate): an overflowing Gram leaves inf or nan values,
     which finish refuses by trial.
     """
     size = _chunk_size(words_per_trial)
-    step = max(1, _SLICE_WORDS // (4 * _blocks_per_trial(words_per_trial)))
+    step = max(1, min(_SLICE_TRIALS, _SLICE_WORDS // (4 * _blocks_per_trial(words_per_trial))))
 
     def chunk(t0):
         end = min(t0 + size, trials)
@@ -231,10 +229,10 @@ def _on_batch_axis(rows: int, cols: int) -> bool:
 
 
 def _logdet_eye_plus_gram(b: np.ndarray) -> np.ndarray:
-    """ln det(I + B B^H) for a batch of B, on the smaller side of the Gram.
+    """ln det(I + B B^H) for a (trials, rows, cols) batch of B, on the smaller side.
 
     Shapes that _on_batch_axis admits run an LDL^H elimination on the
-    batch axis (_logdet_batch_axis), _BATCH_AXIS_BLOCK trials at a time,
+    batch axis (_logdet_batch_axis), in one pass over the whole batch,
     with no numpy warning: an overflowing B gives a non-finite log-det.
     The others form one Gram per trial by matmul and factor it by
     LAPACK's Cholesky. At these sizes a LAPACK call costs more than its
@@ -246,21 +244,17 @@ def _logdet_eye_plus_gram(b: np.ndarray) -> np.ndarray:
     n = 3: 0.2-0.3 at m <= 6, 0.5 at m = 8-12, 0.8 at m = 16-20; n = 4:
     0.4-0.6 at m <= 7, 0.7-0.8 at m = 8-10; 0.6-0.8 at (5,5) and (6,6);
     1.1 at (6,8), 1.5 at (8,8) and 2.1 at (6,20). The rule keeps the
-    shapes where the gain is large, and keeps the block's memory (16 n m
-    bytes per trial) small.
+    shapes where the gain is large and the copy small, 16 n m bytes per
+    trial of the slice (_chunked: at most 8192 trials and 2**19 words).
     """
     rows, cols = b.shape[-2], b.shape[-1]
     if not _on_batch_axis(rows, cols):
         return _logdet_lapack(b)
-    trials = b.reshape(-1, rows, cols)
     if cols < rows:
         # B^T (B^T)^H is the conjugate of B^H B: the same real pivots
-        trials = np.swapaxes(trials, -2, -1)
-    out = np.empty(len(trials))
+        b = np.swapaxes(b, -2, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for s in range(0, len(trials), _BATCH_AXIS_BLOCK):
-            out[s : s + _BATCH_AXIS_BLOCK] = _logdet_batch_axis(trials[s : s + _BATCH_AXIS_BLOCK])
-    return out.reshape(b.shape[:-2])
+        return _logdet_batch_axis(b)
 
 
 def _logdet_batch_axis(x: np.ndarray) -> np.ndarray:
@@ -278,8 +272,8 @@ def _logdet_batch_axis(x: np.ndarray) -> np.ndarray:
     its product, so no intermediate exceeds the Gram's own range.
     """
     t, n, m = x.shape
-    # copied a tile at a time: a whole block's strided reads, power-of-two
-    # bytes apart at some shapes, ran up to 2.7x slower
+    # copied a tile at a time: a whole slice's strided reads, power-of-two
+    # bytes apart at some shapes, ran up to 3x slower (8192 trials, (2,16))
     xr, xi = np.empty((2, n, m, t))
     for u in range(0, t, _BATCH_AXIS_TILE):
         tile = x[u : u + _BATCH_AXIS_TILE].transpose(1, 2, 0)
@@ -323,11 +317,9 @@ def _logdet_lapack(b: np.ndarray) -> np.ndarray:
     rows, cols = b.shape[-2], b.shape[-1]
     if cols < rows:
         gram = _herm(b) @ b
-        dim = cols
     else:
         gram = b @ _herm(b)
-        dim = rows
-    gram = gram + np.eye(dim)
+    gram = gram + np.eye(min(rows, cols))
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:

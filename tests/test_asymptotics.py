@@ -168,6 +168,9 @@ class TestPhiFunc:
             phi_func(1.7e308, 2.0)
         with pytest.raises(NumericError, match="out of float range"):
             critical_eve_antennas(6, 3, 1.7e308, 1.05, 0.3)
+        # 1 + x - f/4 cancels to zero long before x overflows
+        with pytest.raises(NumericError, match="out of float range"):
+            phi_func(6191151442875704.0, 2.2663230660250617)
 
     def test_scaling_identity_grid(self):
         xs = [0.05 * 1.45 ** i for i in range(20)]

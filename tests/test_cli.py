@@ -241,14 +241,21 @@ class TestSweep:
         assert base_rows[0]["exact"] == over_rows[0]["exact"]
         assert base_rows[0]["mc"] != over_rows[0]["mc"]
 
-    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    @pytest.mark.parametrize("flag", ["--trials"])
     def test_integer_beyond_float_range_without_mc(self, capsys, tmp_path, flag):
         # float() of a 402-digit int overflows; without an mc column the
-        # value is checked but never used
+        # trial count is checked but never used (a seed is held to 64 bits)
         cfg = write(tmp_path, "s.cfg", "axis = n_e\nvalues = 2, 4\noutputs = exact\n" + POINT)
         _, want, _ = run_main(capsys, ["sweep", "--config", cfg])
         code, out, err = run_main(capsys, ["sweep", "--config", cfg, flag, str(10**401)])
         assert (code, out, err) == (0, want, "")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_fails_before_any_row(self, capsys, tmp_path, seed):
+        cfg = write(tmp_path, "s.cfg", SWEEP.replace("seed = 11", f"seed = {seed}"))
+        code, out, err = run_main(capsys, ["sweep", "--config", cfg])
+        want = f"error: seed must fit in 64 unsigned bits, got {seed}\n"
+        assert (code, out, err) == (1, "", want)
 
     def test_seed_beyond_64_bits_with_mc(self, capsys, tmp_path):
         cfg = write(tmp_path, "s.cfg", SWEEP)

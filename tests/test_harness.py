@@ -274,8 +274,17 @@ class TestSweepSpec:
                 SweepSpec(**self.kwargs(seed=bad))
 
     def test_integers_beyond_float_range_kept(self):
-        spec = SweepSpec(**self.kwargs(mc_trials=10**401, seed=10**401))
-        assert spec.mc_trials == 10**401 and spec.seed == 10**401
+        # 2**64 - 1 would round to 2**64 through a float
+        spec = SweepSpec(**self.kwargs(mc_trials=10**401, seed=2**64 - 1))
+        assert spec.mc_trials == 10**401 and spec.seed == 2**64 - 1
+
+    def test_seed_range(self):
+        # a Philox key: both ends are refused before any row runs
+        assert SweepSpec(**self.kwargs(seed=0)).seed == 0
+        for bad in (-1, -5, 2**64, 10**401):
+            message = f"^seed must fit in 64 unsigned bits, got {bad}$"
+            with pytest.raises(ConfigError, match=message):
+                SweepSpec(**self.kwargs(seed=bad))
 
     def test_axis_substitution(self):
         spec = SweepSpec(**self.kwargs(axis="gamma_db", values=(-3.0, 0.0, 3.0)))

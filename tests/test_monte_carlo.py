@@ -634,15 +634,33 @@ class TestBatchAxisLogdet:
         alone = np.array([mc._logdet_eye_plus_gram(b[t : t + 1])[0] for t in rows])
         assert np.array_equal(alone.view(np.uint64), whole[rows].view(np.uint64))
 
-    def test_rows_do_not_depend_on_the_block(self):
-        # a batch of three blocks: each block's rows are the same bits
-        # as the rows of that block alone
-        size = mc._BATCH_AXIS_BLOCK
-        b = _complex_normal(np.random.default_rng(30), (2 * size + 3, 2, 4))
-        whole = mc._logdet_eye_plus_gram(b)
-        for s in (0, size, 2 * size):
-            part = mc._logdet_eye_plus_gram(b[s : s + size])
-            assert np.array_equal(part.view(np.uint64), whole[s : s + size].view(np.uint64))
+    def test_slices_stop_at_8192_trials(self, monkeypatch):
+        # at (1,3) a chunk is 65,536 trials of 8 padded words, one slice
+        # by the word bound alone; the trial bound walks it in 8 slices,
+        # whose log-dets are the bits of one call on the whole chunk
+        rows, cols, trials, seed = 1, 3, 65536, 4
+        assert mc._chunk_size(2 * rows * cols) == trials
+        slices, chunks = [], []
+        chunked = mc._chunked
+
+        def spying(n, words, values, finish):
+            def counted(s, nt):
+                slices.append((s, nt))
+                return values(s, nt)
+
+            def kept(t0, vals):
+                chunks.append(vals)
+                return finish(t0, vals)
+
+            return chunked(n, words, counted, kept)
+
+        monkeypatch.setattr(mc, "_chunked", spying)
+        mc_logdet_oracle(rows, cols, 2.0, trials, seed=seed)
+        assert slices == [(s, 8192) for s in range(0, trials, 8192)]
+        g = mc._trial_gaussians(seed, 0, trials, 2 * rows * cols).reshape(trials, rows, cols)
+        whole = mc._logdet_eye_plus_gram(g * np.sqrt(np.full(cols, 2.0)))
+        assert len(chunks) == 1
+        assert np.array_equal(chunks[0].view(np.uint64), whole.view(np.uint64))
 
     @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (4, 6), (6, 4), (20, 1)])
     def test_zero_b_is_exactly_zero(self, shape):
