@@ -35,11 +35,17 @@ class UnboundedRangeError(NumericError):
 
 
 def _finite(name: str, value, positive: bool = False) -> float:
-    """float(value); DomainError unless it is finite and >= 0 (> 0 if positive)."""
+    """float(value); DomainError unless it is finite and >= 0 (> 0 if positive).
+
+    A value that float() refuses (None, a complex, a non-numeric string)
+    is a DomainError too, not float()'s own TypeError or ValueError.
+    """
     try:
         v = float(value)
     except OverflowError:  # an int past the double range rounds to inf
         v = math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
     if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
         bound = ">" if positive else ">="
         raise DomainError(f"{name} must be finite and {bound} 0, got {v!r}")

@@ -44,6 +44,14 @@ uniforms: each complex entry uses two words and has unit total variance
 (real and imaginary parts each 1/2), matching the unit-variance channel
 convention. A per-component variance of 1 here would silently double
 every SNR, hence the explicit construction instead of library normals.
+The radius sqrt(-ln(1 - u)) is numpy's log and sqrt. The angle's cos
+and sin (_cos_sin) are a 1024-entry table of cos and sin at the midpoint
+of each angle interval, built at import in integer arithmetic and
+correctly rounded, plus short polynomials in the offset from the
+midpoint: elementwise IEEE +, -, * on exact conversions and table reads,
+within about 2**-53 of the exact values. Their bytes do not follow
+numpy's SIMD dispatch; np.log, here and in the batch-axis pivots, still
+does.
 
 The secrecy rate of a trial needs only h and g. The eavesdropper sees
 g (alpha P + alpha beta (I - P)) g^H, where P projects onto the row space
@@ -70,6 +78,13 @@ from .errors import _MAX_SEED, ConfigError, DomainError, NumericError, _integer
 
 _WORKERS_ENV = "ANMIMO_WORKERS"
 _INV_2_53 = 1.0 / float(2**53)
+# the Gaussian map: the top _ANGLE_TABLE_BITS of an angle's 53 bits index a
+# table, the rest are an offset; fl(2 pi) 2**-53 is an exact product
+_ANGLE_TABLE_BITS = 10
+_ANGLE_OFFSET_BITS = 53 - _ANGLE_TABLE_BITS
+_ANGLE_STEP = 2.0 * math.pi * _INV_2_53
+_BITS_OF_2_52 = 0x4330000000000000  # the double 2**52 as a 64-bit integer
+_MAP_BLOCK = 65536  # Gaussians per block of the map (see _gaussians_from_words)
 _RANK_RTOL = 1e-8
 # an upper bound on cond(h) at most this clears the rank check with a wide
 # margin over 1 / _RANK_RTOL, whatever the rounding in the bound
@@ -138,31 +153,142 @@ def _blocks_per_trial(n_words: int) -> int:
     return (n_words + 3) // 4
 
 
+def _angle_table():
+    """cos and sin of 2 pi (k + 1/2) / 1024 for k < 1024, as two float64 arrays.
+
+    Built in integer fixed point at 216 bits, with no libm and no mpmath:
+    pi from Machin's formula, pi/4 = 4 atan(1/5) - atan(1/239); cos and
+    sin of the half step pi/1024 by their Taylor series; the first
+    quadrant by 255 rotations through the step 2 pi/1024; the other
+    quadrants by exact sign swaps. The rotations leave an error below
+    2**-200, so every entry rounds correctly (CPython's int / int is
+    correctly rounded) unless one lies that close to a tie.
+    """
+    size = 1 << _ANGLE_TABLE_BITS
+    q = 216
+    one = 1 << q
+
+    def atan_inv(x):  # atan(1/x) in fixed point
+        total, term, n, sign = 0, one // x, 1, 1
+        while term:
+            total += sign * (term // n)
+            term //= x * x
+            n, sign = n + 2, -sign
+        return total
+
+    half = 4 * (4 * atan_inv(5) - atan_inv(239)) // size  # pi/size
+    taylor, term, n = [0, 0, 0, 0], one, 0  # x^n/n! at x = pi/size, summed by n mod 4
+    while term:
+        taylor[n % 4] += term
+        n += 1
+        term = term * half // (one * n)
+    c, s = taylor[0] - taylor[2], taylor[1] - taylor[3]
+    step_c, step_s = (c * c - s * s) >> q, (2 * c * s) >> q
+    cos_q, sin_q = [], []
+    for _ in range(size // 4):
+        cos_q.append(c / one)
+        sin_q.append(s / one)
+        c, s = (c * step_c - s * step_s) >> q, (s * step_c + c * step_s) >> q
+    minus_cos, minus_sin = [-v for v in cos_q], [-v for v in sin_q]
+    # the angle plus pi/2, pi and 3 pi/2
+    cos_t = cos_q + minus_sin + minus_cos + sin_q
+    sin_t = sin_q + cos_q + minus_sin + minus_cos
+    return np.array(cos_t), np.array(sin_t)
+
+
+_COS_TABLE, _SIN_TABLE = _angle_table()
+
+
+def _cos_sin(w: np.ndarray, cos: np.ndarray, sin: np.ndarray, scratch: np.ndarray) -> None:
+    """cos and sin of the angle 2 pi m / 2**53 of each word, m = w >> 11, into cos and sin.
+
+    cos and sin are contiguous and shaped like w; scratch is a float64
+    buffer of at least (5, w.size). The top 10 bits k of m pick the
+    table's midpoint 2 pi (k + 1/2) / 1024; the other 43 bits r give the
+    offset delta = (r - 2**42) fl(2 pi 2**-53), |delta| <= pi/1024, with
+    one rounding. cos delta - 1 = d^2 (d^2/24 - 1/2) and sin delta =
+    d + d^3 (d^2/120 - 1/6) drop terms below 1.2e-18; the
+    angle-addition formulas add the small corrections to the table's
+    entries last. Each step is an elementwise IEEE +, -, * or an exact
+    conversion or table read, so the bits do not depend on numpy's SIMD
+    dispatch or the array's length, and every value is within about 2**-53
+    of the exact cos and sin of 2 pi m / 2**53. w is read once: a strided
+    read costs several contiguous ones.
+    """
+    table_c, table_s, delta, cm1, sd = scratch[:5, : w.size].reshape(5, *w.shape)
+    m = sd.view(np.uint64)  # sd and delta are free until the offset is done
+    np.right_shift(w, 11, out=m)
+    index = delta.view(np.int64)
+    np.right_shift(m, _ANGLE_OFFSET_BITS, out=index)
+    np.take(_COS_TABLE, index, out=table_c, mode="wrap")  # 'wrap' skips a buffered copy
+    np.take(_SIN_TABLE, index, out=table_s, mode="wrap")
+    # r in the mantissa of 2**52 is the double 2**52 + r: the conversion
+    # and the subtraction below are exact, delta is one rounding
+    np.bitwise_and(m, (1 << _ANGLE_OFFSET_BITS) - 1, out=m)
+    np.bitwise_or(m, _BITS_OF_2_52, out=m)
+    np.subtract(m.view(np.float64), 2.0**52 + 2.0 ** (_ANGLE_OFFSET_BITS - 1), out=delta)
+    delta *= _ANGLE_STEP
+    d2 = sin  # delta squared, until sin is written
+    np.multiply(delta, delta, out=d2)
+    np.multiply(d2, 1.0 / 24.0, out=cm1)
+    cm1 -= 0.5
+    cm1 *= d2
+    np.multiply(d2, 1.0 / 120.0, out=sd)
+    sd -= 1.0 / 6.0
+    sd *= d2
+    sd *= delta
+    sd += delta
+    # cos = C + (C (cos delta - 1) - S sin delta), sin = S + (S (cos delta - 1) + C sin delta)
+    np.multiply(table_c, cm1, out=cos)
+    np.multiply(table_s, sd, out=delta)
+    cos -= delta
+    cos += table_c
+    np.multiply(table_s, cm1, out=sin)
+    np.multiply(table_c, sd, out=delta)
+    sin += delta
+    sin += table_s
+
+
 def _gaussians_from_words(words: np.ndarray) -> np.ndarray:
     """Map pairs of raw words to unit-variance circular complex Gaussians.
 
-    Entry k is sqrt(-ln(1 - u_2k)) * exp(2 pi i u_2k+1) for the 53-bit
-    uniforms u of the words, built in place: cos and sin go straight into
-    the real and imaginary parts of the result.
+    Entry k is sqrt(-ln(1 - u_2k)) * (cos + i sin)(2 pi u_2k+1) for the
+    53-bit uniforms u of the words. The radius is numpy's sqrt and log,
+    the cos and sin come from _cos_sin. The map runs in blocks of at most
+    _MAP_BLOCK entries, a row of words or a run of rows at a time, reading
+    words (a strided view is fine) without copying them whole. Each numpy
+    call releases the GIL, and two pool workers making short calls wait
+    on each other: on a 2-vCPU AVX-512 Xeon, two threads mapping (4,4)
+    slices ran 1.19x faster than one at 16384-entry blocks and 1.76x at
+    65536, for 7% more time alone.
     """
-    u = (words >> np.uint64(11)).astype(np.float64)
-    u *= _INV_2_53
-    radius = np.subtract(1.0, u[..., 0::2])  # in (0, 1], keeps the log finite
-    np.log(radius, out=radius)
-    np.negative(radius, out=radius)
-    np.sqrt(radius, out=radius)
-    angle = np.multiply(2.0 * np.pi, u[..., 1::2])
-    out = np.empty(angle.shape, dtype=np.complex128)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    out.real *= radius
-    out.imag *= radius
-    if not radius.all():
-        # a zero radius is -0.0 (the sqrt of -ln 1); the complex product
-        # radius * (cos + i sin) gives its zeros other signs, kept here
-        zero = radius == 0.0
-        out[zero] = radius[zero] * (np.cos(angle[zero]) + 1j * np.sin(angle[zero]))
-    return out
+    w2 = words.reshape(-1, words.shape[-1])
+    rows, pairs = w2.shape[0], w2.shape[1] // 2
+    out = np.empty((rows, pairs), dtype=np.complex128)
+    cols = min(pairs, _MAP_BLOCK)
+    step = min(rows, _MAP_BLOCK // cols)
+    scratch = np.empty((8, step * cols))
+    for r0 in range(0, rows, step):
+        for c0 in range(0, pairs, cols):
+            w = w2[r0 : r0 + step, 2 * c0 : 2 * (c0 + cols)]
+            o = out[r0 : r0 + step, c0 : c0 + cols]
+            radius, cos, sin = scratch[:3, : o.size].reshape(3, *o.shape)
+            u53 = cos.view(np.int64)  # cos is not needed until _cos_sin writes it
+            np.right_shift(w[:, 0::2], 11, out=u53)
+            np.multiply(u53, _INV_2_53, out=radius)
+            np.subtract(1.0, radius, out=radius)  # in (0, 1], keeps the log finite
+            np.log(radius, out=radius)
+            np.negative(radius, out=radius)
+            np.sqrt(radius, out=radius)
+            _cos_sin(w[:, 1::2], cos, sin, scratch[3:])
+            np.multiply(cos, radius, out=o.real)
+            np.multiply(sin, radius, out=o.imag)
+            if not radius.all():
+                # a zero radius is -0.0 (the sqrt of -ln 1); the complex product
+                # radius * (cos + i sin) gives its zeros other signs, kept here
+                zero = radius == 0.0
+                o[zero] = radius[zero] * (cos[zero] + 1j * sin[zero])
+    return out.reshape(words.shape[:-1] + (pairs,))
 
 
 def _trial_gaussians(seed: int, t0: int, nt: int, words_per_trial: int) -> np.ndarray:
@@ -554,7 +680,12 @@ def mc_logdet_oracle(
     cols = _integer("cols", cols, 1)
     trials = _integer("trials", trials, 2)
     seed = _check_seed(seed)
-    profile = np.asarray(scale_profile, dtype=np.float64)
+    try:
+        profile = np.asarray(scale_profile, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"scale_profile must be a real number or a sequence of them, got {scale_profile!r}"
+        ) from None
     if profile.ndim == 0:
         profile = np.full(cols, float(profile))
     if profile.shape != (cols,):

@@ -11,6 +11,7 @@ import struct
 import sys
 import threading
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, pairwise
 
@@ -1169,3 +1170,30 @@ def test_finite_argument_messages(call, message):
     with pytest.raises(DomainError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: theta(1, 2, 1 + 0j), "x must be a real number, got (1+0j)"),
+        (lambda: theta(1, 2, "x"), "x must be a real number, got 'x'"),
+        (lambda: theta(1, 2, None), "x must be a real number, got None"),
+        (lambda: SystemConfig(6, 3, 4, None, 1, 1), "alpha must be a real number, got None"),
+        (lambda: cfg(6, 3, 4, 1.0, [0.5], 1.0), "beta must be a real number, got [0.5]"),
+        (lambda: f_func(1.0, "two"), "y must be a real number, got 'two'"),
+        (
+            lambda: critical_eve_antennas(6, 3, 1.0, 1.0, 2j),
+            "gamma must be a real number, got 2j",
+        ),
+    ],
+)
+def test_non_numeric_argument_messages(call, message):
+    # float()'s own TypeError or ValueError becomes a DomainError naming the argument
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("x", ["0.5", " 1e-3 ", Fraction(1, 2), Decimal("0.25"), 0])
+def test_what_float_accepts_stays_accepted(x):
+    assert theta(2, 3, x) == theta(2, 3, float(x))

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from anmimo import (
     ChannelRealization,
@@ -369,6 +370,18 @@ class TestLogdetOracle:
         with pytest.raises(DomainError):
             mc_logdet_oracle(2, 3, 1.0, 1)
 
+    @pytest.mark.parametrize("profile", ["x", 1 + 1j, [1.0, "x", 1.0], [[1.0], [1.0, 2.0]]])
+    def test_non_numeric_profile_is_a_domain_error(self, profile):
+        # not numpy's own "could not convert" ValueError or TypeError
+        with pytest.raises(DomainError) as exc:
+            mc_logdet_oracle(2, 3, profile, 10)
+        assert str(exc.value) == (
+            f"scale_profile must be a real number or a sequence of them, got {profile!r}"
+        )
+
+    def test_numeric_strings_stay_accepted(self):
+        assert mc_logdet_oracle(2, 3, "2.0", 10) == mc_logdet_oracle(2, 3, 2.0, 10)
+
 
 class TestNormalizedSample:
     def test_trial_order_and_length(self):
@@ -528,23 +541,149 @@ class TestPrecodingBasis:
         assert np.array_equal(sliced.view(np.uint64), whole.view(np.uint64))
 
 
+def _angle_table_by_mpmath():
+    # cos and sin of 2 pi (k + 1/2) / 1024 = pi (2k + 1) / 1024 at 170 bits
+    # (51 digits), each rounded to the nearest double
+    cos_t, sin_t = [], []
+    for k in range(1024):
+        c, s = libmp.mpf_cos_sin_pi(libmp.from_man_exp(2 * k + 1, -10), 170)
+        cos_t.append(libmp.to_float(c, rnd=libmp.round_nearest))
+        sin_t.append(libmp.to_float(s, rnd=libmp.round_nearest))
+    return np.array(cos_t), np.array(sin_t)
+
+
+def _unit_circle(words):
+    # the cos and sin halves of the map, before the radius multiplies in
+    cos, sin = np.empty(words.shape), np.empty(words.shape)
+    mc._cos_sin(words, cos, sin, np.empty((5, words.size)))
+    return cos, sin
+
+
+def _edge_angle_words():
+    # every table boundary (from both sides, with and without the 11 low
+    # bits the map drops), every midpoint, and k = 0 and 1023 across their
+    # offsets; the boundaries include the quadrant points and, below 0,
+    # the all-ones word
+    top = np.arange(1024, dtype=np.uint64) << np.uint64(54)
+    ends = np.array([0, 1, 2**42 - 1, 2**42 + 1, 2**43 - 2, 2**43 - 1], dtype=np.uint64)
+    k_ends = [(np.uint64(k) << np.uint64(54)) | (ends << np.uint64(11)) for k in (0, 1023)]
+    quadrants = np.array([q << 62 for q in range(4)], dtype=np.uint64)
+    return np.concatenate(
+        [top, top | np.uint64(2047), top - np.uint64(1), top | np.uint64(1 << 53), *k_ends, quadrants]
+    )
+
+
 class TestGaussianMap:
     @staticmethod
-    def reference_map(words):
-        # the polar construction as one complex expression
-        u = (words >> np.uint64(11)).astype(np.float64) * (1.0 / float(2**53))
-        radius = np.sqrt(-np.log(1.0 - u[..., 0::2]))
-        angle = 2.0 * np.pi * u[..., 1::2]
-        return radius * (np.cos(angle) + 1j * np.sin(angle))
+    def reference_map(words, cos_t, sin_t):
+        # the construction written out on whole arrays: radius from numpy's
+        # log, cos and sin from the table midpoint and the offset's series
+        m = words >> np.uint64(11)
+        radius = np.sqrt(-np.log(1.0 - m[..., 0::2].astype(np.float64) * (1.0 / float(2**53))))
+        k = (m[..., 1::2] >> np.uint64(43)).astype(np.intp)
+        r = (m[..., 1::2] & np.uint64(2**43 - 1)).astype(np.int64)
+        delta = (r - 2**42) * (2.0 * math.pi / float(2**53))
+        d2 = delta * delta
+        cos_delta_m1 = (d2 * (1.0 / 24.0) - 0.5) * d2
+        sin_delta = (d2 * (1.0 / 120.0) - 1.0 / 6.0) * d2 * delta + delta
+        c, s = cos_t[k], sin_t[k]
+        cos = c + (c * cos_delta_m1 - s * sin_delta)
+        sin = s + (s * cos_delta_m1 + c * sin_delta)
+        return radius * (cos + 1j * sin)
 
-    def test_bitwise_equal_to_reference(self):
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return _angle_table_by_mpmath()
+
+    def test_table_is_correctly_rounded(self, tables):
+        # the package builds it in integers, with no libm or mpmath
+        cos_t, sin_t = tables
+        assert np.array_equal(mc._COS_TABLE.view(np.uint64), cos_t.view(np.uint64))
+        assert np.array_equal(mc._SIN_TABLE.view(np.uint64), sin_t.view(np.uint64))
+
+    def test_cos_sin_within_two_units_of_exact(self):
+        # |error| <= 2 * 2**-53 against cos and sin of the exact angle
+        # 2 pi m / 2**53 at 170 bits; the np.cos map was up to 6.25 off
+        words = np.concatenate(
+            [_edge_angle_words(), np.random.Philox(key=35).random_raw(100_000)]
+        )
+        cos, sin = _unit_circle(words)
+        exact = []  # each exact value as a sum of two doubles
+        for m in (words >> np.uint64(11)).tolist():
+            for v in libmp.mpf_cos_sin_pi(libmp.from_man_exp(m, -52), 170):
+                hi = libmp.to_float(v)
+                exact.append((hi, libmp.to_float(libmp.mpf_sub(v, libmp.from_float(hi), 170))))
+        exact = np.array(exact).reshape(len(words), 2, 2)
+        for got, (hi, lo) in ((cos, exact[:, 0].T), (sin, exact[:, 1].T)):
+            err = np.abs((got - hi) - lo)  # each subtraction rounds by far less than 2**-53
+            assert err.max() <= 2.0 * 2.0**-53, int(np.argmax(err))
+
+    def test_bitwise_equal_to_reference(self, tables):
         words = np.random.Philox(key=21).random_raw(1 << 21)
         # zero-radius entries (first word 0) in every quadrant, and the extremes
         words[:12] = [0, 0, 0, 1 << 61, 0, 3 << 61, 0, 5 << 61, 0, 7 << 61, 2**64 - 1, 2**64 - 1]
-        for w in (words, words[: 84 * 1000].reshape(1000, 84)):
+        edges = _edge_angle_words()
+        words[13 : 13 + 2 * len(edges) : 2] = edges  # as angle words
+        padded = words[: 8 * 1000].reshape(1000, 8)[:, :6]  # the (1,3) oracle's layout
+        for w in (words, words[: 84 * 1000].reshape(1000, 84), padded):
             got = mc._gaussians_from_words(w)
-            want = self.reference_map(w)
+            want = self.reference_map(w, *tables)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_blocks_change_no_bits(self, monkeypatch, block):
+        words = np.random.Philox(key=22).random_raw(20 * 8 * 123).reshape(123, 160)
+        words[:, :4] = 0  # zero radii inside every block
+        want = mc._gaussians_from_words(words[:, :150])
+        monkeypatch.setattr(mc, "_MAP_BLOCK", block)
+        got = mc._gaussians_from_words(words[:, :150])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# the unit-circle half of the map on seeded and edge words, in a fresh
+# process: first the AVX-512 dispatch targets numpy has enabled, then a
+# digest of the cos and sin bytes
+_UNIT_CIRCLE_SCRIPT = """
+import hashlib, sys
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+print(",".join(f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f)))
+sys.path.insert(0, sys.argv[1])
+from test_monte_carlo import _edge_angle_words, _unit_circle
+words = np.concatenate([_edge_angle_words(), np.random.Philox(key=36).random_raw(1 << 18)])
+cos, sin = _unit_circle(words)
+print(hashlib.sha256(cos.tobytes() + sin.tobytes()).hexdigest())
+"""
+
+
+def test_unit_circle_ignores_simd_dispatch():
+    # only +, -, *, exact conversions and table reads: the bytes are the
+    # same with numpy's AVX-512 loops disabled (the radius's np.log is not)
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    runs = {}
+    for disabled in (None, "X86_V4,AVX512_ICL,AVX512_SPR"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNIT_CIRCLE_SCRIPT, str(Path(__file__).parent)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        lines = proc.stdout.split("\n")
+        if len(lines) < 2:  # numpy did not import under the variable
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={disabled}: {proc.stderr[-200:]}")
+        assert proc.returncode == 0, proc.stderr
+        runs[disabled] = lines[:2]
+    enabled, digest = runs[None]
+    still_enabled, digest_disabled = runs["X86_V4,AVX512_ICL,AVX512_SPR"]
+    if not enabled or still_enabled:
+        pytest.skip(f"no AVX-512 dispatch to switch off (enabled {enabled!r}, then {still_enabled!r})")
+    assert digest_disabled == digest
 
 
 def _eye_plus_gram(b):
